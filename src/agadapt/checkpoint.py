@@ -8,6 +8,7 @@ identical states produce identical bytes.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -48,23 +49,37 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     if not path.exists():
         raise DataError(f"checkpoint not found: {path}")
     blob = path.read_bytes()
+
+    def need(offset: int, size: int) -> None:
+        if offset + size > len(blob):
+            raise DataError(f"truncated checkpoint: {path} has {len(blob)} bytes, "
+                            f"needs at least {offset + size}")
+
     if blob[:4] != MAGIC:
         raise DataError(f"not a checkpoint file: {path}")
+    need(4, 8)
     version, count = struct.unpack_from("<II", blob, 4)
     if version != VERSION:
         raise DataError(f"unsupported checkpoint version {version}")
     offset = 12
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
+        need(offset, 2)
         (name_len,) = struct.unpack_from("<H", blob, offset)
         offset += 2
-        name = blob[offset:offset + name_len].decode("utf-8")
+        need(offset, name_len + 1)  # the name and the rank byte after it
+        try:
+            name = blob[offset:offset + name_len].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"malformed tensor name in checkpoint: {path}") from exc
         offset += name_len
         (rank,) = struct.unpack_from("<B", blob, offset)
         offset += 1
+        need(offset, 4 * rank)
         dims = struct.unpack_from(f"<{rank}I", blob, offset) if rank else ()
         offset += 4 * rank
-        size = int(np.prod(dims)) if rank else 1
+        size = math.prod(dims)
+        need(offset, 8 * size)
         arr = np.frombuffer(blob, dtype="<f8", count=size, offset=offset)
         offset += 8 * size
         tensors[name] = arr.reshape(dims).astype(np.float64)

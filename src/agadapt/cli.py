@@ -89,6 +89,12 @@ def cmd_select_heads(args) -> int:
         selection = training.select_heads(model, utts, top_k=n_heads)
     else:
         selection = training.select_heads(model, utts, fraction=args.fraction)
+    if not selection.selected:
+        raise ConfigError(
+            f"no heads selected ({args.strategy} strategy, fraction {args.fraction}): "
+            f"{len(selection.qualifying)} of {len(selection.counts)} heads pass the "
+            f"majority bar of {selection.threshold:g} of {selection.dataset_size} "
+            f"utterances; counts {selection.counts}; nothing written to {args.out}")
     guidance.save_head_selection(args.out, selection)
     print(f"dataset size: {selection.dataset_size}")
     print(f"qualifying heads: {len(selection.qualifying)}")

@@ -1,9 +1,17 @@
 """Compact transformer encoder-decoder over a frozen backbone.
 
-The decoder consumes the full target sequence (prompt + words + end marker)
-under a causal mask, so its per-head self-attention maps are square over the
-token positions; those maps are what the guidance machinery consumes. Output
-logits are shifted so that row n depends only on tokens strictly before n.
+`Seq2SeqModel.encode` maps frames to the memory once per batch. One decoder
+routine, `_decode_rows`, runs every decoder layer (self-attention with the
+LID score prior, cross-attention over the memory, adapters, feed-forward)
+for the rows of a token block, and both callers share it:
+
+- The teacher-forced `forward` runs all rows at once under a square causal
+  mask. Its per-head self-attention maps are what the guidance machinery
+  consumes, and its logits are shifted so that row n depends only on
+  tokens strictly before n.
+- `greedy_decode` computes each layer's cross-attention K/V once, runs the
+  prompt as one block and then one query row per step, appending each
+  step's self-attention K/V rows to a per-layer `DecoderCache`.
 
 Bottleneck adapters (down-project, GELU, up-project, residual) sit after the
 attention sub-block and after the feed-forward sub-block of every layer; with
@@ -18,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericError
 from .numerics import (
     Parameter,
     Tensor,
@@ -211,10 +219,12 @@ class TokenSequence:
 class ForwardOut:
     """Teacher-forced forward outputs.
 
-    `logits[b, n]` is the next-token distribution over the vocabulary given
+    `logits[b, n]` holds the next-token scores over the vocabulary given
     tokens strictly before position n (row 0 is a constant zero row).
-    `next_logits[b]` predicts the token that would follow the full input.
-    `attention[l]` holds the decoder self-attention maps, shape (B, H, N, N).
+    `next_logits[b]` scores the token that would follow the full input; a
+    greedy decoding step computes the same row from its K/V cache without a
+    full forward. `attention[l]` holds the decoder self-attention maps,
+    shape (B, H, N, N).
     """
 
     logits: Tensor
@@ -449,125 +459,184 @@ class Seq2SeqModel:
                              self._p(prefix + "up.weight"),
                              self._p(prefix + "up.bias"))
 
-    def _split_heads(self, t: Tensor, length: int, batch: int) -> Tensor:
+    def _split_heads(self, t: Tensor) -> Tensor:
         c = self.config
+        batch, length = t.shape[0], t.shape[1]
         return t.reshape(batch, length, c.heads, c.head_dim).transpose(0, 2, 1, 3)
 
-    def _merge_heads(self, t: Tensor, length: int, batch: int) -> Tensor:
-        c = self.config
-        return t.transpose(0, 2, 1, 3).reshape(batch, length, c.width)
+    def _merge_heads(self, t: Tensor) -> Tensor:
+        batch, length = t.shape[0], t.shape[2]
+        return t.transpose(0, 2, 1, 3).reshape(batch, length, self.config.width)
 
-    def _attend(self, x: Tensor, kv: Tensor, prefix: str, batch: int,
+    def _kv(self, src: Tensor, prefix: str) -> tuple[Tensor, Tensor]:
+        """Key and value heads of one attention sub-layer over `src`."""
+        k = self._split_heads(src @ self._p(prefix + ".k_proj.weight") + self._p(prefix + ".k_proj.bias"))
+        v = self._split_heads(src @ self._p(prefix + ".v_proj.weight") + self._p(prefix + ".v_proj.bias"))
+        return k, v
+
+    def _attend(self, x: Tensor, k: Tensor, v: Tensor, prefix: str,
                 causal: bool, extra_mask=None) -> tuple[Tensor, Tensor]:
-        """One multi-head attention sub-layer; returns (output, maps)."""
-        n_q = x.shape[1]
-        n_k = kv.shape[1]
-        q = self._split_heads(x @ self._p(prefix + ".q_proj.weight") + self._p(prefix + ".q_proj.bias"), n_q, batch)
-        k = self._split_heads(kv @ self._p(prefix + ".k_proj.weight") + self._p(prefix + ".k_proj.bias"), n_k, batch)
-        v = self._split_heads(kv @ self._p(prefix + ".v_proj.weight") + self._p(prefix + ".v_proj.bias"), n_k, batch)
+        """One multi-head attention sub-layer of queries `x` over key and
+        value heads (B, H, N_k, head_dim); returns (output, maps)."""
+        q = self._split_heads(x @ self._p(prefix + ".q_proj.weight") + self._p(prefix + ".q_proj.bias"))
         maps = attention_map(q, k, causal=causal, extra_mask=extra_mask)
-        ctx = self._merge_heads(maps @ v, n_q, batch)
+        ctx = self._merge_heads(maps @ v)
         out = ctx @ self._p(prefix + ".out_proj.weight") + self._p(prefix + ".out_proj.bias")
         return out, maps
 
-    def forward(self, frames, tokens, frame_mask=None,
-                enc_adapters: bool = True, dec_adapters: bool = True) -> ForwardOut:
-        """Teacher-forced pass over a batch.
+    def encode(self, frames, frame_mask=None,
+               enc_adapters: bool = True) -> tuple[Tensor, np.ndarray | None]:
+        """Encoder pass over a batch of frames.
 
         frames: (B, T, feat_dim) float array, zero-padded; `frame_mask` (B, T)
-        marks real frames. tokens: (B, N) int array, <blnk>-padded.
+        marks real frames. Returns the memory (B, T, width) and the additive
+        (B, 1, 1, T) mask of its padded columns (None without a frame mask),
+        which every cross-attention over the memory applies.
         """
         c = self.config
         frames = np.asarray(frames, dtype=np.float64)
         if frames.ndim == 2:
             frames = frames[None]
-        tokens = np.asarray(tokens, dtype=np.int64)
-        if tokens.ndim == 1:
-            tokens = tokens[None]
+        if frames.ndim != 3:
+            raise DataError(f"frames must have shape (B, T, feat_dim), got {frames.shape}")
         batch, t_len, feat = frames.shape
-        n_len = tokens.shape[1]
         if feat != c.feat_dim:
             raise DataError(f"feature dimension {feat} does not match config {c.feat_dim}")
-        if t_len > c.max_len or n_len > c.max_len:
+        if t_len > c.max_len:
             raise DataError("sequence too long for the configured maximum length")
-        if tokens.shape[0] != batch:
-            raise DataError("frames and tokens disagree on batch size")
 
         col_mask = None
         if frame_mask is not None:
             fm = np.asarray(frame_mask, dtype=bool)
+            if fm.shape != (batch, t_len):
+                raise DataError(f"frame mask shape {fm.shape} does not match frames {(batch, t_len)}")
             col_mask = np.where(fm, 0.0, -np.inf).reshape(batch, 1, 1, t_len)
 
-        use_enc_ad = enc_adapters and self.has_adapters
-        use_dec_ad = dec_adapters and self.has_adapters
-
+        use_ad = enc_adapters and self.has_adapters
         windowed = _stack_frame_window(frames)
         x = Tensor(windowed) @ self._p("enc.in_proj.weight") + self._p("enc.in_proj.bias")
         x = x + embedding(self._p("enc.pos.weight"), np.arange(t_len))
         for i in range(c.enc_layers):
             p = f"enc.{i}."
             h = layer_norm(x, self._p(p + "ln1.gain"), self._p(p + "ln1.bias"))
-            attn_out, _ = self._attend(h, h, p + "attn", batch, causal=False,
+            k, v = self._kv(h, p + "attn")
+            attn_out, _ = self._attend(h, k, v, p + "attn", causal=False,
                                        extra_mask=col_mask)
             x = x + attn_out
-            if use_enc_ad:
+            if use_ad:
                 x = self._adapter(x, p + "attn_adapter.")
             h = layer_norm(x, self._p(p + "ln2.gain"), self._p(p + "ln2.bias"))
             f = gelu(h @ self._p(p + "ffn.fc1.weight") + self._p(p + "ffn.fc1.bias"))
             x = x + (f @ self._p(p + "ffn.fc2.weight") + self._p(p + "ffn.fc2.bias"))
-            if use_enc_ad:
+            if use_ad:
                 x = self._adapter(x, p + "ffn_adapter.")
         memory = layer_norm(x, self._p("enc.ln_out.gain"), self._p("enc.ln_out.bias"))
+        return memory, col_mask
 
-        y = embedding(self._p("dec.embed.weight"), tokens)
-        y = y + embedding(self._p("dec.pos.weight"), np.arange(n_len))
+    def _decode_rows(self, tokens, memory: Tensor, col_mask, dec_adapters: bool = True,
+                     cache: DecoderCache | None = None) -> tuple[Tensor, list[Tensor]]:
+        """Decoder pass over rows `tokens[:, start:]`, where `start` is the
+        number of positions `cache` already holds (0 without a cache).
+
+        Without a cache every row runs at once under the square causal mask
+        (the teacher-forced pass). With one, each layer takes its cross-attention
+        K/V from the cache instead of projecting `memory`, and appends the new
+        rows' self-attention K/V to the cached rows before attending.
+
+        Returns the output projection of the new rows, (B, N - start, M), and
+        each layer's self-attention maps, (B, H, N - start, N).
+        """
+        c = self.config
+        tokens = np.asarray(tokens, dtype=np.int64)
+        if tokens.ndim == 1:
+            tokens = tokens[None]
+        batch, n_len = tokens.shape
+        if n_len > c.max_len:
+            raise DataError("sequence too long for the configured maximum length")
+        if batch != memory.shape[0]:
+            raise DataError("frames and tokens disagree on batch size")
+        start = 0 if cache is None else cache.length
+        use_ad = dec_adapters and self.has_adapters
+
+        y = embedding(self._p("dec.embed.weight"), tokens[:, start:])
+        y = y + embedding(self._p("dec.pos.weight"), np.arange(start, n_len))
         attn_maps: list[Tensor] = []
         for i in range(c.dec_layers):
             p = f"dec.{i}."
             h = layer_norm(y, self._p(p + "ln1.gain"), self._p(p + "ln1.bias"))
-            attn_out, maps = self._attend(h, h, p + "self_attn", batch, causal=True,
+            k, v = self._kv(h, p + "self_attn")
+            if cache is not None:
+                k, v = cache.extend(i, k, v)
+            attn_out, maps = self._attend(h, k, v, p + "self_attn", causal=True,
                                           extra_mask=self._lid_prior(tokens, i))
             attn_maps.append(maps)
             y = y + attn_out
             h = layer_norm(y, self._p(p + "ln2.gain"), self._p(p + "ln2.bias"))
-            cross_out, _ = self._attend(h, memory, p + "cross_attn", batch,
-                                        causal=False, extra_mask=col_mask)
+            if cache is None:
+                k, v = self._kv(memory, p + "cross_attn")
+            else:
+                k, v = cache.cross[i]
+            cross_out, _ = self._attend(h, k, v, p + "cross_attn", causal=False,
+                                        extra_mask=col_mask)
             y = y + cross_out
-            if use_dec_ad:
+            if use_ad:
                 y = self._adapter(y, p + "attn_adapter.")
             h = layer_norm(y, self._p(p + "ln3.gain"), self._p(p + "ln3.bias"))
             f = gelu(h @ self._p(p + "ffn.fc1.weight") + self._p(p + "ffn.fc1.bias"))
             y = y + (f @ self._p(p + "ffn.fc2.weight") + self._p(p + "ffn.fc2.bias"))
-            if use_dec_ad:
+            if use_ad:
                 y = self._adapter(y, p + "ffn_adapter.")
+        if cache is not None:
+            cache.length = n_len
         y = layer_norm(y, self._p("dec.ln_out.gain"), self._p("dec.ln_out.bias"))
         proj = y @ self._p("dec.out_proj.weight") + self._p("dec.out_proj.bias")
+        return proj, attn_maps
 
-        logits = shift_rows(proj, axis=1)
-        next_logits = proj[:, n_len - 1]
-        return ForwardOut(logits=logits, next_logits=next_logits, attention=attn_maps)
+    def forward(self, frames, tokens, frame_mask=None,
+                enc_adapters: bool = True, dec_adapters: bool = True) -> ForwardOut:
+        """Teacher-forced pass over a batch: `encode`, then every decoder row
+        at once.
+
+        frames: (B, T, feat_dim) float array, zero-padded; `frame_mask` (B, T)
+        marks real frames. tokens: (B, N) int array, <blnk>-padded.
+        """
+        memory, col_mask = self.encode(frames, frame_mask, enc_adapters)
+        proj, attn_maps = self._decode_rows(tokens, memory, col_mask, dec_adapters)
+        return ForwardOut(logits=shift_rows(proj, axis=1), next_logits=proj[:, -1],
+                          attention=attn_maps)
 
     # -- decoding -----------------------------------------------------------------
 
     def greedy_decode(self, frames, frame_mask, prompt_ids: list[int],
                       max_new: int | None = None) -> list[list[int]]:
         """Greedy decoding from a shared prompt; returns content token lists
-        (prompt and end marker stripped)."""
+        (prompt and end marker stripped).
+
+        The batch is encoded once, and each decoder layer projects the memory
+        to its cross-attention K/V once. The first step runs the prompt rows
+        as one block; every later step runs one query row per sequence, whose
+        self-attention K/V row each layer appends to its cache. A sequence
+        that has emitted <eot> stays in the batch and keeps receiving <eot>
+        until every sequence has, or `max_new` (capped by the positions left
+        after the prompt) tokens are out.
+        """
+        c = self.config
         eot = self.vocab.id("<eot>")
-        frames = np.asarray(frames, dtype=np.float64)
-        if frames.ndim == 2:
-            frames = frames[None]
-        batch = frames.shape[0]
         prompt_len = len(prompt_ids)
-        limit = self.config.max_len - prompt_len
+        limit = c.max_len - prompt_len
         if max_new is not None:
             limit = min(limit, max_new)
-        toks = np.tile(np.asarray(prompt_ids, dtype=np.int64), (batch, 1))
-        done = np.zeros(batch, dtype=bool)
         with no_grad():
+            memory, col_mask = self.encode(frames, frame_mask)
+            batch = memory.shape[0]
+            cache = DecoderCache(
+                [self._kv(memory, f"dec.{i}.cross_attn") for i in range(c.dec_layers)],
+                batch, c)
+            toks = np.tile(np.asarray(prompt_ids, dtype=np.int64), (batch, 1))
+            done = np.zeros(batch, dtype=bool)
             for _ in range(limit):
-                out = self.forward(frames, toks, frame_mask)
-                nxt = out.next_logits.data.argmax(axis=-1)
+                proj, _ = self._decode_rows(toks, memory, col_mask, cache=cache)
+                nxt = proj.data[:, -1].argmax(axis=-1)
                 nxt = np.where(done, eot, nxt)
                 toks = np.concatenate([toks, nxt[:, None]], axis=1)
                 done |= nxt == eot
@@ -582,6 +651,34 @@ class Seq2SeqModel:
                 content.append(int(tok))
             results.append(content)
         return results
+
+
+class DecoderCache:
+    """Per-layer decoder state of one batch under incremental decoding.
+
+    `cross[i]` holds decoder layer i's cross-attention (K, V) heads over the
+    encoder memory. Self-attention K/V rows of the `length` positions decoded
+    so far sit in (B, H, max_len, head_dim) buffers, one pair per layer. The
+    cache holds arrays, not graph nodes, so it serves inference only.
+    """
+
+    def __init__(self, cross: list[tuple[Tensor, Tensor]], batch: int,
+                 config: ModelConfig):
+        self.cross = cross
+        shape = (batch, config.heads, config.max_len, config.head_dim)
+        self._keys = [np.empty(shape) for _ in cross]
+        self._values = [np.empty(shape) for _ in cross]
+        self.length = 0
+
+    def extend(self, layer: int, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+        """Store layer `layer`'s K/V heads for positions `length` onward and
+        return the K/V heads of every position up to the new rows."""
+        if k.requires_grad or v.requires_grad:
+            raise NumericError("the decoder cache records no gradients; decode under no_grad")
+        end = self.length + k.shape[2]
+        self._keys[layer][:, :, self.length:end] = k.data
+        self._values[layer][:, :, self.length:end] = v.data
+        return Tensor(self._keys[layer][:, :, :end]), Tensor(self._values[layer][:, :, :end])
 
 
 def _stack_frame_window(frames: np.ndarray) -> np.ndarray:

@@ -466,15 +466,18 @@ def shift_rows(t: Tensor, axis: int = 1) -> Tensor:
     return _node(out_data, (t,), grad_fn)
 
 
-_causal_masks: dict[int, Array] = {}
+_causal_masks: dict[tuple[int, int], Array] = {}
 
 
-def causal_mask(n: int) -> Array:
-    """Additive (n, n) mask: 0 on/below the diagonal, -inf above."""
-    m = _causal_masks.get(n)
+def causal_mask(n: int, offset: int = 0) -> Array:
+    """Additive (n, offset + n) mask for n queries at positions
+    offset..offset+n-1 over keys 0..offset+n-1: 0 where the key sits at or
+    before the query's position, -inf after it. Offset 0 is the square
+    teacher-forced mask."""
+    m = _causal_masks.get((n, offset))
     if m is None:
-        m = np.triu(np.full((n, n), -np.inf), k=1)
-        _causal_masks[n] = m
+        m = np.triu(np.full((n, offset + n), -np.inf), k=offset + 1)
+        _causal_masks[(n, offset)] = m
     return m
 
 
@@ -482,7 +485,9 @@ def attention_map(q, k, causal: bool = True, extra_mask: Array | None = None) ->
     """Row-stochastic attention map softmax(q k^T / sqrt(d)).
 
     Accepts (..., n, d) stacks; `extra_mask` is an additive mask broadcast
-    onto the score matrix (used for padded key positions).
+    onto the score matrix (used for padded key positions). Under `causal`,
+    the n_q queries are the last n_q of the n_k key positions, so query i
+    sees keys 0..n_k-n_q+i; n_q == n_k is the square teacher-forced map.
     """
     q = as_tensor(q)
     k = as_tensor(k)
@@ -493,9 +498,9 @@ def attention_map(q, k, causal: bool = True, extra_mask: Array | None = None) ->
     if causal:
         n_q = q.data.shape[-2]
         n_k = k.data.shape[-2]
-        if n_q != n_k:
-            raise NumericError("causal attention requires square maps")
-        scores = scores + Tensor(causal_mask(n_q))
+        if n_q > n_k:
+            raise NumericError("causal attention needs at least as many keys as queries")
+        scores = scores + Tensor(causal_mask(n_q, n_k - n_q))
     if extra_mask is not None:
         scores = scores + Tensor(extra_mask)
     return softmax_rows(scores)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -515,7 +515,6 @@ def select_heads(model: Seq2SeqModel, utts: Sequence[Utterance],
 class EvalReport:
     mer: MerReport
     lid_attribution: float | None
-    qualifying_heads: int | None = None
 
     def rows(self) -> list[tuple[str, str, float]]:
         out = [("all", "overall_mer", self.mer.overall)]
@@ -600,8 +599,7 @@ def lid_attribution(model: Seq2SeqModel, utts: Sequence[Utterance],
 
 
 def evaluate_model(model: Seq2SeqModel, test_sets: Mapping[str, Sequence[Utterance]],
-                   selection: HeadSelection | None = None,
-                   decode_fn: Callable | None = None) -> EvalReport:
+                   selection: HeadSelection | None = None) -> EvalReport:
     """Greedy-decode the three test sets and report error rates, plus the
     LID-attribution accuracy on the code-switched set when heads are given."""
     for name, utts in test_sets.items():
@@ -613,11 +611,7 @@ def evaluate_model(model: Seq2SeqModel, test_sets: Mapping[str, Sequence[Utteran
     prompt = build_prompt(model.vocab)
     for name in sorted(test_sets):
         utts = test_sets[name]
-        if decode_fn is not None:
-            decoded = decode_fn(model, utts)
-            set_hyps = {u.uid: h for u, h in zip(utts, decoded)}
-        else:
-            set_hyps = _decode_set(model, utts, prompt)
+        set_hyps = _decode_set(model, utts, prompt)
         for utt in utts:
             refs[utt.uid] = utt.words
             hyps[utt.uid] = set_hyps[utt.uid]

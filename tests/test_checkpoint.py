@@ -63,6 +63,16 @@ class TestContainer:
         with pytest.raises(DataError):
             load_checkpoint(tmp_path / "absent.ckpt")
 
+    @pytest.mark.parametrize("keep", [6, 0.5])
+    def test_truncated_file(self, tmp_path, keep):
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(path, {"a.weight": RNG.normal(size=(3, 4)), "b": np.ones(2)})
+        blob = path.read_bytes()
+        cut = keep if isinstance(keep, int) else int(len(blob) * keep)
+        path.write_bytes(blob[:cut])
+        with pytest.raises(DataError, match="truncated"):
+            load_checkpoint(path)
+
 
 class TestModelPersistence:
     def test_model_round_trip_function_identical(self, tmp_path):

@@ -84,12 +84,19 @@ def backbone(micro_files):
     return micro_files["backbone"]
 
 
-def test_select_heads(micro_files, backbone, workdir):
-    # fraction route runs (selection may be empty on a weak micro backbone)
+def test_select_heads_empty_selection_fails(micro_files, backbone, workdir, capsys):
+    # no head of the weak, unanchored micro backbone passes the majority bar,
+    # so the fraction route selects nothing: a loud config error, no file
+    out = workdir / "frac.tsv"
     rc = main(["select-heads", "--backbone", str(backbone),
                "--data", str(micro_files["data"]),
-               "--fraction", "1.0", "--out", str(workdir / "frac.tsv")])
-    assert rc == 0
+               "--fraction", "1.0", "--out", str(out)])
+    assert rc == 2
+    assert "no heads selected" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_select_heads(micro_files, backbone, workdir):
     # the shared heads file for downstream tests selects every head
     rc = main(["select-heads", "--backbone", str(backbone),
                "--data", str(micro_files["data"]),
@@ -174,3 +181,21 @@ def test_inspect_attention_unknown_utterance(micro_files, workdir):
                "--layer", "0", "--head", "0", "--format", "pgm",
                "--out", str(workdir / "m.pgm")])
     assert rc == 3
+
+
+def test_eval_truncated_checkpoint(micro_files, workdir, capsys):
+    from agadapt import checkpoint
+    from agadapt.model import ModelConfig, Seq2SeqModel, Vocabulary
+
+    model = Seq2SeqModel(ModelConfig(enc_layers=1, dec_layers=1, heads=2, width=8,
+                                     ffn_width=16, bottleneck=2, feat_dim=6),
+                         Vocabulary.build(6, 6))
+    path = workdir / "truncated.ckpt"
+    checkpoint.save_model(path, model)
+    blob = path.read_bytes()
+    for cut in (6, len(blob) // 2):
+        path.write_bytes(blob[:cut])
+        rc = main(["eval", "--model", str(path), "--data", str(micro_files["data"]),
+                   "--report", str(workdir / "truncated.csv")])
+        assert rc == 3
+        assert "truncated checkpoint" in capsys.readouterr().err

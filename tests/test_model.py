@@ -15,7 +15,14 @@ from agadapt.model import (
     extract_attention,
     is_adapter_param,
 )
-from agadapt.numerics import OptimizerState, Tensor, adamw_step, backward, gelu
+from agadapt.numerics import (
+    OptimizerState,
+    Tensor,
+    adamw_step,
+    backward,
+    gelu,
+    no_grad,
+)
 
 RNG = np.random.default_rng(31)
 
@@ -229,6 +236,62 @@ class TestAdapters:
             model.init_adapters(seed=4)
 
 
+def full_forward_greedy(model, frames, frame_mask, prompt_ids, max_new=None):
+    """Reference greedy loop: one full teacher-forced forward of the whole
+    prefix per emitted token. Returns the content token lists and the
+    next-token logits of every step."""
+    eot = model.vocab.id("<eot>")
+    limit = model.config.max_len - len(prompt_ids)
+    if max_new is not None:
+        limit = min(limit, max_new)
+    toks = np.tile(np.asarray(prompt_ids, dtype=np.int64), (frames.shape[0], 1))
+    done = np.zeros(frames.shape[0], dtype=bool)
+    steps = []
+    with no_grad():
+        for _ in range(limit):
+            logits = model.forward(frames, toks, frame_mask).next_logits.data
+            steps.append(logits)
+            nxt = np.where(done, eot, logits.argmax(axis=-1))
+            toks = np.concatenate([toks, nxt[:, None]], axis=1)
+            done |= nxt == eot
+            if done.all():
+                break
+    hyps = []
+    for row in toks[:, len(prompt_ids):]:
+        ends = np.flatnonzero(row == eot)
+        hyps.append([int(t) for t in row[:ends[0] if ends.size else row.size]])
+    return hyps, steps
+
+
+def recorded_greedy(model, frames, frame_mask, prompt_ids, max_new=None):
+    """`greedy_decode` plus the next-token logits of each of its decoder steps."""
+    steps = []
+    decode_rows = model._decode_rows
+
+    def recording(*args, **kwargs):
+        proj, maps = decode_rows(*args, **kwargs)
+        steps.append(proj.data[:, -1].copy())
+        return proj, maps
+
+    model._decode_rows = recording
+    try:
+        hyps = model.greedy_decode(frames, frame_mask, prompt_ids, max_new)
+    finally:
+        del model._decode_rows
+    return hyps, steps
+
+
+def assert_decode_matches_oracle(model, frames, frame_mask, prompt_ids, max_new=None):
+    hyps, steps = recorded_greedy(model, frames, frame_mask, prompt_ids, max_new)
+    want_hyps, want_steps = full_forward_greedy(model, frames, frame_mask,
+                                                prompt_ids, max_new)
+    assert hyps == want_hyps
+    assert len(steps) == len(want_steps)
+    for got, want in zip(steps, want_steps):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    return hyps
+
+
 class TestGreedyDecode:
     def test_decode_terminates_and_strips(self, model, vocab):
         frames = RNG.normal(size=(3, 6, 8))
@@ -238,3 +301,73 @@ class TestGreedyDecode:
         for row in out:
             assert len(row) <= model.config.max_len
             assert EOT not in row
+
+    @pytest.mark.parametrize("lang", [None, "A", "B"])
+    def test_matches_full_forward_per_prompt(self, model, vocab, lang):
+        frames = RNG.normal(size=(3, 6, 8))
+        mask = np.ones((3, 6), dtype=bool)
+        assert_decode_matches_oracle(model, frames, mask, build_prompt(vocab, lang))
+
+    def test_matches_with_active_adapters(self, model, vocab):
+        model.init_adapters(seed=3)
+        rng = np.random.default_rng(4)
+        for name, p in model.adapter_params().items():
+            if ".up." in name:
+                p.data = rng.normal(0.0, 0.1, p.data.shape)
+        frames = RNG.normal(size=(3, 6, 8))
+        prompt = build_prompt(vocab)
+        toks = np.tile(prompt, (3, 1))
+        on = model.forward(frames, toks).next_logits.data
+        off = model.forward(frames, toks, enc_adapters=False,
+                            dec_adapters=False).next_logits.data
+        assert not np.array_equal(on, off)  # the adapters change the function
+        assert_decode_matches_oracle(model, frames, None, prompt)
+
+    def test_matches_without_lid_prior(self, small_config, vocab):
+        config = ModelConfig(**{**small_config.__dict__, "anchored_heads": 0})
+        model = Seq2SeqModel(config, vocab, seed=5)
+        toks = np.array([build_prompt(vocab)])
+        assert all(model._lid_prior(toks, layer) is None for layer in range(2))
+        frames = RNG.normal(size=(2, 6, 8))
+        assert_decode_matches_oracle(model, frames, None, build_prompt(vocab))
+
+    def test_matches_with_padded_frames(self, model, vocab):
+        frames = RNG.normal(size=(3, 7, 8))
+        mask = np.ones((3, 7), dtype=bool)
+        mask[1, 4:] = False
+        mask[2, 2:] = False
+        frames[~mask] = 0.0
+        assert_decode_matches_oracle(model, frames, mask, build_prompt(vocab))
+
+    def test_matches_with_max_new(self, model, vocab):
+        frames = RNG.normal(size=(2, 6, 8))
+        hyps = assert_decode_matches_oracle(model, frames, None, build_prompt(vocab),
+                                            max_new=3)
+        assert all(len(h) <= 3 for h in hyps)
+
+    def test_matches_when_rows_finish_early(self, model, vocab):
+        # a raised <eot> bias makes some rows stop while others run on
+        model.params["dec.out_proj.bias"].data[EOT] = 0.09
+        frames = np.random.default_rng(7).normal(size=(6, 7, 8))
+        mask = np.ones((6, 7), dtype=bool)
+        mask[1, 5:] = False
+        mask[3, 3:] = False
+        hyps = assert_decode_matches_oracle(model, frames, mask, build_prompt(vocab))
+        assert len({len(h) for h in hyps}) > 1
+
+    def test_rejects_frames_longer_than_max_len(self, model, vocab):
+        frames = RNG.normal(size=(2, model.config.max_len + 1, 8))
+        with pytest.raises(DataError, match="too long"):
+            model.greedy_decode(frames, None, build_prompt(vocab))
+
+    def test_rejects_wrong_feature_dimension(self, model, vocab):
+        frames = RNG.normal(size=(2, 6, 5))
+        with pytest.raises(DataError, match="feature dimension"):
+            model.greedy_decode(frames, None, build_prompt(vocab))
+
+    def test_rejects_malformed_frame_inputs(self, model, vocab):
+        with pytest.raises(DataError, match="frame mask shape"):
+            model.greedy_decode(RNG.normal(size=(2, 6, 8)), np.ones((2, 5), dtype=bool),
+                                build_prompt(vocab))
+        with pytest.raises(DataError, match="frames must have shape"):
+            model.greedy_decode(RNG.normal(size=(1, 2, 6, 8)), None, build_prompt(vocab))

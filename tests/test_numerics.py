@@ -16,6 +16,7 @@ from agadapt.numerics import (
     adamw_step,
     attention_map,
     backward,
+    causal_mask,
     ce_clamp_count,
     cross_entropy,
     embedding,
@@ -302,6 +303,41 @@ class TestOpGradients:
         c = Tensor(RNG.normal(size=(4, 4)))
         assert gradcheck(lambda p: (attention_map(p, Tensor(k0)) * c).sum(), q0, h=1e-4) < 1e-5
         assert gradcheck(lambda p: (attention_map(Tensor(q0), p) * c).sum(), k0, h=1e-4) < 1e-5
+
+    def test_attention_map_causal_offset(self):
+        # two queries at positions 3 and 4 over five keys
+        q0 = RNG.normal(size=(2, 3))
+        k0 = RNG.normal(size=(5, 3))
+        c = Tensor(RNG.normal(size=(2, 5)))
+        assert gradcheck(lambda p: (attention_map(p, Tensor(k0)) * c).sum(), q0, h=1e-4) < 1e-5
+        assert gradcheck(lambda p: (attention_map(Tensor(q0), p) * c).sum(), k0, h=1e-4) < 1e-5
+
+
+class TestCausalMask:
+    def test_offset_zero_is_square_mask_bitwise(self):
+        for n in range(1, 8):
+            square = np.triu(np.full((n, n), -np.inf), k=1)
+            assert np.array_equal(causal_mask(n), square)
+            assert np.array_equal(causal_mask(n, 0), square)
+
+    def test_offset_mask_layout(self):
+        m = causal_mask(2, 3)
+        assert m.shape == (2, 5)
+        for i in range(2):
+            for j in range(5):
+                assert m[i, j] == (0.0 if j <= 3 + i else -np.inf)
+
+    def test_query_block_matches_square_map_rows(self):
+        q = RNG.normal(size=(2, 6, 4))
+        k = RNG.normal(size=(2, 6, 4))
+        full = attention_map(Tensor(q), Tensor(k)).data
+        for start in range(6):
+            block = attention_map(Tensor(q[:, start:]), Tensor(k)).data
+            np.testing.assert_allclose(block, full[:, start:], rtol=0.0, atol=1e-15)
+
+    def test_more_queries_than_keys_errors(self):
+        with pytest.raises(NumericError):
+            attention_map(Tensor(np.zeros((3, 2))), Tensor(np.zeros((2, 2))))
 
 
 # ---------------------------------------------------------------------------

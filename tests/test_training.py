@@ -283,18 +283,6 @@ class TestSelectHeadsIntegration:
 
 
 class TestEvaluation:
-    def test_echo_model_zero_rates(self, adapted_model, corpus):
-        sets = {"test-mono-a": corpus["test-mono-a"],
-                "test-mono-b": corpus["test-mono-b"],
-                "test-cs": corpus["test-cs"]}
-
-        def echo(model, utts):
-            return [u.words for u in utts]
-
-        report = evaluate_model(adapted_model, sets, decode_fn=echo)
-        assert report.mer.overall == 0.0
-        assert all(v == 0.0 for v in report.mer.per_kind.values())
-
     def test_empty_set_errors(self, adapted_model):
         with pytest.raises(DataError):
             evaluate_model(adapted_model, {"test-cs": []})
