@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomicio import atomic_write
 from .errors import DataError
 from .model import ModelConfig, Seq2SeqModel, Vocabulary
 
@@ -24,8 +25,7 @@ META_KEY = "__meta__"
 
 
 def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
-    path = Path(path)
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<I", len(tensors)))

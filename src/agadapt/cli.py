@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields as dc_fields
-from pathlib import Path
 
 import numpy as np
 
 from . import analysis, checkpoint, guidance, synthtask, training
+from .atomicio import atomic_write
 from .errors import ConfigError, DataError, NumericError
 from .model import ModelConfig, Seq2SeqModel, Vocabulary, extract_attention
 from .numerics import no_grad
@@ -31,29 +30,22 @@ def _load_config(path: str | None) -> dict[str, str]:
     return training.parse_config_file(path)
 
 
+# gen-data spec keys that set a split's size, e.g. n_test_cs = 200
+SIZE_KEYS = {"n_" + split.replace("-", "_"): split for split in synthtask.SPLIT_SIZES}
+
+
 def _build_synth_spec(values: dict[str, str], seed: int | None) -> synthtask.SynthSpec:
-    known = {f.name: f.default for f in dc_fields(synthtask.SynthSpec)}
-    kwargs = {}
-    for key, raw in values.items():
-        if key not in known:
-            continue
-        try:
-            kwargs[key] = type(known[key])(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
-    if seed is not None:
-        kwargs["seed"] = seed
-    return synthtask.SynthSpec(**kwargs)
+    return training.config_from_values(synthtask.SynthSpec, values, SIZE_KEYS,
+                                       {"seed": seed})
 
 
 def cmd_gen_data(args) -> int:
     values = _load_config(args.spec)
     spec = _build_synth_spec(values, args.seed)
     sizes = dict(synthtask.SPLIT_SIZES)
-    for split in sizes:
-        key = "n_" + split.replace("-", "_")
+    for key, split in SIZE_KEYS.items():
         if key in values:
-            sizes[split] = int(values[key])
+            sizes[split] = training.coerce_value(key, values[key], int)
     vocab = Vocabulary.build(spec.words_per_language, spec.words_per_language)
     corpus = synthtask.generate_corpus(spec, vocab, sizes)
     synthtask.write_corpus(args.out, spec, vocab, corpus)
@@ -137,7 +129,8 @@ def cmd_eval(args) -> int:
     lines = ["set,metric,value"]
     for name, metric, value in report.rows():
         lines.append(f"{name},{metric},{value:.4f}")
-    Path(args.report).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(args.report) as fh:
+        fh.write("\n".join(lines) + "\n")
     for line in lines[1:]:
         print(line)
     return EXIT_OK

@@ -14,6 +14,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from .atomicio import atomic_write
 from .errors import ConfigError, DataError, NumericError
 from .model import LANG_A, LANG_B, TokenSequence
 from .numerics import Tensor, as_tensor
@@ -21,20 +22,6 @@ from .numerics import Tensor, as_tensor
 HeadIndex = tuple[int, int]
 
 ROW_SUM_TOL = 1e-6
-
-# Number of times the guidance loss has been evaluated; stage-1 training must
-# leave this untouched.
-_ag_eval_count = 0
-
-
-def ag_eval_count() -> int:
-    return _ag_eval_count
-
-
-def reset_ag_eval_count() -> None:
-    global _ag_eval_count
-    _ag_eval_count = 0
-
 
 def lid_indicator(attn_map, omega: tuple[int, int]) -> int:
     """1 iff the map puts more total mass on the language-ID columns than on
@@ -178,7 +165,6 @@ def ag_loss(maps: Mapping[HeadIndex, "Tensor | np.ndarray"],
     Accepts graph tensors, so gradients flow back through the attention maps
     into the decoder adapters. Columns outside the LID pair are never touched.
     """
-    global _ag_eval_count
     selection.require_nonempty()
     cols = list(target.omega)
     total: Tensor | None = None
@@ -194,7 +180,6 @@ def ag_loss(maps: Mapping[HeadIndex, "Tensor | np.ndarray"],
         diff = picked - Tensor(target.matrix)
         term = (diff * diff).sum()
         total = term if total is None else total + term
-    _ag_eval_count += 1
     return total
 
 
@@ -206,7 +191,7 @@ def save_head_selection(path, selection: HeadSelection) -> None:
     lines = [f"# dataset_size={selection.dataset_size}\tthreshold={selection.threshold!r}"]
     for layer, head in selection.selected:
         lines.append(f"{layer}\t{head}\t{selection.counts[(layer, head)]}")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 

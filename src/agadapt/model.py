@@ -434,9 +434,6 @@ class Seq2SeqModel:
             out[name] = p
         return out
 
-    def trainable_params(self) -> dict[str, Parameter]:
-        return {n: p for n, p in self.params.items() if p.trainable}
-
     def state_dict(self) -> dict[str, np.ndarray]:
         return {n: p.data.copy() for n, p in self.params.items()}
 

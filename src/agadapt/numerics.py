@@ -3,7 +3,10 @@
 Everything downstream (the transformer, the guidance losses, the training
 loop) is built from the operations here. All arrays are row-major float64;
 gradients are exact analytic expressions and are certified against the
-central-difference oracle `finite_diff_grad` in the test suite.
+central-difference oracle `finite_diff_grad` in the test suite. The training
+objective's cross-entropy is one fused node over logits and integer target
+ids (log-sum-exp forward, softmax-minus-target backward), so no probability
+is ever clamped before a log.
 """
 
 from __future__ import annotations
@@ -21,23 +24,6 @@ Array = np.ndarray
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-# Probabilities below this are clamped before log() in cross_entropy.
-CE_CLAMP = 1e-12
-
-# How many times cross_entropy had to clamp a target-index probability.
-# Clamping keeps early training alive instead of erroring out.
-_ce_clamp_count = 0
-
-
-def ce_clamp_count() -> int:
-    return _ce_clamp_count
-
-
-def reset_ce_clamp_count() -> None:
-    global _ce_clamp_count
-    _ce_clamp_count = 0
-
 
 # ---------------------------------------------------------------------------
 # Graph recording
@@ -103,9 +89,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -207,28 +190,6 @@ class Tensor:
             return (np.broadcast_to(gg, shape).copy(),)
 
         return _node(out_data, (self,), grad_fn)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        n = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
-
-    def exp(self):
-        out_data = np.exp(self.data)
-        return _node(out_data, (self,), lambda g: (g * out_data,))
-
-    def log(self):
-        x = self.data
-        return _node(np.log(x), (self,), lambda g: (g / x,))
-
-    def sqrt(self):
-        out_data = np.sqrt(self.data)
-        return _node(out_data, (self,), lambda g: (g * 0.5 / out_data,))
-
-    def clamp_min(self, floor: float):
-        x = self.data
-        mask = x > floor
-        return _node(np.maximum(x, floor), (self,),
-                     lambda g: (g * mask,))
 
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar node; fills `grad` on the graph."""
@@ -365,40 +326,46 @@ def softmax_rows(m) -> Tensor:
     return _node(out_data, (t,), grad_fn)
 
 
-def cross_entropy(pred, targets_onehot, row_mask=None) -> Tensor:
-    """-sum(y * log p) over all rows; `pred` rows are probability distributions.
+def cross_entropy(logits, target_ids, row_mask=None) -> Tensor:
+    """Summed cross-entropy -log softmax(logits)[target] over the rows of
+    `logits` (..., M), with one integer target id in [0, M) per row.
 
-    Target-index probabilities at or below CE_CLAMP are clamped (with a
-    counter bump) rather than erroring, so early training survives.
-    `row_mask` (same leading shape as the rows) excludes rows from the sum.
+    One tape node. The forward pass is a row log-sum-exp, so every finite
+    row gives a finite loss without clamping; the backward pass is the row
+    softmax minus 1 at the target column, times mask * g. `row_mask` (the
+    shape of `target_ids`) weights rows; a 0 excludes a row, such as a
+    <blnk>-padded one, from both the loss and the gradient.
     """
-    p = as_tensor(pred)
-    y = np.asarray(targets_onehot, dtype=np.float64)
-    if p.data.shape != y.shape:
+    t = as_tensor(logits)
+    x = t.data
+    ids = np.asarray(target_ids)
+    if x.shape[:-1] != ids.shape:
         raise NumericError(
-            f"cross_entropy shape mismatch: {p.data.shape} vs {y.shape}")
-    row_sums = y.sum(axis=-1)
-    if not np.allclose(row_sums, 1.0) or not np.all((y == 0.0) | (y == 1.0)):
-        raise NumericError("targets must be one-hot rows")
+            f"cross_entropy shape mismatch: logits {x.shape} vs targets {ids.shape}")
+    m = x.shape[-1]
+    if not np.issubdtype(ids.dtype, np.integer) or np.any((ids < 0) | (ids >= m)):
+        raise NumericError(f"target ids must be integers in [0, {m})")
+    mask = np.ones(ids.shape) if row_mask is None else np.asarray(row_mask, dtype=np.float64)
+    if mask.shape != ids.shape:
+        raise NumericError(
+            f"cross_entropy row mask shape {mask.shape} does not match targets {ids.shape}")
 
-    target_p = (p.data * y).sum(axis=-1)
-    if row_mask is not None:
-        mask = np.asarray(row_mask, dtype=np.float64)
-        clamped_hits = int(np.sum((target_p <= CE_CLAMP) & (mask > 0)))
-    else:
-        mask = None
-        clamped_hits = int(np.sum(target_p <= CE_CLAMP))
-    if clamped_hits:
-        global _ce_clamp_count
-        _ce_clamp_count += clamped_hits
-
-    picked = (p.clamp_min(CE_CLAMP).log() * y).sum(axis=-1)
-    if mask is not None:
-        picked = picked * Tensor(mask)
-    loss = -(picked.sum())
-    if not np.isfinite(loss.data):
+    mx = np.max(x, axis=-1, keepdims=True)
+    e = np.exp(x - mx)
+    s = e.sum(axis=-1, keepdims=True)
+    target = np.take_along_axis(x, ids[..., None], axis=-1) - mx
+    nll = (np.log(s) - target)[..., 0]
+    loss = (nll * mask).sum()
+    if not np.isfinite(loss):
         raise NumericError("non-finite cross-entropy")
-    return loss
+
+    def grad_fn(g):
+        grad = e / s
+        rows = grad.reshape(-1, m)
+        rows[np.arange(rows.shape[0]), ids.reshape(-1)] -= 1.0
+        return (grad * (mask * g)[..., None],)
+
+    return _node(loss, (t,), grad_fn)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

@@ -19,6 +19,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
+from .atomicio import atomic_write
 from .errors import ConfigError, DataError
 from .model import LANG_A, LANG_B, TokenSequence, Vocabulary
 
@@ -237,7 +238,7 @@ def write_corpus(out_dir, spec: SynthSpec, vocab: Vocabulary,
         frames_path = out_dir / f"{split}.frames"
         manifest_path = out_dir / f"{split}.manifest"
         records = []
-        with open(frames_path, "wb") as fh:
+        with atomic_write(frames_path, "wb") as fh:
             for utt in utts:
                 t, feat = utt.frames.shape
                 payload = struct.pack("<II", t, feat)
@@ -254,7 +255,7 @@ def write_corpus(out_dir, spec: SynthSpec, vocab: Vocabulary,
             "count": len(utts),
             "spec": asdict(spec),
         }, sort_keys=True)
-        with open(manifest_path, "w", encoding="utf-8") as fh:
+        with atomic_write(manifest_path) as fh:
             fh.write(header + "\n")
             for rec in records:
                 fh.write(rec + "\n")
@@ -269,26 +270,36 @@ def read_split(data_dir, split: str) -> tuple[SynthSpec, Vocabulary, list[Uttera
     lines = manifest_path.read_text(encoding="utf-8").splitlines()
     if not lines:
         raise DataError(f"empty manifest: {manifest_path}")
-    header = json.loads(lines[0])
-    spec = SynthSpec(**header["spec"])
+    try:
+        header = json.loads(lines[0])
+        spec = SynthSpec(**header["spec"])
+        count = int(header["count"])
+    except (ValueError, KeyError, TypeError, ConfigError) as exc:
+        raise DataError(f"malformed manifest header in {manifest_path}: {exc}") from exc
     vocab = Vocabulary.build(spec.words_per_language, spec.words_per_language)
+    omega = vocab.omega_ids
     blob = frames_path.read_bytes()
     utts: list[Utterance] = []
-    for line in lines[1:]:
-        uid, kind, ids_s, tags_s, offset_s, length_s = line.split("\t")
-        ids = [int(x) for x in ids_s.split()]
+    for lineno, line in enumerate(lines[1:], 2):
+        try:
+            uid, kind, ids_s, tags_s, offset_s, length_s = line.split("\t")
+            ids = [int(x) for x in ids_s.split()]
+            offset, length = int(offset_s), int(length_s)
+        except ValueError as exc:
+            raise DataError(f"{manifest_path}:{lineno}: malformed manifest line") from exc
         tags = [None if t == "-" else t for t in tags_s.split()]
-        offset, length = int(offset_s), int(length_s)
+        if offset < 0 or offset + length > len(blob) or length < 8:
+            raise DataError(f"frame record for {uid} lies outside {frames_path}")
         t, feat = struct.unpack_from("<II", blob, offset)
         expected = 8 + 4 * t * feat
         if length != expected:
             raise DataError(f"frame record length mismatch for {uid}")
         frames = np.frombuffer(blob, dtype="<f4", count=t * feat,
                                offset=offset + 8).astype(np.float64).reshape(t, feat)
-        lid_positions = (1, 2) if len(ids) > 2 and ids[1] == 1 and ids[2] == 2 else (1,)
+        lid_positions = tuple(i for i, tok in enumerate(ids) if tok in omega)
         ref = TokenSequence(ids=ids, lang_tags=tags, lid_positions=lid_positions)
         utts.append(Utterance(uid=uid, frames=frames, reference=ref, kind=kind))
-    if len(utts) != header["count"]:
+    if len(utts) != count:
         raise DataError(f"manifest count mismatch in {manifest_path}")
     return spec, vocab, utts
 

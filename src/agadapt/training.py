@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .numerics import (
     backward,
     cross_entropy,
     no_grad,
-    softmax_rows,
 )
 from .synthtask import (
     KIND_CS,
@@ -102,47 +101,57 @@ def parse_config_file(path) -> dict[str, str]:
     return values
 
 
-def _coerce(raw: str, kind: type):
+def coerce_value(key: str, raw: str, kind: type):
+    """`raw` as a `kind` value, booleans spelled true/false, 1/0 or yes/no;
+    a value that does not parse is a ConfigError naming `key`."""
     if kind is bool:
         if raw.lower() in ("true", "1", "yes"):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
-        raise ValueError(raw)
-    return kind(raw)
+    else:
+        try:
+            return kind(raw)
+        except ValueError:
+            pass
+    raise ConfigError(f"bad value for {key!r}: {raw!r}")
+
+
+def _field_names(cls) -> set[str]:
+    return {f.name for f in dc_fields(cls)}
+
+
+def config_from_values(cls, values: Mapping[str, str], known: Iterable[str] = (),
+                       overrides: Mapping[str, object] | None = None):
+    """An instance of dataclass `cls` from config-file `values`.
+
+    Entries that name a field of `cls` are coerced to the type of the field's
+    default. Every other key must be in `known`, the keys that the file's
+    other sections claim; any other key is a typo and raises ConfigError.
+    `overrides` (already typed, e.g. CLI flags) win over the file; None
+    entries are skipped.
+    """
+    kinds = {f.name: type(f.default) for f in dc_fields(cls)}
+    unknown = sorted(set(values) - set(kinds) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+    kwargs = {key: coerce_value(key, raw, kinds[key])
+              for key, raw in values.items() if key in kinds}
+    if overrides:
+        kwargs.update((k, v) for k, v in overrides.items() if v is not None)
+    return cls(**kwargs)
 
 
 def build_train_config(values: Mapping[str, str],
                        overrides: Mapping[str, object] | None = None) -> TrainConfig:
-    defaults = {f.name: f.default for f in dc_fields(TrainConfig)}
-    kwargs: dict[str, object] = {}
-    for key, raw in values.items():
-        if key not in defaults:
-            continue
-        try:
-            kwargs[key] = _coerce(raw, type(defaults[key]))
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
-    if overrides:
-        for key, value in overrides.items():
-            if value is not None:
-                kwargs[key] = value
-    try:
-        return TrainConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    """The TrainConfig of a run config file; the file may also hold
+    ModelConfig keys, as one file serves both pretrain and adapt."""
+    return config_from_values(TrainConfig, values, _field_names(ModelConfig), overrides)
 
 
 def build_model_config(values: Mapping[str, str]) -> ModelConfig:
-    defaults = {f.name: f.default for f in dc_fields(ModelConfig)}
-    kwargs = {}
-    for key, raw in values.items():
-        if key in defaults:
-            try:
-                kwargs[key] = type(defaults[key])(raw)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
-    return ModelConfig(**kwargs)
+    """The ModelConfig of a run config file that may also hold TrainConfig keys."""
+    return config_from_values(ModelConfig, values, _field_names(TrainConfig))
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +165,6 @@ class Batch:
     frame_mask: np.ndarray    # (B, T_max) bool
     tokens: np.ndarray        # (B, N_max) int64, <blnk>-padded
     ce_mask: np.ndarray       # (B, N_max) float, 1 on predictable rows
-    onehot: np.ndarray        # (B, N_max, M)
     lengths: list[int]        # true token lengths
     sequences: list[TokenSequence]
 
@@ -168,7 +176,6 @@ def make_batches(utts: Sequence[Utterance], vocab: Vocabulary,
     Padded token positions use <blnk> and are excluded from the loss masks.
     """
     blnk = vocab.id("<blnk>")
-    m = vocab.size
     ordered = sorted(utts, key=lambda u: (u.reference.n, u.uid))
     batches = []
     for start in range(0, len(ordered), batch_size):
@@ -188,13 +195,9 @@ def make_batches(utts: Sequence[Utterance], vocab: Vocabulary,
             frame_mask[i, :t] = True
             tokens[i, :n] = utt.reference.ids
             ce_mask[i, 1:n] = 1.0  # row 0 has no left context
-        onehot = np.zeros((b, n_max, m))
-        rows = np.arange(b)[:, None]
-        cols = np.arange(n_max)[None, :]
-        onehot[rows, cols, tokens] = 1.0
         batches.append(Batch(uids=[u.uid for u in chunk], frames=frames,
                              frame_mask=frame_mask, tokens=tokens,
-                             ce_mask=ce_mask, onehot=onehot,
+                             ce_mask=ce_mask,
                              lengths=[u.reference.n for u in chunk],
                              sequences=[u.reference for u in chunk]))
     return batches
@@ -210,8 +213,7 @@ def sequence_ce(model: Seq2SeqModel, batch: Batch,
     (ce_sum, forward_out) so callers can reuse the attention maps."""
     out = model.forward(batch.frames, batch.tokens, batch.frame_mask,
                         enc_adapters=enc_adapters, dec_adapters=dec_adapters)
-    probs = softmax_rows(out.logits)
-    return cross_entropy(probs, batch.onehot, row_mask=batch.ce_mask), out
+    return cross_entropy(out.logits, batch.tokens, row_mask=batch.ce_mask), out
 
 
 def batch_loss(model: Seq2SeqModel, batch: Batch, selection: HeadSelection | None,
@@ -238,31 +240,6 @@ def batch_loss(model: Seq2SeqModel, batch: Batch, selection: HeadSelection | Non
     ag_mean = ag_total * (1.0 / b)
     loss = ce_mean + gamma * ag_mean
     return loss, ce_mean.item(), ag_mean.item()
-
-
-def joint_loss(model: Seq2SeqModel, frames: np.ndarray, y: TokenSequence,
-               selection: HeadSelection | None, gamma: float,
-               c: float = 0.6) -> Tensor:
-    """Per-utterance joint objective; with gamma = 0 this is exactly the CE."""
-    if gamma < 0:
-        raise ConfigError("gamma must be non-negative")
-    out = model.forward(frames[None], np.asarray(y.ids)[None])
-    m = model.vocab.size
-    n = y.n
-    onehot = np.zeros((1, n, m))
-    onehot[0, np.arange(n), y.ids] = 1.0
-    ce_mask = np.zeros((1, n))
-    ce_mask[0, 1:] = 1.0
-    ce = cross_entropy(softmax_rows(out.logits), onehot, row_mask=ce_mask)
-    if gamma == 0.0:
-        return ce
-    if selection is None:
-        raise ConfigError("guidance weight is positive but no head selection given")
-    target = guidance_target(y, c)
-    maps = {}
-    for layer, head in set(selection.selected):
-        maps[(layer, head)] = out.attention[layer][0, head]
-    return ce + gamma * ag_loss(maps, selection, target)
 
 
 def validation_ce(model: Seq2SeqModel, batches: Sequence[Batch]) -> float:

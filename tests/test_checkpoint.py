@@ -63,6 +63,16 @@ class TestContainer:
         with pytest.raises(DataError):
             load_checkpoint(tmp_path / "absent.ckpt")
 
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(path, {"w": np.ones(3)})
+        before = path.read_bytes()
+        # "a" is written before the over-long name is rejected
+        with pytest.raises(DataError):
+            save_checkpoint(path, {"a": np.zeros(2), "b" * 0x10000: np.zeros(1)})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["x.ckpt"]
+
     @pytest.mark.parametrize("keep", [6, 0.5])
     def test_truncated_file(self, tmp_path, keep):
         path = tmp_path / "x.ckpt"

@@ -1,6 +1,5 @@
 """CLI subcommands and exit codes on a micro corpus."""
 
-import numpy as np
 import pytest
 
 from agadapt.cli import main
@@ -31,11 +30,55 @@ def micro_files(workdir):
             "adapted": workdir / "adapted.ckpt", "report": workdir / "report.csv"}
 
 
-def test_gen_data(micro_files):
+@pytest.fixture(scope="module")
+def data(micro_files):
     rc = main(["gen-data", "--spec", str(micro_files["spec"]),
                "--out", str(micro_files["data"]), "--seed", "3"])
     assert rc == 0
-    spec, vocab, utts = read_split(micro_files["data"], "pretrain")
+    return micro_files["data"]
+
+
+@pytest.fixture(scope="module")
+def backbone(micro_files, data):
+    # produce a usable (if weak) frozen backbone by skipping the gate: train
+    # one epoch, then save via the library path
+    from agadapt import checkpoint, synthtask, training
+    from agadapt.model import Seq2SeqModel
+
+    values = training.parse_config_file(micro_files["train"])
+    cfg = training.build_train_config(values, {"seed": 0})
+    model_cfg = training.build_model_config(values)
+    _, vocab, pretrain = synthtask.read_split(data, "pretrain")
+    _, _, valid = synthtask.read_split(data, "valid")
+    model = Seq2SeqModel(model_cfg, vocab, seed=0)
+    try:
+        training.pretrain_backbone(model, pretrain, valid, cfg)
+    except Exception:
+        model.freeze_backbone()
+    checkpoint.save_model(micro_files["backbone"], model)
+    return micro_files["backbone"]
+
+
+@pytest.fixture(scope="module")
+def heads(micro_files, data, backbone):
+    # the shared heads file for downstream tests selects every head
+    rc = main(["select-heads", "--backbone", str(backbone), "--data", str(data),
+               "--strategy", "all", "--out", str(micro_files["heads"])])
+    assert rc == 0
+    return micro_files["heads"]
+
+
+@pytest.fixture(scope="module")
+def adapted(micro_files, data, backbone):
+    rc = main(["adapt", "--mode", "one-stage", "--backbone", str(backbone),
+               "--data", str(data), "--config", str(micro_files["train"]),
+               "--out", str(micro_files["adapted"])])
+    assert rc == 0
+    return micro_files["adapted"]
+
+
+def test_gen_data(data):
+    spec, vocab, utts = read_split(data, "pretrain")
     assert spec.seed == 3
     assert len(utts) == 48
 
@@ -47,6 +90,33 @@ def test_gen_data_bad_spec(workdir):
     assert rc == 2
 
 
+@pytest.mark.parametrize("line", ["nosie = 0.1", "n_tests = 4", "n_adapt = many"],
+                         ids=["typo", "unknown-split", "bad-size"])
+def test_gen_data_unknown_or_bad_key(workdir, capsys, line):
+    bad = workdir / "typo.cfg"
+    bad.write_text(line + "\n")
+    rc = main(["gen-data", "--spec", str(bad), "--out", str(workdir / "typo")])
+    assert rc == 2
+    assert line.split(" = ")[0] in capsys.readouterr().err
+    assert not (workdir / "typo").exists()
+
+
+@pytest.mark.parametrize("command", ["pretrain", "adapt"])
+def test_run_config_typo(micro_files, data, backbone, workdir, capsys, command):
+    cfg = workdir / "typo-run.cfg"
+    cfg.write_text(micro_files["train"].read_text() + "gamam = 0.5\n")
+    out = workdir / f"typo-{command}.ckpt"
+    if command == "pretrain":
+        args = ["pretrain", "--data", str(data)]
+    else:
+        args = ["adapt", "--mode", "one-stage", "--backbone", str(backbone),
+                "--data", str(data)]
+    rc = main(args + ["--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    assert "gamam" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pretrain_missing_data(workdir, micro_files):
     rc = main(["pretrain", "--data", str(workdir / "absent"),
                "--out", str(workdir / "b.ckpt"),
@@ -54,63 +124,51 @@ def test_pretrain_missing_data(workdir, micro_files):
     assert rc == 3
 
 
-def test_pretrain_accuracy_gate_failure(micro_files, capsys):
+def test_pretrain_malformed_manifest(micro_files, data, workdir, capsys):
+    bad = workdir / "bad-data"
+    bad.mkdir()
+    for path in data.iterdir():
+        (bad / path.name).write_bytes(path.read_bytes())
+    manifest = bad / "pretrain.manifest"
+    lines = manifest.read_text().splitlines()
+    lines[1] = lines[1].rsplit("\t", 1)[0]  # drop the length field
+    manifest.write_text("\n".join(lines) + "\n")
+    rc = main(["pretrain", "--data", str(bad), "--out", str(workdir / "b.ckpt"),
+               "--config", str(micro_files["train"])])
+    assert rc == 3
+    assert "malformed manifest line" in capsys.readouterr().err
+
+
+def test_pretrain_accuracy_gate_failure(micro_files, data, workdir, capsys):
     # one epoch on a micro model cannot hit the accuracy gate: exit code 4
-    rc = main(["pretrain", "--data", str(micro_files["data"]),
-               "--out", str(micro_files["backbone"]),
+    out = workdir / "gate.ckpt"
+    rc = main(["pretrain", "--data", str(data), "--out", str(out),
                "--config", str(micro_files["train"]), "--seed", "0"])
     assert rc == 4
     assert "numeric failure" in capsys.readouterr().err
+    assert not out.exists()
 
 
-@pytest.fixture(scope="module")
-def backbone(micro_files):
-    # produce a usable (if weak) frozen backbone by skipping the gate: train
-    # one epoch, then save via the library path
-    from agadapt import checkpoint, synthtask, training
-    from agadapt.model import Seq2SeqModel
-
-    values = training.parse_config_file(micro_files["train"])
-    cfg = training.build_train_config(values, {"seed": 0})
-    model_cfg = training.build_model_config(values)
-    _, vocab, pretrain = synthtask.read_split(micro_files["data"], "pretrain")
-    _, _, valid = synthtask.read_split(micro_files["data"], "valid")
-    model = Seq2SeqModel(model_cfg, vocab, seed=0)
-    try:
-        training.pretrain_backbone(model, pretrain, valid, cfg)
-    except Exception:
-        model.freeze_backbone()
-    checkpoint.save_model(micro_files["backbone"], model)
-    return micro_files["backbone"]
-
-
-def test_select_heads_empty_selection_fails(micro_files, backbone, workdir, capsys):
+def test_select_heads_empty_selection_fails(data, backbone, workdir, capsys):
     # no head of the weak, unanchored micro backbone passes the majority bar,
     # so the fraction route selects nothing: a loud config error, no file
     out = workdir / "frac.tsv"
-    rc = main(["select-heads", "--backbone", str(backbone),
-               "--data", str(micro_files["data"]),
+    rc = main(["select-heads", "--backbone", str(backbone), "--data", str(data),
                "--fraction", "1.0", "--out", str(out)])
     assert rc == 2
     assert "no heads selected" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_select_heads(micro_files, backbone, workdir):
-    # the shared heads file for downstream tests selects every head
-    rc = main(["select-heads", "--backbone", str(backbone),
-               "--data", str(micro_files["data"]),
-               "--strategy", "all", "--out", str(micro_files["heads"])])
-    assert rc == 0
-    sel = load_head_selection(micro_files["heads"])
+def test_select_heads(heads):
+    sel = load_head_selection(heads)
     assert sel.dataset_size == 32
     assert len(sel.selected) == 2
 
 
-def test_select_heads_random_strategy(micro_files, backbone, workdir):
+def test_select_heads_random_strategy(data, backbone, workdir):
     out = workdir / "rand.tsv"
-    rc = main(["select-heads", "--backbone", str(backbone),
-               "--data", str(micro_files["data"]),
+    rc = main(["select-heads", "--backbone", str(backbone), "--data", str(data),
                "--fraction", "0.5", "--strategy", "random", "--seed", "7",
                "--out", str(out)])
     assert rc == 0
@@ -118,38 +176,28 @@ def test_select_heads_random_strategy(micro_files, backbone, workdir):
     assert len(sel.selected) == 1  # half of 2 heads
 
 
-def test_adapt_one_stage(micro_files, backbone):
-    rc = main(["adapt", "--mode", "one-stage", "--backbone", str(backbone),
-               "--data", str(micro_files["data"]),
-               "--config", str(micro_files["train"]),
-               "--out", str(micro_files["adapted"])])
-    assert rc == 0
-    assert micro_files["adapted"].exists()
+def test_adapt_one_stage(adapted):
+    assert adapted.exists()
 
 
-def test_adapt_guided_without_heads_fails(micro_files, backbone, workdir):
+def test_adapt_guided_without_heads_fails(micro_files, data, backbone, workdir):
     rc = main(["adapt", "--mode", "one-stage-ag", "--backbone", str(backbone),
-               "--data", str(micro_files["data"]),
-               "--config", str(micro_files["train"]),
+               "--data", str(data), "--config", str(micro_files["train"]),
                "--out", str(workdir / "x.ckpt")])
     assert rc == 2
 
 
-def test_adapt_two_stage_guided(micro_files, backbone, workdir):
+def test_adapt_two_stage_guided(micro_files, data, backbone, heads, workdir):
     out = workdir / "two.ckpt"
     rc = main(["adapt", "--mode", "two-stage-ag", "--backbone", str(backbone),
-               "--data", str(micro_files["data"]),
-               "--heads", str(micro_files["heads"]),
-               "--config", str(micro_files["train"]),
-               "--out", str(out)])
+               "--data", str(data), "--heads", str(heads),
+               "--config", str(micro_files["train"]), "--out", str(out)])
     assert rc == 0
 
 
-def test_eval(micro_files):
-    rc = main(["eval", "--model", str(micro_files["adapted"]),
-               "--data", str(micro_files["data"]),
-               "--heads", str(micro_files["heads"]),
-               "--report", str(micro_files["report"])])
+def test_eval(micro_files, data, heads, adapted):
+    rc = main(["eval", "--model", str(adapted), "--data", str(data),
+               "--heads", str(heads), "--report", str(micro_files["report"])])
     assert rc == 0
     lines = micro_files["report"].read_text().splitlines()
     assert lines[0] == "set,metric,value"
@@ -157,33 +205,32 @@ def test_eval(micro_files):
     assert any("lid_attribution" in ln for ln in lines)
 
 
-def test_inspect_attention(micro_files, workdir):
-    _, _, utts = read_split(micro_files["data"], "test-cs")
+def test_inspect_attention(data, adapted, workdir):
+    _, _, utts = read_split(data, "test-cs")
     uid = utts[0].uid
     out_pgm = workdir / "map.pgm"
-    rc = main(["inspect-attention", "--model", str(micro_files["adapted"]),
-               "--data", str(micro_files["data"]), "--utterance", uid,
+    rc = main(["inspect-attention", "--model", str(adapted),
+               "--data", str(data), "--utterance", uid,
                "--layer", "0", "--head", "1", "--format", "pgm",
                "--out", str(out_pgm)])
     assert rc == 0
     assert out_pgm.read_text().startswith("P2\n")
-    n = utts[0].reference.n
-    rc = main(["inspect-attention", "--model", str(micro_files["adapted"]),
-               "--data", str(micro_files["data"]), "--utterance", uid,
+    rc = main(["inspect-attention", "--model", str(adapted),
+               "--data", str(data), "--utterance", uid,
                "--layer", "9", "--head", "0", "--format", "csv",
                "--out", str(workdir / "map.csv")])
     assert rc == 2  # layer out of range
 
 
-def test_inspect_attention_unknown_utterance(micro_files, workdir):
-    rc = main(["inspect-attention", "--model", str(micro_files["adapted"]),
-               "--data", str(micro_files["data"]), "--utterance", "nope",
+def test_inspect_attention_unknown_utterance(data, adapted, workdir):
+    rc = main(["inspect-attention", "--model", str(adapted),
+               "--data", str(data), "--utterance", "nope",
                "--layer", "0", "--head", "0", "--format", "pgm",
                "--out", str(workdir / "m.pgm")])
     assert rc == 3
 
 
-def test_eval_truncated_checkpoint(micro_files, workdir, capsys):
+def test_eval_truncated_checkpoint(data, workdir, capsys):
     from agadapt import checkpoint
     from agadapt.model import ModelConfig, Seq2SeqModel, Vocabulary
 
@@ -195,7 +242,7 @@ def test_eval_truncated_checkpoint(micro_files, workdir, capsys):
     blob = path.read_bytes()
     for cut in (6, len(blob) // 2):
         path.write_bytes(blob[:cut])
-        rc = main(["eval", "--model", str(path), "--data", str(micro_files["data"]),
+        rc = main(["eval", "--model", str(path), "--data", str(data),
                    "--report", str(workdir / "truncated.csv")])
         assert rc == 3
         assert "truncated checkpoint" in capsys.readouterr().err

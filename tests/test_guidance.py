@@ -8,13 +8,11 @@ from agadapt.guidance import (
     GuidanceTarget,
     HeadSelection,
     ag_loss,
-    ag_eval_count,
     count_and_select,
     guidance_target,
     lid_indicator,
     load_head_selection,
     rank_heads,
-    reset_ag_eval_count,
     save_head_selection,
     select_random_heads,
 )
@@ -257,12 +255,6 @@ class TestAgLoss:
         non_lid = [j for j in range(n) if j not in (1, 2)]
         assert np.all(np.abs(grad[:, non_lid]) <= 1e-12)
         assert np.any(grad[:, [1, 2]] != 0.0)
-
-    def test_eval_counter(self):
-        reset_ag_eval_count()
-        ag_loss({(0, 0): self._matching_map()}, make_selection([(0, 0)]), self.target)
-        assert ag_eval_count() == 1
-        reset_ag_eval_count()
 
 
 class TestHeadSelectionFile:

@@ -153,6 +153,45 @@ class TestManifest:
         with pytest.raises(DataError):
             read_split(tmp_path, "pretrain")
 
+    # fields: uid, kind, ids, tags, offset, length
+    @pytest.mark.parametrize("corrupt", [
+        lambda f: f[:5],                                  # five fields
+        lambda f: f + ["extra"],                          # seven fields
+        lambda f: f[:2] + ["0 x 2"] + f[3:],              # non-integer id
+        lambda f: f[:5] + ["long"],                       # non-integer length
+        lambda f: f[:4] + ["99999999", f[5]],             # offset past the end
+    ])
+    def test_malformed_manifest_line(self, tmp_path, corrupt):
+        write_corpus(tmp_path, SPEC, VOCAB, generate_corpus(SPEC, VOCAB, SIZES))
+        path = tmp_path / "adapt.manifest"
+        lines = path.read_text().splitlines()
+        lines[2] = "\t".join(corrupt(lines[2].split("\t")))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError):
+            read_split(tmp_path, "adapt")
+
+    @pytest.mark.parametrize("header", [
+        "not json", "[1, 2]", '{"count": 10}', '{"spec": {"colour": 1}, "count": 10}',
+        '{"spec": {"noise": -1.0}, "count": 10}',
+    ])
+    def test_malformed_manifest_header(self, tmp_path, header):
+        write_corpus(tmp_path, SPEC, VOCAB, generate_corpus(SPEC, VOCAB, SIZES))
+        path = tmp_path / "adapt.manifest"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([header] + lines[1:]) + "\n")
+        with pytest.raises(DataError):
+            read_split(tmp_path, "adapt")
+
+    def test_failed_write_keeps_previous_corpus(self, tmp_path):
+        corpus = generate_corpus(SPEC, VOCAB, SIZES)
+        write_corpus(tmp_path, SPEC, VOCAB, corpus)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        broken = dict(corpus)
+        broken["adapt"] = corpus["adapt"][:3] + [None]  # fails partway through
+        with pytest.raises(AttributeError):
+            write_corpus(tmp_path, SPEC, VOCAB, broken)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
 
 # ---------------------------------------------------------------------------
 # Edit distance

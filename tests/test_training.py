@@ -3,12 +3,9 @@
 import numpy as np
 import pytest
 
+from agadapt import training
 from agadapt.errors import ConfigError, DataError
-from agadapt.guidance import (
-    HeadSelection,
-    ag_eval_count,
-    reset_ag_eval_count,
-)
+from agadapt.guidance import HeadSelection, guidance_target
 from agadapt.model import (
     ModelConfig,
     Seq2SeqModel,
@@ -27,7 +24,6 @@ from agadapt.training import (
     build_model_config,
     build_train_config,
     evaluate_model,
-    joint_loss,
     make_batches,
     parse_config_file,
     pretrain_backbone,
@@ -112,35 +108,69 @@ class TestConfig:
         mc = build_model_config(parse_config_file(path))
         assert mc.width == 24 and mc.heads == 3
 
+    def test_unknown_key_rejected(self, tmp_path):
+        # a key that neither TrainConfig nor ModelConfig claims is a typo
+        path = tmp_path / "run.cfg"
+        path.write_text("width = 24\nepochs = 2\ngamam = 0.5\n")
+        values = parse_config_file(path)
+        for build in (build_train_config, build_model_config):
+            with pytest.raises(ConfigError, match="gamam"):
+                build(values)
+
+    def test_model_config_bad_value(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("width = 2.5\n")
+        with pytest.raises(ConfigError, match="width"):
+            build_model_config(parse_config_file(path))
+
+
+def utterance_loss(model, utt, vocab, selection, gamma):
+    """`batch_loss` on a batch holding the one utterance `utt`."""
+    targets = {utt.uid: guidance_target(utt.reference, 0.6)}
+    batch = make_batches([utt], vocab, 1)[0]
+    return batch_loss(model, batch, selection, gamma, targets)[0]
+
+
+def count_ag_calls(monkeypatch):
+    """Route `training.ag_loss` through a wrapper; returns the call list."""
+    calls = []
+    real = training.ag_loss
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(training, "ag_loss", counting)
+    return calls
+
 
 class TestJointLoss:
     def test_gamma_zero_equals_ce_bitwise(self, adapted_model, vocab, corpus):
         utt = corpus["adapt"][0]
-        sel = micro_selection()
-        joint = joint_loss(adapted_model, utt.frames, utt.reference, sel, 0.0)
-        ce = joint_loss(adapted_model, utt.frames, utt.reference, None, 0.0)
+        joint = utterance_loss(adapted_model, utt, vocab, micro_selection(), 0.0)
+        ce = utterance_loss(adapted_model, utt, vocab, None, 0.0)
         assert joint.item() == ce.item()
 
-    def test_affine_in_gamma(self, adapted_model, corpus):
+    def test_affine_in_gamma(self, adapted_model, vocab, corpus):
         utt = corpus["adapt"][0]
         sel = micro_selection()
-        vals = {g: joint_loss(adapted_model, utt.frames, utt.reference, sel, g).item()
+        vals = {g: utterance_loss(adapted_model, utt, vocab, sel, g).item()
                 for g in (0.0, 0.01, 1.0)}
         ce, ag = vals[0.0], vals[1.0] - vals[0.0]
         assert vals[0.01] == pytest.approx(ce + 0.01 * ag, rel=1e-9)
 
-    def test_missing_selection_errors(self, adapted_model, corpus):
+    def test_missing_selection_errors(self, adapted_model, vocab, corpus):
         utt = corpus["adapt"][0]
         with pytest.raises(ConfigError):
-            joint_loss(adapted_model, utt.frames, utt.reference, None, 0.5)
+            utterance_loss(adapted_model, utt, vocab, None, 0.5)
 
-    def test_gradient_vs_finite_difference(self, adapted_model, corpus):
+    def test_gradient_vs_finite_difference(self, adapted_model, vocab, corpus):
         rng = np.random.default_rng(4)
         for p in adapted_model.adapter_params().values():
             p.data = rng.normal(0, 0.05, p.data.shape)
         utt = corpus["adapt"][0]
         sel = micro_selection()
-        loss = joint_loss(adapted_model, utt.frames, utt.reference, sel, 0.01)
+        loss = utterance_loss(adapted_model, utt, vocab, sel, 0.01)
         store = backward(loss, adapted_model.adapter_params().values())
         name = "dec.0.ffn_adapter.up.weight"
         p = adapted_model.params[name]
@@ -149,7 +179,7 @@ class TestJointLoss:
         def f(arr):
             saved = p.data
             p.data = arr
-            val = joint_loss(adapted_model, utt.frames, utt.reference, sel, 0.01).item()
+            val = utterance_loss(adapted_model, utt, vocab, sel, 0.01).item()
             p.data = saved
             return val
 
@@ -161,12 +191,12 @@ class TestJointLoss:
         utts = corpus["adapt"][:4]
         batches = make_batches(utts, vocab, 4)
         assert len(batches) == 1
+        assert len(set(len(u.reference.ids) for u in utts)) > 1  # padded rows
         sel = micro_selection()
-        from agadapt.guidance import guidance_target
         targets = {u.uid: guidance_target(u.reference, 0.6) for u in utts}
         loss, ce_mean, ag_mean = batch_loss(adapted_model, batches[0], sel, 0.01,
                                             targets)
-        singles = [joint_loss(adapted_model, u.frames, u.reference, sel, 0.01).item()
+        singles = [utterance_loss(adapted_model, u, vocab, sel, 0.01).item()
                    for u in utts]
         assert loss.item() == pytest.approx(np.mean(singles), rel=1e-9)
 
@@ -206,15 +236,16 @@ class TestStages:
         base.update(kw)
         return TrainConfig(**base)
 
-    def test_stage1_touches_only_encoder_adapters(self, adapted_model, corpus):
+    def test_stage1_touches_only_encoder_adapters(self, adapted_model, corpus,
+                                                  monkeypatch):
         model = adapted_model
         enc_before = {n: p.data.copy() for n, p in model.adapter_params("enc").items()}
         dec_before = {n: p.data.copy() for n, p in model.adapter_params("dec").items()}
         theta_before = {n: p.data.copy() for n, p in model.params.items()
                         if not is_adapter_param(n)}
-        reset_ag_eval_count()
+        ag_calls = count_ag_calls(monkeypatch)
         record = run_stage1(model, corpus["adapt"], corpus["valid"], self._cfg())
-        assert ag_eval_count() == 0
+        assert ag_calls == []
         assert all(e.train_ag == 0.0 for e in record.epochs)
         for name, before in dec_before.items():
             assert np.array_equal(model.params[name].data, before), name
@@ -228,21 +259,26 @@ class TestStages:
             run_stage2(adapted_model, corpus["adapt"], corpus["valid"],
                        self._cfg(), None)
 
-    def test_stage2_gamma_zero_plain_finetuning(self, adapted_model, corpus):
-        reset_ag_eval_count()
+    def test_stage2_gamma_zero_plain_finetuning(self, adapted_model, corpus,
+                                                monkeypatch):
+        ag_calls = count_ag_calls(monkeypatch)
         record = run_stage2(adapted_model, corpus["adapt"], corpus["valid"],
                             self._cfg(), None, gamma=0.0)
-        assert ag_eval_count() == 0
+        assert ag_calls == []
         assert all(e.train_ag == 0.0 for e in record.epochs)
 
-    def test_stage2_guided_updates_both_sides(self, adapted_model, corpus):
+    def test_stage2_guided_updates_both_sides(self, adapted_model, corpus,
+                                              monkeypatch):
         model = adapted_model
+        ag_calls = count_ag_calls(monkeypatch)
         enc_before = {n: p.data.copy() for n, p in model.adapter_params("enc").items()}
         dec_before = {n: p.data.copy() for n, p in model.adapter_params("dec").items()}
         theta_before = {n: p.data.copy() for n, p in model.params.items()
                         if not is_adapter_param(n)}
         record = run_stage2(model, corpus["adapt"], corpus["valid"], self._cfg(),
                             micro_selection())
+        # one guidance evaluation per training utterance per epoch
+        assert len(ag_calls) == self._cfg().epochs * len(corpus["adapt"])
         assert any(e.train_ag > 0.0 for e in record.epochs)
         assert any(not np.array_equal(model.params[n].data, enc_before[n])
                    for n in enc_before)
