@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomicio import atomic_write
 from .errors import ConfigError, DataError
 from .model import TokenSequence, Vocabulary
 
@@ -69,27 +70,24 @@ def classify_head_pattern(attn_map, y: TokenSequence, vocab: Vocabulary) -> Patt
 def export_heatmap(attn_map, path, fmt: str, tokens: list[str]) -> None:
     """Write a map as CSV (token-string header, 6-decimal values) or plain
     PGM ("P2", maxval 255, pixel = round(255 * value)). Output bytes are a
-    pure function of the inputs."""
+    pure function of the inputs; a failed write leaves any previous file
+    at `path` as it was."""
     a = np.asarray(attn_map, dtype=np.float64)
     n = a.shape[0]
     if a.shape != (n, n):
         raise DataError("heatmap export expects a square map")
     if len(tokens) != n:
         raise DataError("token labels must match the map size")
-    path = Path(path)
     if fmt == "csv":
         lines = [",".join(tokens)]
-        for row in a:
-            lines.append(",".join(f"{v:.6f}" for v in row))
-        payload = "\n".join(lines) + "\n"
-        path.write_text(payload, encoding="utf-8")
+        lines += [",".join(f"{v:.6f}" for v in row) for row in a]
     elif fmt == "pgm":
         lines = ["P2", f"{n} {n}", "255"]
-        for row in a:
-            lines.append(" ".join(str(int(v * 255.0 + 0.5)) for v in row))
-        path.write_text("\n".join(lines) + "\n", encoding="ascii")
+        lines += [" ".join(str(int(v * 255.0 + 0.5)) for v in row) for row in a]
     else:
         raise ConfigError(f"unknown heatmap format {fmt!r}")
+    with atomic_write(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_heatmap_csv(path) -> tuple[list[str], np.ndarray]:

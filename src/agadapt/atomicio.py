@@ -1,8 +1,8 @@
 """All-or-nothing file replacement for every file the package writes.
 
-Checkpoints, corpus files, head selections and evaluation reports are
-written through `atomic_write`, so a run that fails while writing leaves the
-previous file in place, byte for byte, instead of a truncated one.
+Checkpoints, corpus files, head selections, evaluation reports and heatmaps
+are written through `atomic_write`, so a run that fails while writing leaves
+the previous file in place, byte for byte, instead of a truncated one.
 """
 
 from __future__ import annotations

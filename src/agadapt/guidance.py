@@ -211,10 +211,10 @@ def load_head_selection(path) -> HeadSelection:
     counts: dict[HeadIndex, int] = {}
     selected: list[HeadIndex] = []
     for line in lines[1:]:
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise DataError(f"malformed head-selection line: {line!r}")
-        layer, head, count = (int(p) for p in parts)
+        try:
+            layer, head, count = (int(p) for p in line.split("\t"))
+        except ValueError as exc:
+            raise DataError(f"malformed head-selection line: {line!r}") from exc
         counts[(layer, head)] = count
         selected.append((layer, head))
     return HeadSelection(counts=counts, dataset_size=dataset_size, selected=selected)

@@ -34,6 +34,7 @@ from .numerics import (
     embedding,
     gelu,
     layer_norm,
+    linear,
     no_grad,
     shift_rows,
 )
@@ -251,8 +252,8 @@ def is_adapter_param(name: str) -> bool:
 
 def adapter_apply(x, down_w, down_b, up_w, up_b) -> Tensor:
     """Residual bottleneck: x + Up(gelu(Down(x)))."""
-    hidden = gelu(x @ down_w + down_b)
-    return x + (hidden @ up_w + up_b)
+    hidden = gelu(linear(x, down_w, down_b))
+    return x + linear(hidden, up_w, up_b)
 
 
 class Seq2SeqModel:
@@ -465,20 +466,23 @@ class Seq2SeqModel:
         batch, length = t.shape[0], t.shape[2]
         return t.transpose(0, 2, 1, 3).reshape(batch, length, self.config.width)
 
+    def _linear(self, x, prefix: str) -> Tensor:
+        """The projection named `prefix` (its .weight and .bias) of `x`."""
+        return linear(x, self._p(prefix + ".weight"), self._p(prefix + ".bias"))
+
     def _kv(self, src: Tensor, prefix: str) -> tuple[Tensor, Tensor]:
         """Key and value heads of one attention sub-layer over `src`."""
-        k = self._split_heads(src @ self._p(prefix + ".k_proj.weight") + self._p(prefix + ".k_proj.bias"))
-        v = self._split_heads(src @ self._p(prefix + ".v_proj.weight") + self._p(prefix + ".v_proj.bias"))
+        k = self._split_heads(self._linear(src, prefix + ".k_proj"))
+        v = self._split_heads(self._linear(src, prefix + ".v_proj"))
         return k, v
 
     def _attend(self, x: Tensor, k: Tensor, v: Tensor, prefix: str,
                 causal: bool, extra_mask=None) -> tuple[Tensor, Tensor]:
         """One multi-head attention sub-layer of queries `x` over key and
         value heads (B, H, N_k, head_dim); returns (output, maps)."""
-        q = self._split_heads(x @ self._p(prefix + ".q_proj.weight") + self._p(prefix + ".q_proj.bias"))
+        q = self._split_heads(self._linear(x, prefix + ".q_proj"))
         maps = attention_map(q, k, causal=causal, extra_mask=extra_mask)
-        ctx = self._merge_heads(maps @ v)
-        out = ctx @ self._p(prefix + ".out_proj.weight") + self._p(prefix + ".out_proj.bias")
+        out = self._linear(self._merge_heads(maps @ v), prefix + ".out_proj")
         return out, maps
 
     def encode(self, frames, frame_mask=None,
@@ -511,7 +515,7 @@ class Seq2SeqModel:
 
         use_ad = enc_adapters and self.has_adapters
         windowed = _stack_frame_window(frames)
-        x = Tensor(windowed) @ self._p("enc.in_proj.weight") + self._p("enc.in_proj.bias")
+        x = self._linear(windowed, "enc.in_proj")
         x = x + embedding(self._p("enc.pos.weight"), np.arange(t_len))
         for i in range(c.enc_layers):
             p = f"enc.{i}."
@@ -523,8 +527,8 @@ class Seq2SeqModel:
             if use_ad:
                 x = self._adapter(x, p + "attn_adapter.")
             h = layer_norm(x, self._p(p + "ln2.gain"), self._p(p + "ln2.bias"))
-            f = gelu(h @ self._p(p + "ffn.fc1.weight") + self._p(p + "ffn.fc1.bias"))
-            x = x + (f @ self._p(p + "ffn.fc2.weight") + self._p(p + "ffn.fc2.bias"))
+            f = gelu(self._linear(h, p + "ffn.fc1"))
+            x = x + self._linear(f, p + "ffn.fc2")
             if use_ad:
                 x = self._adapter(x, p + "ffn_adapter.")
         memory = layer_norm(x, self._p("enc.ln_out.gain"), self._p("enc.ln_out.bias"))
@@ -579,14 +583,14 @@ class Seq2SeqModel:
             if use_ad:
                 y = self._adapter(y, p + "attn_adapter.")
             h = layer_norm(y, self._p(p + "ln3.gain"), self._p(p + "ln3.bias"))
-            f = gelu(h @ self._p(p + "ffn.fc1.weight") + self._p(p + "ffn.fc1.bias"))
-            y = y + (f @ self._p(p + "ffn.fc2.weight") + self._p(p + "ffn.fc2.bias"))
+            f = gelu(self._linear(h, p + "ffn.fc1"))
+            y = y + self._linear(f, p + "ffn.fc2")
             if use_ad:
                 y = self._adapter(y, p + "ffn_adapter.")
         if cache is not None:
             cache.length = n_len
         y = layer_norm(y, self._p("dec.ln_out.gain"), self._p("dec.ln_out.bias"))
-        proj = y @ self._p("dec.out_proj.weight") + self._p("dec.out_proj.bias")
+        proj = self._linear(y, "dec.out_proj")
         return proj, attn_maps
 
     def forward(self, frames, tokens, frame_mask=None,

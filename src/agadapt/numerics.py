@@ -3,10 +3,18 @@
 Everything downstream (the transformer, the guidance losses, the training
 loop) is built from the operations here. All arrays are row-major float64;
 gradients are exact analytic expressions and are certified against the
-central-difference oracle `finite_diff_grad` in the test suite. The training
-objective's cross-entropy is one fused node over logits and integer target
-ids (log-sum-exp forward, softmax-minus-target backward), so no probability
-is ever clamped before a log.
+central-difference oracle `finite_diff_grad` in the test suite.
+
+Three fused nodes carry most of the work:
+
+- `linear(x, W, b)` is a projection `x @ W + b`; its backward forms the
+  weight gradient as one 2-D product over every row of the batch.
+- `attention_map(q, k, ...)` scales, masks and row-softmaxes the scores in
+  one node, with the analytic softmax backward (as in FlashAttention, Dao et
+  al. 2022) instead of a chain of matmul, add and softmax nodes.
+- `cross_entropy(logits, ids, mask)` is a row log-sum-exp over logits and
+  integer target ids (softmax-minus-target backward), so no probability is
+  ever clamped before a log.
 """
 
 from __future__ import annotations
@@ -167,10 +175,15 @@ class Tensor:
 
     def __getitem__(self, idx):
         shape = self.data.shape
+        basic = _is_basic_index(idx)
 
         def grad_fn(g):
             out = np.zeros(shape)
-            np.add.at(out, idx, g)
+            if basic:
+                # a basic index selects each element at most once
+                out[idx] = g
+            else:
+                np.add.at(out, idx, g)
             return (out,)
 
         return _node(self.data[idx], (self,), grad_fn)
@@ -205,6 +218,16 @@ class Tensor:
                 if g is None or not parent.requires_grad:
                     continue
                 parent.grad = g if parent.grad is None else parent.grad + g
+
+
+def _is_basic_index(idx) -> bool:
+    """True when `idx` holds only ints, slices, None and Ellipsis, so that
+    `a[idx]` is a view that reaches no element twice."""
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    return all(
+        part is None or part is Ellipsis or isinstance(part, slice)
+        or (isinstance(part, (int, np.integer)) and not isinstance(part, bool))
+        for part in parts)
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -289,39 +312,56 @@ def backward(loss: Tensor, params: Iterable[Parameter]) -> GradientStore:
 # Named operations
 # ---------------------------------------------------------------------------
 
+def linear(x, w, b) -> Tensor:
+    """Projection x @ w + b of (..., n_in) rows by an (n_in, n_out) weight
+    and an (n_out,) bias, as one node.
+
+    The backward pass forms g @ w^T only when `x` records a gradient and the
+    weight gradient as one 2-D product x^T g over all rows of the batch. The
+    bias gradient sums g over its leading axes one at a time, the order the
+    unfused add node used: the key projections' bias gradients are zero up
+    to rounding (softmax ignores a shift shared by all keys), and this order
+    keeps that rounding noise as it was.
+    """
+    x = as_tensor(x)
+    w = as_tensor(w)
+    b = as_tensor(b)
+    out_data = x.data @ w.data
+    out_data += b.data
+
+    def grad_fn(g):
+        gx = gw = gb = None
+        if x.requires_grad:
+            gx = g @ w.data.T
+        if w.requires_grad:
+            gw = x.data.reshape(-1, x.data.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        if b.requires_grad:
+            gb = _unbroadcast(g, b.data.shape)
+        return (gx, gw, gb)
+
+    return _node(out_data, (x, w, b), grad_fn)
+
+
 def gelu(t: Tensor) -> Tensor:
     """Gaussian error linear unit, exact erf form."""
     t = as_tensor(t)
     x = t.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    cdf = x * _INV_SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     out_data = x * cdf
 
     def grad_fn(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-        return (g * (cdf + x * pdf),)
-
-    return _node(out_data, (t,), grad_fn)
-
-
-def softmax_rows(m) -> Tensor:
-    """Row-stochastic softmax over the last axis.
-
-    Masked entries are supplied as -inf and map to exactly 0. A fully masked
-    row has no distribution to normalise and raises.
-    """
-    t = as_tensor(m)
-    x = t.data
-    mx = np.max(x, axis=-1, keepdims=True)
-    if np.any(np.isneginf(mx)):
-        raise NumericError("degenerate attention row")
-    e = np.exp(x - mx)
-    out_data = e / e.sum(axis=-1, keepdims=True)
-    if not np.all(np.isfinite(out_data)):
-        raise NumericError("non-finite softmax output")
-
-    def grad_fn(g):
-        dot = (out_data * g).sum(axis=-1, keepdims=True)
-        return (out_data * (g - dot),)
+        # g * (cdf + x * pdf), pdf = exp(-x^2 / 2) / sqrt(2 pi)
+        d = -0.5 * x
+        d *= x
+        np.exp(d, out=d)
+        d *= _INV_SQRT2PI
+        d *= x
+        d += cdf
+        d *= g
+        return (d,)
 
     return _node(out_data, (t,), grad_fn)
 
@@ -398,15 +438,20 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 def embedding(weight: Tensor, ids) -> Tensor:
-    """Row gather: out[..., :] = weight[ids[...], :]."""
+    """Row gather: out[..., :] = weight[ids[...], :] for ids in [0, V).
+
+    The backward pass is one weighted `np.bincount` over the flat
+    (id, column) cells. It adds the gradient rows of a repeated id in the
+    order they occur, so its sums equal `np.add.at`'s bit for bit.
+    """
     ids = np.asarray(ids)
     w = as_tensor(weight)
-    shape = w.data.shape
+    n_rows, width = w.data.shape
 
     def grad_fn(g):
-        out = np.zeros(shape)
-        np.add.at(out, ids, g)
-        return (out,)
+        cells = (ids.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+        out = np.bincount(cells, weights=g.reshape(-1), minlength=n_rows * width)
+        return (out.reshape(n_rows, width),)
 
     return _node(w.data[ids], (w,), grad_fn)
 
@@ -449,28 +494,59 @@ def causal_mask(n: int, offset: int = 0) -> Array:
 
 
 def attention_map(q, k, causal: bool = True, extra_mask: Array | None = None) -> Tensor:
-    """Row-stochastic attention map softmax(q k^T / sqrt(d)).
+    """Row-stochastic attention map softmax(q k^T / sqrt(d)), one node.
 
     Accepts (..., n, d) stacks; `extra_mask` is an additive mask broadcast
-    onto the score matrix (used for padded key positions). Under `causal`,
-    the n_q queries are the last n_q of the n_k key positions, so query i
-    sees keys 0..n_k-n_q+i; n_q == n_k is the square teacher-forced map.
+    onto the score matrix (used for padded key positions and score priors).
+    Under `causal`, the n_q queries are the last n_q of the n_k key
+    positions, so query i sees keys 0..n_k-n_q+i; n_q == n_k is the square
+    teacher-forced map. Masked entries (-inf) map to exactly 0; a row with
+    no unmasked entry raises.
+
+    The backward pass is the analytic softmax backward,
+    dS = P * (g - rowsum(P * g)) * scale, followed by dq = dS k and
+    dk = dS^T q.
     """
     q = as_tensor(q)
     k = as_tensor(k)
     d = q.data.shape[-1]
     if d == 0:
         raise NumericError("attention requires key/query dimension >= 1")
-    scores = (q @ k.transpose(*range(k.ndim - 2), k.ndim - 1, k.ndim - 2)) * (1.0 / math.sqrt(d))
+    n_q = q.data.shape[-2]
+    n_k = k.data.shape[-2]
+    if causal and n_q > n_k:
+        raise NumericError("causal attention needs at least as many keys as queries")
+    scale = 1.0 / math.sqrt(d)
+    p = q.data @ np.swapaxes(k.data, -1, -2)
+    p *= scale
     if causal:
-        n_q = q.data.shape[-2]
-        n_k = k.data.shape[-2]
-        if n_q > n_k:
-            raise NumericError("causal attention needs at least as many keys as queries")
-        scores = scores + Tensor(causal_mask(n_q, n_k - n_q))
+        p += causal_mask(n_q, n_k - n_q)
     if extra_mask is not None:
-        scores = scores + Tensor(extra_mask)
-    return softmax_rows(scores)
+        p += extra_mask
+    mx = np.max(p, axis=-1, keepdims=True)
+    if np.any(np.isneginf(mx)):
+        raise NumericError("degenerate attention row")
+    p -= mx
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    if not np.all(np.isfinite(p)):
+        raise NumericError("non-finite attention map")
+
+    def grad_fn(g):
+        ds = g - (p * g).sum(axis=-1, keepdims=True)
+        ds *= p
+        ds *= scale
+        gq = gk = None
+        if q.requires_grad:
+            gq = _unbroadcast(ds @ k.data, q.data.shape)
+        if k.requires_grad:
+            # (q^T dS)^T: the same products as dS^T q, summed in the order
+            # the unfused score matmul's backward used
+            gk = _unbroadcast(np.swapaxes(np.swapaxes(q.data, -1, -2) @ ds, -1, -2),
+                              k.data.shape)
+        return (gq, gk)
+
+    return _node(p, (q, k), grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -510,22 +586,38 @@ def adamw_step(state: OptimizerState, params: Mapping[str, Parameter],
     t = state.step
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
+    # two scratch buffers, sized for the largest parameter, serve every update
+    size = max((grads[name].size for name in grads), default=0)
+    buf_a = np.empty(size)
+    buf_b = np.empty(size)
     for name in sorted(grads):
         p = params[name]
         g = grads[name]
-        m = state.m.get(name)
-        v = state.v.get(name)
-        if m is None:
-            m = np.zeros_like(p.data)
-            v = np.zeros_like(p.data)
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p.data)
+            state.v[name] = np.zeros_like(p.data)
+        m = state.m[name]
+        v = state.v[name]
+        tmp = buf_a[:g.size].reshape(g.shape)
+        update = buf_b[:g.size].reshape(g.shape)
         if state.weight_decay != 0.0:
             p.data *= (1.0 - state.lr * state.weight_decay)
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * (g * g)
-        state.m[name] = m
-        state.v[name] = v
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-        p.data -= state.lr * update
+        # m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g^2
+        m *= state.beta1
+        np.multiply(g, 1.0 - state.beta1, out=tmp)
+        m += tmp
+        v *= state.beta2
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - state.beta2
+        v += tmp
+        # update = (m / bc1) / (sqrt(v / bc2) + eps)
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += state.eps
+        np.divide(m, bc1, out=update)
+        update /= tmp
+        update *= state.lr
+        p.data -= update
         if not np.all(np.isfinite(p.data)):
             raise NumericError(f"non-finite parameter after update: {name!r}")
 

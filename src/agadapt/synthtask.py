@@ -288,6 +288,11 @@ def read_split(data_dir, split: str) -> tuple[SynthSpec, Vocabulary, list[Uttera
         except ValueError as exc:
             raise DataError(f"{manifest_path}:{lineno}: malformed manifest line") from exc
         tags = [None if t == "-" else t for t in tags_s.split()]
+        if kind not in KINDS:
+            raise DataError(f"{manifest_path}:{lineno}: unknown utterance kind {kind!r}")
+        if len(tags) != len(ids):
+            raise DataError(f"{manifest_path}:{lineno}: {len(tags)} language tags "
+                            f"for {len(ids)} token ids")
         if offset < 0 or offset + length > len(blob) or length < 8:
             raise DataError(f"frame record for {uid} lies outside {frames_path}")
         t, feat = struct.unpack_from("<II", blob, offset)

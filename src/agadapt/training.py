@@ -129,7 +129,9 @@ def config_from_values(cls, values: Mapping[str, str], known: Iterable[str] = ()
     default. Every other key must be in `known`, the keys that the file's
     other sections claim; any other key is a typo and raises ConfigError.
     `overrides` (already typed, e.g. CLI flags) win over the file; None
-    entries are skipped.
+    entries are skipped. A value that `cls` rejects, such as a width the
+    head count does not divide, is a config mistake too and raises
+    ConfigError, whichever error `cls` itself raises.
     """
     kinds = {f.name: type(f.default) for f in dc_fields(cls)}
     unknown = sorted(set(values) - set(kinds) - set(known))
@@ -139,7 +141,10 @@ def config_from_values(cls, values: Mapping[str, str], known: Iterable[str] = ()
               for key, raw in values.items() if key in kinds}
     if overrides:
         kwargs.update((k, v) for k, v in overrides.items() if v is not None)
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except DataError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def build_train_config(values: Mapping[str, str],

@@ -107,6 +107,16 @@ class TestExportHeatmap:
         with pytest.raises(DataError):
             export_heatmap(np.eye(2), tmp_path / "m.csv", "csv", ["a"])
 
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "m.csv"
+        export_heatmap(np.eye(2), path, "csv", ["a", "b"])
+        before = path.read_bytes()
+        # a lone surrogate cannot be encoded, so the write fails partway
+        with pytest.raises(UnicodeEncodeError):
+            export_heatmap(np.eye(2) * 0.5, path, "csv", ["a", "\ud800"])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
+
     def test_unwritable_path_errors(self, tmp_path):
         with pytest.raises(OSError):
             export_heatmap(np.eye(2), tmp_path / "no" / "dir" / "m.csv", "csv",

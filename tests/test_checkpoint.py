@@ -7,6 +7,7 @@ import pytest
 
 from agadapt.checkpoint import (
     MAGIC,
+    META_KEY,
     load_checkpoint,
     load_model,
     save_checkpoint,
@@ -107,6 +108,17 @@ class TestModelPersistence:
         a = model.forward(frames, np.array([y.ids])).logits.data
         b = clone.forward(frames, np.array([y.ids])).logits.data
         assert np.array_equal(a, b)
+
+    def test_bad_metadata_is_data_error(self, tmp_path):
+        config = ModelConfig(enc_layers=1, dec_layers=1, heads=2, width=8,
+                             ffn_width=16, bottleneck=2, feat_dim=4, max_len=24)
+        path = tmp_path / "model.ckpt"
+        save_model(path, Seq2SeqModel(config, Vocabulary.build(5, 5), seed=2))
+        tensors = load_checkpoint(path)
+        tensors[META_KEY][3] = 3.0  # a head count that does not divide width 8
+        save_checkpoint(path, tensors)
+        with pytest.raises(DataError, match="divisible"):
+            load_model(path)
 
     def test_backbone_only_round_trip(self, tmp_path):
         config = ModelConfig(enc_layers=1, dec_layers=1, heads=2, width=8,

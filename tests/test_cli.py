@@ -117,6 +117,17 @@ def test_run_config_typo(micro_files, data, backbone, workdir, capsys, command):
     assert not out.exists()
 
 
+def test_pretrain_invalid_model_value(micro_files, data, workdir, capsys):
+    # width 12 is not divisible by 5 heads: a config mistake, exit 2
+    cfg = workdir / "heads5.cfg"
+    cfg.write_text(micro_files["train"].read_text().replace("heads = 2", "heads = 5"))
+    out = workdir / "heads5.ckpt"
+    rc = main(["pretrain", "--data", str(data), "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    assert "divisible" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pretrain_missing_data(workdir, micro_files):
     rc = main(["pretrain", "--data", str(workdir / "absent"),
                "--out", str(workdir / "b.ckpt"),
@@ -203,6 +214,23 @@ def test_eval(micro_files, data, heads, adapted):
     assert lines[0] == "set,metric,value"
     assert any("overall_mer" in ln for ln in lines)
     assert any("lid_attribution" in ln for ln in lines)
+
+
+@pytest.mark.parametrize("command", ["adapt", "eval"])
+def test_malformed_heads_file(micro_files, data, backbone, adapted, workdir, capsys,
+                              command):
+    bad = workdir / "bad-heads.tsv"
+    bad.write_text("# dataset_size=32\tthreshold=16.0\n1\tx\t3\n")
+    out = workdir / f"bad-heads-{command}.out"
+    if command == "adapt":
+        args = ["adapt", "--mode", "two-stage-ag", "--backbone", str(backbone),
+                "--config", str(micro_files["train"]), "--out", str(out)]
+    else:
+        args = ["eval", "--model", str(adapted), "--report", str(out)]
+    rc = main(args + ["--data", str(data), "--heads", str(bad)])
+    assert rc == 3
+    assert "malformed head-selection line" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_inspect_attention(data, adapted, workdir):

@@ -276,3 +276,10 @@ class TestHeadSelectionFile:
         bad.write_text("0\t1\t5\n")
         with pytest.raises(DataError):
             load_head_selection(bad)
+
+    @pytest.mark.parametrize("line", ["1\tx\t3", "1\t0", "1\t0\t3\t4", "1.5\t0\t3"])
+    def test_malformed_line_errors(self, tmp_path, line):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(f"# dataset_size=10\tthreshold=5.0\n0\t1\t5\n{line}\n")
+        with pytest.raises(DataError, match="malformed head-selection line"):
+            load_head_selection(bad)

@@ -22,10 +22,11 @@ from agadapt.numerics import (
     finite_diff_grad,
     gelu,
     layer_norm,
+    linear,
     no_grad,
     shift_rows,
-    softmax_rows,
 )
+from scipy.special import erf
 
 RNG = np.random.default_rng(1234)
 
@@ -44,46 +45,73 @@ def gradcheck(build, x0, tol=1e-6, h=1e-5):
 
 
 # ---------------------------------------------------------------------------
-# softmax
+# softmax: the row softmax of attention_map, the package's only softmax
 # ---------------------------------------------------------------------------
+
+def row_softmax(scores, mask=None):
+    """Row softmax of (n, m) `scores` through `attention_map`: keys sqrt(m) I
+    make q k^T / sqrt(m) equal to the scores, up to rounding when m is not
+    a perfect square. `mask` is an additive (-inf) mask on the scores."""
+    scores = scores if isinstance(scores, Tensor) else Tensor(np.asarray(scores, dtype=float))
+    m = scores.shape[-1]
+    keys = Tensor(math.sqrt(m) * np.eye(m))
+    return attention_map(scores, keys, causal=False, extra_mask=mask)
+
 
 class TestSoftmax:
     def test_symmetry(self):
-        out = softmax_rows(np.array([[0.0, 0.0, 0.0]]))
+        out = row_softmax([[0.0, 0.0, 0.0]])
         np.testing.assert_allclose(out.data, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-15)
 
     def test_shift_invariance_exact(self):
-        a = softmax_rows(np.array([[5.0, 5.0]]))
-        b = softmax_rows(np.array([[0.0, 0.0]]))
+        a = row_softmax([[5.0, 5.0, 5.0, 5.0]])
+        b = row_softmax([[0.0, 0.0, 0.0, 0.0]])
         assert np.array_equal(a.data, b.data)
-        np.testing.assert_allclose(a.data, [[0.5, 0.5]])
+        np.testing.assert_allclose(a.data, [[0.25, 0.25, 0.25, 0.25]])
 
     def test_two_logit_value(self):
         # frozen from exp(x)/sum(exp(x)) evaluated in extended precision
-        out = softmax_rows(np.array([[1.0, 2.0]]))
+        out = row_softmax([[1.0, 2.0]])
         np.testing.assert_allclose(out.data, [[0.26894142137, 0.73105857863]],
                                    atol=1e-5)
 
     def test_masked_entries_exact_zero(self):
-        out = softmax_rows(np.array([[0.3, -np.inf, 0.9]]))
-        assert out.data[0, 1] == 0.0
+        out = row_softmax([[0.3, 0.0, 0.9, -0.2]], mask=np.array([0.0, -np.inf, 0.0, -np.inf]))
+        assert out.data[0, 1] == 0.0 and out.data[0, 3] == 0.0
         assert abs(out.data[0].sum() - 1.0) < 1e-12
 
     def test_fully_masked_row_errors(self):
         with pytest.raises(NumericError, match="degenerate attention row"):
-            softmax_rows(np.array([[-np.inf, -np.inf]]))
+            row_softmax([[0.5, 0.1], [0.2, 0.3]],
+                        mask=np.array([[0.0, 0.0], [-np.inf, -np.inf]]))
+
+    def test_non_finite_output_errors(self):
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NumericError, match="non-finite attention map"):
+            row_softmax([[np.inf, 0.0]])
 
     @given(arrays(np.float64, (4, 6), elements=st.floats(-50, 50)))
     @settings(max_examples=200, deadline=None)
     def test_rows_sum_to_one(self, m):
-        out = softmax_rows(m).data
+        out = row_softmax(m).data
         assert np.all(np.abs(out.sum(axis=-1) - 1.0) <= 1e-12)
         assert np.all((out >= 0.0) & (out <= 1.0))
 
     def test_gradient(self):
         x0 = RNG.normal(size=(3, 5))
         c = Tensor(RNG.normal(size=(3, 5)))
-        assert gradcheck(lambda p: (softmax_rows(p) * c).sum(), x0) < 1e-6
+        assert gradcheck(lambda p: (row_softmax(p) * c).sum(), x0) < 1e-6
+
+    def test_gradient_masked_entries_get_none(self):
+        # masked scores get exactly zero gradient, here through the queries
+        mask = np.array([[0.0, -np.inf, 0.0, 0.0], [0.0, 0.0, 0.0, -np.inf]])
+        c = Tensor(RNG.normal(size=(2, 4)))
+        build = lambda p: (row_softmax(p, mask) * c).sum()
+        x0 = RNG.normal(size=(2, 4))
+        assert gradcheck(build, x0) < 1e-6
+        p = Parameter("p", x0)
+        grad = backward(build(p), [p])["p"]
+        assert grad[0, 1] == 0.0 and grad[1, 3] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +144,8 @@ class TestCrossEntropy:
     def test_matches_log_of_softmax(self):
         logits = RNG.normal(size=(3, 4, 9)) * 4.0
         ids = RNG.integers(0, 9, (3, 4))
-        probs = softmax_rows(logits).data
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        probs = e / e.sum(axis=-1, keepdims=True)
         expected = -np.log(np.take_along_axis(probs, ids[..., None], axis=-1)).sum()
         assert cross_entropy(logits, ids).item() == pytest.approx(expected, rel=1e-12)
 
@@ -170,7 +199,51 @@ def reference_adamw(w, grads, lr, beta1, beta2, eps, wd):
     return w
 
 
+def adamw_oracle(state, params, grads):
+    """The allocating AdamW update that `adamw_step` replaced; the in-place
+    version must reproduce it bit for bit."""
+    state.step += 1
+    bc1 = 1.0 - state.beta1 ** state.step
+    bc2 = 1.0 - state.beta2 ** state.step
+    for name in sorted(grads):
+        p, g = params[name], grads[name]
+        m = state.m.get(name, np.zeros_like(p.data))
+        v = state.v.get(name, np.zeros_like(p.data))
+        if state.weight_decay != 0.0:
+            p.data *= (1.0 - state.lr * state.weight_decay)
+        m = state.beta1 * m + (1.0 - state.beta1) * g
+        v = state.beta2 * v + (1.0 - state.beta2) * (g * g)
+        state.m[name], state.v[name] = m, v
+        p.data -= state.lr * ((m / bc1) / (np.sqrt(v / bc2) + state.eps))
+
+
 class TestAdamW:
+    @pytest.mark.parametrize("wd", [0.0, 0.01])
+    def test_twenty_steps_bit_identical_to_oracle(self, wd):
+        rng = np.random.default_rng(5)
+        shapes = {"w": (6, 4), "b": (4,), "t": (2, 3, 5)}
+        init = {n: rng.normal(size=s) for n, s in shapes.items()}
+        runs = []
+        for step_fn in (adamw_step, adamw_oracle):
+            params = {n: Parameter(n, a.copy()) for n, a in init.items()}
+            state = OptimizerState(lr=3e-3, weight_decay=wd)
+            grad_rng = np.random.default_rng(9)
+            for _ in range(20):
+                grads = {n: grad_rng.normal(size=s) * 10.0 ** grad_rng.uniform(-6, 2)
+                         for n, s in shapes.items()}
+                step_fn(state, params, grads)
+            runs.append((params, state))
+        (new, s_new), (old, s_old) = runs
+        for n in shapes:
+            assert np.array_equal(new[n].data, old[n].data)
+            assert np.array_equal(s_new.m[n], s_old.m[n])
+            assert np.array_equal(s_new.v[n], s_old.v[n])
+
+    def test_non_finite_update_errors(self):
+        p = Parameter("w", np.array([1.0, 2.0]))
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="non-finite"):
+            adamw_step(OptimizerState(), {"w": p}, {"w": np.array([np.inf, 0.0])})
+
     def test_zero_grad_no_decay_unchanged(self):
         p = Parameter("w", np.array([1.0, -2.0, 3.0]))
         state = OptimizerState(lr=0.1, weight_decay=0.0)
@@ -251,7 +324,7 @@ class TestBackward:
     def test_deterministic(self):
         def run():
             w = Parameter("w", np.arange(6.0).reshape(2, 3))
-            loss = (softmax_rows(w) * Tensor(np.arange(6.0).reshape(2, 3))).sum()
+            loss = (row_softmax(w) * Tensor(np.arange(6.0).reshape(2, 3))).sum()
             return backward(loss, [w])["w"]
 
         assert np.array_equal(run(), run())
@@ -280,11 +353,47 @@ class TestOpGradients:
         assert gradcheck(lambda p: (layer_norm(Tensor(x0), p, Tensor(b0)) * c).sum(), g0) < 1e-6
         assert gradcheck(lambda p: (layer_norm(Tensor(x0), Tensor(g0), p) * c).sum(), b0) < 1e-6
 
+    def test_gelu_matches_unfused_formula_bitwise(self):
+        x = RNG.normal(size=(5, 7)) * 3.0
+        g = RNG.normal(size=(5, 7))
+        p = Parameter("p", x)
+        out = gelu(p)
+        cdf = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
+        assert np.array_equal(out.data, x * cdf)
+        pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+        (grad,) = out._grad_fn(g)
+        assert np.array_equal(grad, g * (cdf + x * pdf))
+
     def test_embedding(self):
         ids = np.array([0, 3, 3, 1])
         c = Tensor(RNG.normal(size=(4, 5)))
         assert gradcheck(lambda p: (embedding(p, ids) * c).sum(),
                          RNG.normal(size=(4, 5))) < 1e-6
+
+    def test_embedding_repeated_ids_batch(self):
+        # (B, N) ids as in the decoder, with an id repeated within and across rows
+        ids = np.array([[0, 2, 2, 5], [2, 1, 5, 5]])
+        c = Tensor(RNG.normal(size=(2, 4, 3)))
+        assert gradcheck(lambda p: (embedding(p, ids) * c).sum(),
+                         RNG.normal(size=(6, 3))) < 1e-6
+
+    def test_embedding_grad_sums_like_add_at_bitwise(self):
+        ids = RNG.integers(0, 9, (7, 11))
+        g = RNG.normal(size=(7, 11, 5)) * 10.0 ** RNG.uniform(-6, 6, (7, 11, 1))
+        w = Parameter("w", RNG.normal(size=(9, 5)))
+        (grad,) = embedding(w, ids)._grad_fn(g)
+        expected = np.zeros((9, 5))
+        np.add.at(expected, ids, g)
+        assert np.array_equal(grad, expected)
+
+    def test_getitem_basic(self):
+        # ints and slices, as the guidance path's maps[i, head, :n, :n]
+        c = Tensor(RNG.normal(size=(3, 3)))
+        assert gradcheck(lambda p: (p[1, 0, :3, 1:] * c).sum(),
+                         RNG.normal(size=(2, 2, 4, 4))) < 1e-6
+        c = Tensor(RNG.normal(size=(4, 1)))
+        assert gradcheck(lambda p: (p[..., None, 2] * c).sum(),
+                         RNG.normal(size=(4, 3))) < 1e-6
 
     def test_matmul_batched(self):
         a0 = RNG.normal(size=(2, 3, 4))
@@ -296,6 +405,11 @@ class TestOpGradients:
         c = Tensor(RNG.normal(size=(3, 2)))
         assert gradcheck(lambda p: (p[:, [1, 1]] * c).sum(),
                          RNG.normal(size=(3, 4))) < 1e-6
+
+    def test_getitem_repeated_index_accumulates(self):
+        p = Parameter("p", np.arange(4.0))
+        store = backward(p[np.array([2, 2, 0])].sum(), [p])
+        assert np.array_equal(store["p"], [1.0, 0.0, 2.0, 0.0])
 
     def test_shift_rows(self):
         c = Tensor(RNG.normal(size=(1, 4, 3)))
@@ -309,6 +423,45 @@ class TestOpGradients:
         assert gradcheck(lambda p: (attention_map(p, Tensor(k0)) * c).sum(), q0, h=1e-4) < 1e-5
         assert gradcheck(lambda p: (attention_map(Tensor(q0), p) * c).sum(), k0, h=1e-4) < 1e-5
 
+    def test_attention_map_padded_columns(self):
+        # (B, H, n, d) stacks over keys whose last columns are padding
+        q0 = RNG.normal(size=(2, 2, 3, 4))
+        k0 = RNG.normal(size=(2, 2, 5, 4))
+        pad = np.zeros((2, 1, 1, 5))
+        pad[0, ..., 4:] = -np.inf
+        pad[1, ..., 2:] = -np.inf
+        c = Tensor(RNG.normal(size=(2, 2, 3, 5)))
+        build_q = lambda p: (attention_map(p, Tensor(k0), causal=False, extra_mask=pad) * c).sum()
+        build_k = lambda p: (attention_map(Tensor(q0), p, causal=False, extra_mask=pad) * c).sum()
+        assert gradcheck(build_q, q0, h=1e-4) < 1e-5
+        assert gradcheck(build_k, k0, h=1e-4) < 1e-5
+        k = Parameter("k", k0)
+        assert np.all(backward(build_k(k), [k])["k"][1, :, 2:] == 0.0)
+
+    def test_attention_map_per_head_prior(self):
+        # causal self-attention with an additive prior on head 1's column 1,
+        # shaped (B, H, 1, N) like the decoder's LID prior
+        q0 = RNG.normal(size=(1, 2, 4, 3))
+        k0 = RNG.normal(size=(1, 2, 4, 3))
+        prior = np.zeros((1, 2, 1, 4))
+        prior[0, 1, 0, 1] = 3.0
+        c = Tensor(RNG.normal(size=(1, 2, 4, 4)))
+        build_q = lambda p: (attention_map(p, Tensor(k0), extra_mask=prior) * c).sum()
+        build_k = lambda p: (attention_map(Tensor(q0), p, extra_mask=prior) * c).sum()
+        assert gradcheck(build_q, q0, h=1e-4) < 1e-5
+        assert gradcheck(build_k, k0, h=1e-4) < 1e-5
+
+    def test_attention_map_matches_unfused_chain_bitwise(self):
+        q = RNG.normal(size=(2, 3, 5, 4))
+        k = RNG.normal(size=(2, 3, 6, 4))
+        extra = np.zeros((2, 1, 1, 6))
+        extra[1, ..., 5] = -np.inf
+        scores = (q @ np.swapaxes(k, -1, -2)) * (1.0 / math.sqrt(4)) + causal_mask(5, 1) + extra
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        expected = e / e.sum(axis=-1, keepdims=True)
+        out = attention_map(Tensor(q), Tensor(k), extra_mask=extra)
+        assert np.array_equal(out.data, expected)
+
     def test_attention_map_causal_offset(self):
         # two queries at positions 3 and 4 over five keys
         q0 = RNG.normal(size=(2, 3))
@@ -316,6 +469,33 @@ class TestOpGradients:
         c = Tensor(RNG.normal(size=(2, 5)))
         assert gradcheck(lambda p: (attention_map(p, Tensor(k0)) * c).sum(), q0, h=1e-4) < 1e-5
         assert gradcheck(lambda p: (attention_map(Tensor(q0), p) * c).sum(), k0, h=1e-4) < 1e-5
+
+
+class TestLinear:
+    def test_forward_bitwise_equals_matmul_plus_bias(self):
+        x = RNG.normal(size=(3, 4, 5))
+        w = RNG.normal(size=(5, 6))
+        b = RNG.normal(size=6)
+        assert np.array_equal(linear(Tensor(x), Tensor(w), Tensor(b)).data, x @ w + b)
+
+    def test_gradients_all_inputs_3d(self):
+        x0 = RNG.normal(size=(2, 3, 4))
+        w0 = RNG.normal(size=(4, 5))
+        b0 = RNG.normal(size=5)
+        c = Tensor(RNG.normal(size=(2, 3, 5)))
+        assert gradcheck(lambda p: (linear(p, Tensor(w0), Tensor(b0)) * c).sum(), x0) < 1e-6
+        assert gradcheck(lambda p: (linear(Tensor(x0), p, Tensor(b0)) * c).sum(), w0) < 1e-6
+        assert gradcheck(lambda p: (linear(Tensor(x0), Tensor(w0), p) * c).sum(), b0) < 1e-6
+
+    def test_input_without_grad_gets_none(self):
+        x = Tensor(RNG.normal(size=(2, 3, 4)))
+        w = Parameter("w", RNG.normal(size=(4, 2)))
+        b = Parameter("b", np.zeros(2), trainable=False)
+        out = linear(x, w, b)
+        gx, gw, gb = out._grad_fn(np.ones((2, 3, 2)))
+        assert gx is None and gb is None and gw.shape == (4, 2)
+        backward(out.sum(), [w, b])
+        assert x.grad is None and b.grad is None
 
 
 class TestCausalMask:

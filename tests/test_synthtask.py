@@ -182,6 +182,21 @@ class TestManifest:
         with pytest.raises(DataError):
             read_split(tmp_path, "adapt")
 
+    # fields: uid, kind, ids, tags, offset, length
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda f: f[:1] + ["mono-z"] + f[2:], "unknown utterance kind"),
+        (lambda f: f[:3] + [f[3].rsplit(" ", 1)[0]] + f[4:], "language tags"),
+        (lambda f: f[:3] + [f[3] + " -"] + f[4:], "language tags"),
+    ])
+    def test_bad_kind_or_tag_count(self, tmp_path, corrupt, message):
+        write_corpus(tmp_path, SPEC, VOCAB, generate_corpus(SPEC, VOCAB, SIZES))
+        path = tmp_path / "pretrain.manifest"
+        lines = path.read_text().splitlines()
+        lines[1] = "\t".join(corrupt(lines[1].split("\t")))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=message):
+            read_split(tmp_path, "pretrain")
+
     def test_failed_write_keeps_previous_corpus(self, tmp_path):
         corpus = generate_corpus(SPEC, VOCAB, SIZES)
         write_corpus(tmp_path, SPEC, VOCAB, corpus)

@@ -123,6 +123,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="width"):
             build_model_config(parse_config_file(path))
 
+    @pytest.mark.parametrize("values, message", [
+        ({"heads": "5"}, "divisible"),
+        ({"bottleneck": "0"}, "bottleneck"),
+        ({"anchored_heads": "-1"}, "anchored_heads"),
+    ])
+    def test_model_config_rejected_value_is_config_error(self, values, message):
+        with pytest.raises(ConfigError, match=message):
+            build_model_config(values)
+
 
 def utterance_loss(model, utt, vocab, selection, gamma):
     """`batch_loss` on a batch holding the one utterance `utt`."""
