@@ -10,7 +10,6 @@ scores partition the mass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -89,9 +88,3 @@ def export_heatmap(attn_map, path, fmt: str, tokens: list[str]) -> None:
     with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-def read_heatmap_csv(path) -> tuple[list[str], np.ndarray]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    tokens = lines[0].split(",")
-    rows = [[float(v) for v in line.split(",")] for line in lines[1:] if line]
-    return tokens, np.array(rows)

@@ -73,9 +73,9 @@ def cmd_select_heads(args) -> int:
     model = checkpoint.load_model(args.backbone)
     _, _, utts = synthtask.read_split(args.data, "adapt")
     if args.strategy == "random":
-        base = training.select_heads(model, utts, top_k=0)
+        counted = training.head_counts(model, utts)
         selection = guidance.select_random_heads(
-            base.counts, base.dataset_size, args.fraction, seed=args.seed or 0)
+            counted.counts, counted.dataset_size, args.fraction, seed=args.seed or 0)
     elif args.strategy == "all":
         n_heads = model.config.dec_layers * model.config.heads
         selection = training.select_heads(model, utts, top_k=n_heads)
@@ -90,6 +90,9 @@ def cmd_select_heads(args) -> int:
     guidance.save_head_selection(args.out, selection)
     print(f"dataset size: {selection.dataset_size}")
     print(f"qualifying heads: {len(selection.qualifying)}")
+    for layer, head in sorted(selection.counts):
+        mark = " selected" if (layer, head) in selection.selected else ""
+        print(f"head ({layer}, {head}): count {selection.counts[(layer, head)]}{mark}")
     print(f"selected heads: {selection.selected}")
     return EXIT_OK
 

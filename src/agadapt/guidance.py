@@ -1,44 +1,87 @@
-"""Language-aware attention guidance.
+"""Language-aware attention guidance over batched decoder self-attention maps.
 
-Covers the language indicator over attention maps, dataset-wide head
-counting and top-K selection, construction of the soft guidance target, and
-the squared-error guidance loss evaluated on selected heads. Only the two
-language-ID columns of a map are ever guided; gradients to all other columns
-are exactly zero by construction.
+Every head statistic of the method is read from one object: each decoder
+layer's (B, H, N, N) self-attention maps, the lengths of the B sequences
+(rows past a length are padding) and the two language-ID columns omega.
+
+- `lid_counts` gives, for each head, how many sequences of a batch put more
+  mass on the LID columns than on all other columns combined, over their
+  valid rows; `count_heads` adds these up over a dataset, and
+  `count_and_select` ranks the heads and picks the top ones.
+- `ag_loss` is one tape node: the squared error between the selected heads'
+  LID columns and the soft guidance target, summed over heads, valid rows
+  and the two columns. Its backward, 2 (a - t) on valid rows, is written
+  into those two columns only, so every other column gets an exactly zero
+  gradient.
+- `lid_attribution` counts the word tokens whose mean selected-head map puts
+  at least as much mass on their own language's LID column as on the other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .atomicio import atomic_write
 from .errors import ConfigError, DataError, NumericError
 from .model import LANG_A, LANG_B, TokenSequence
-from .numerics import Tensor, as_tensor
+from .numerics import Tensor, _node, as_tensor
 
 HeadIndex = tuple[int, int]
 
 ROW_SUM_TOL = 1e-6
 
-def lid_indicator(attn_map, omega: tuple[int, int]) -> int:
-    """1 iff the map puts more total mass on the language-ID columns than on
-    all other columns combined; sums run over every row, prompt rows included."""
-    a = np.asarray(attn_map, dtype=np.float64)
+
+def _data(maps) -> np.ndarray:
+    return maps.data if isinstance(maps, Tensor) else np.asarray(maps, dtype=np.float64)
+
+
+def _valid_rows(lengths: Sequence[int], n: int) -> np.ndarray:
+    """(B, n) bool mask that is True on the first lengths[b] rows of sequence b."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if np.any(lengths < 1) or np.any(lengths > n):
+        raise DataError(f"sequence lengths must lie in [1, {n}]")
+    return np.arange(n) < lengths[:, None]
+
+
+def _lid_columns(attention: Sequence, heads: Sequence[HeadIndex],
+                 omega: tuple[int, int]) -> np.ndarray:
+    """(B, K, N, 2): the two `omega` columns of each listed (layer, head) map
+    of the per-layer (B, H, N, N) `attention`, in list order."""
     if len(omega) != 2:
         raise DataError("omega must hold exactly two column indices")
-    n = a.shape[-1]
+    n = _data(attention[0]).shape[-1]
     for j in omega:
         if not 0 <= j < n:
             raise DataError(f"omega column {j} out of range for width {n}")
-    row_sums = a.sum(axis=-1)
-    if np.any(np.abs(row_sums - 1.0) > ROW_SUM_TOL):
+    cols = []
+    for layer, head in heads:
+        if not (0 <= layer < len(attention) and 0 <= head < _data(attention[layer]).shape[1]):
+            raise DataError(f"selected head {(layer, head)} missing from attention maps")
+        cols.append(_data(attention[layer])[:, head][..., list(omega)])
+    return np.stack(cols, axis=1)
+
+
+def lid_counts(attention: Sequence, lengths: Sequence[int],
+               omega: tuple[int, int]) -> np.ndarray:
+    """(L, H) indicator counts of one batch: how many of its sequences put
+    more total mass on the `omega` columns than on all other columns
+    combined, summing over each sequence's valid rows (prompt rows
+    included). A valid row that is not stochastic raises NumericError."""
+    layers = len(attention)
+    b, heads, n, _ = _data(attention[0]).shape
+    if len(lengths) != b:
+        raise DataError(f"{len(lengths)} lengths for a batch of {b} maps")
+    every = [(layer, head) for layer in range(layers) for head in range(heads)]
+    valid = _valid_rows(lengths, n)[:, None, :]
+    row_sums = np.concatenate([_data(a).sum(axis=-1) for a in attention], axis=1)
+    if np.any(valid & (np.abs(row_sums - 1.0) > ROW_SUM_TOL)):
         raise NumericError("attention rows must be stochastic")
-    lid_mass = a[:, list(omega)].sum()
-    rest_mass = a.sum() - lid_mass
-    return 1 if lid_mass > rest_mass else 0
+    lid = np.where(valid, _lid_columns(attention, every, omega).sum(axis=-1), 0.0).sum(axis=-1)
+    total = np.where(valid, row_sums, 0.0).sum(axis=-1)
+    return (lid > total - lid).sum(axis=0).reshape(layers, heads)
 
 
 @dataclass
@@ -73,11 +116,32 @@ def rank_heads(counts: Mapping[HeadIndex, int]) -> list[HeadIndex]:
     return sorted(counts, key=lambda h: (-counts[h], h[0], h[1]))
 
 
-def count_and_select(maps_per_utterance: Iterable[Mapping[HeadIndex, np.ndarray]],
+def count_heads(batches: Iterable[tuple[Sequence, Sequence[int]]],
+                omega: tuple[int, int]) -> HeadSelection:
+    """Indicator counts of every head over a dataset given as
+    (attention, lengths) batches; the returned selection is empty."""
+    total = None
+    size = 0
+    for attention, lengths in batches:
+        counts = lid_counts(attention, lengths, omega)
+        if total is None:
+            total = counts
+        elif counts.shape != total.shape:
+            raise DataError("inconsistent head sets across batches")
+        else:
+            total += counts
+        size += len(lengths)
+    if size == 0:
+        raise DataError("head selection requires a non-empty dataset")
+    return HeadSelection(counts={(layer, head): int(c) for (layer, head), c
+                                 in np.ndenumerate(total)}, dataset_size=size)
+
+
+def count_and_select(batches: Iterable[tuple[Sequence, Sequence[int]]],
                      omega: tuple[int, int], top_k: int | None = None,
                      fraction: float | None = None) -> HeadSelection:
-    """Accumulate indicator counts over a dataset of per-head maps and pick
-    the top heads.
+    """Count every head over a dataset of (attention, lengths) batches and
+    pick the top heads.
 
     Exactly one of `top_k` and `fraction` must be given. A fraction selects
     round(fraction * |qualifying|) heads, where qualifying heads pass the
@@ -85,27 +149,14 @@ def count_and_select(maps_per_utterance: Iterable[Mapping[HeadIndex, np.ndarray]
     """
     if (top_k is None) == (fraction is None):
         raise ConfigError("specify exactly one of top_k and fraction")
-    counts: dict[HeadIndex, int] = {}
-    size = 0
-    for maps in maps_per_utterance:
-        if not counts:
-            counts = {h: 0 for h in sorted(maps)}
-        elif set(maps) != set(counts):
-            raise DataError("inconsistent head sets across utterances")
-        for head, attn in maps.items():
-            counts[head] += lid_indicator(attn, omega)
-        size += 1
-    if size == 0:
-        raise DataError("head selection requires a non-empty dataset")
-
-    selection = HeadSelection(counts=counts, dataset_size=size)
+    selection = count_heads(batches, omega)
     if fraction is not None:
         if not 0.0 <= fraction <= 1.0:
             raise ConfigError("head fraction must lie in [0, 1]")
         top_k = round(fraction * len(selection.qualifying))
-    if top_k < 0 or top_k > len(counts):
-        raise ConfigError(f"top_k {top_k} out of range for {len(counts)} heads")
-    selection.selected = rank_heads(counts)[:top_k]
+    if top_k < 0 or top_k > len(selection.counts):
+        raise ConfigError(f"top_k {top_k} out of range for {len(selection.counts)} heads")
+    selection.selected = rank_heads(selection.counts)[:top_k]
     return selection
 
 
@@ -157,30 +208,75 @@ def guidance_target(y: TokenSequence, c: float) -> GuidanceTarget:
     return GuidanceTarget(n=y.n, omega=tuple(y.lid_positions), c=c, matrix=matrix)
 
 
-def ag_loss(maps: Mapping[HeadIndex, "Tensor | np.ndarray"],
-            selection: HeadSelection, target: GuidanceTarget) -> Tensor:
-    """Squared error between selected heads' LID columns and the target,
-    summed over heads, rows, and the two LID columns.
+def ag_loss(attention: Sequence, selection: HeadSelection,
+            targets: Sequence[GuidanceTarget]) -> Tensor:
+    """Squared error between the selected heads' LID columns and the
+    targets, summed over the heads (a repeated head counts twice), the
+    batch, each sequence's valid rows and the two LID columns.
 
-    Accepts graph tensors, so gradients flow back through the attention maps
-    into the decoder adapters. Columns outside the LID pair are never touched.
+    `attention` holds each decoder layer's (B, H, N, N) maps, as graph
+    tensors or arrays; `targets[b]` covers the first targets[b].n rows of
+    sequence b, and every target must name the same two LID columns. The
+    result is one tape node over the layers that hold a selected head, so
+    gradients flow back through the maps into the decoder adapters.
     """
     selection.require_nonempty()
-    cols = list(target.omega)
-    total: Tensor | None = None
-    for head in selection.selected:
-        if head not in maps:
-            raise DataError(f"selected head {head} missing from attention maps")
-        a = as_tensor(maps[head])
-        if a.shape != (target.n, target.n):
-            raise DataError(
-                f"attention map {head} has shape {a.shape}, expected "
-                f"({target.n}, {target.n})")
-        picked = a[:, cols]
-        diff = picked - Tensor(target.matrix)
-        term = (diff * diff).sum()
-        total = term if total is None else total + term
-    return total
+    maps = [as_tensor(a) for a in attention]
+    b, _, n, _ = maps[0].shape
+    if len(targets) != b:
+        raise DataError(f"{len(targets)} guidance targets for a batch of {b} maps")
+    omega = tuple(targets[0].omega)
+    if any(tuple(t.omega) != omega for t in targets):
+        raise DataError("guidance targets disagree on the LID columns")
+    valid = _valid_rows([t.n for t in targets], n)
+    goal = np.zeros((b, n, 2))
+    for i, target in enumerate(targets):
+        goal[i, :target.n] = target.matrix
+    diff = _lid_columns(maps, selection.selected, omega) - goal[:, None]
+    diff *= valid[:, None, :, None]
+    loss = np.sum(diff * diff)
+    layers = sorted({layer for layer, _ in selection.selected})
+
+    def grad_fn(g):
+        scaled = diff * (2.0 * g)
+        grads = {layer: np.zeros(maps[layer].shape) for layer in layers}
+        for k, (layer, head) in enumerate(selection.selected):
+            for c, col in enumerate(omega):
+                grads[layer][:, head, :, col] += scaled[:, k, :, c]
+        return tuple(grads[layer] for layer in layers)
+
+    return _node(loss, tuple(maps[layer] for layer in layers), grad_fn)
+
+
+def lid_attribution(attention: Sequence, sequences: Sequence[TokenSequence],
+                    selection: HeadSelection) -> tuple[int, int]:
+    """(correct, total) over the word tokens of one batch: a word token is
+    correct when the mean of the selected heads' maps on its row puts at
+    least as much mass on its own language's LID column as on the other
+    (a tie counts as language A).
+
+    `attention` holds each decoder layer's (B, H, N, N) maps over the
+    <blnk>-padded `sequences`, which must all carry the same two LID
+    positions.
+    """
+    selection.require_nonempty()
+    omega = tuple(sequences[0].lid_positions)
+    if len(omega) != 2 or any(tuple(s.lid_positions) != omega for s in sequences):
+        raise DataError("attribution needs bilingual sequences with shared LID positions")
+    b, _, n, _ = _data(attention[0]).shape
+    if len(sequences) != b:
+        raise DataError(f"{len(sequences)} sequences for a batch of {b} maps")
+    mean = _lid_columns(attention, selection.selected, omega).sum(axis=1)
+    mean /= len(selection.selected)
+    says_a = mean[..., 0] >= mean[..., 1]
+    is_word = np.zeros(says_a.shape, dtype=bool)
+    is_a = np.zeros(says_a.shape, dtype=bool)
+    for i, seq in enumerate(sequences):
+        if seq.n > n:
+            raise DataError(f"sequence of length {seq.n} exceeds the map width {n}")
+        is_word[i, :seq.n] = [tag is not None for tag in seq.lang_tags]
+        is_a[i, :seq.n] = [tag == LANG_A for tag in seq.lang_tags]
+    return int(np.sum(is_word & (says_a == is_a))), int(np.sum(is_word))
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,19 @@
 `Seq2SeqModel.encode` maps frames to the memory once per batch. One decoder
 routine, `_decode_rows`, runs every decoder layer (self-attention with the
 LID score prior, cross-attention over the memory, adapters, feed-forward)
-for the rows of a token block, and both callers share it:
+for the rows of a token block over a given memory, and every caller shares
+it:
 
-- The teacher-forced `forward` runs all rows at once under a square causal
-  mask. Its per-head self-attention maps are what the guidance machinery
-  consumes, and its logits are shifted so that row n depends only on
-  tokens strictly before n.
-- `greedy_decode` computes each layer's cross-attention K/V once, runs the
-  prompt as one block and then one query row per step, appending each
-  step's self-attention K/V rows to a per-layer `DecoderCache`.
+- The teacher-forced `forward` encodes, then runs all rows at once under a
+  square causal mask. Its per-head (B, H, N, N) self-attention maps are what
+  head selection and the guidance loss consume, and its logits are shifted
+  so that row n depends only on tokens strictly before n.
+- `greedy_decode` takes the output of `encode`, computes each layer's
+  cross-attention K/V once, runs the prompt as one block and then one query
+  row per step, appending each step's self-attention K/V rows to a
+  per-layer `DecoderCache`. Evaluation reuses the same memory for a
+  teacher-forced `_decode_rows` pass whose maps give the LID attribution,
+  so a test chunk is encoded once.
 
 Bottleneck adapters (down-project, GELU, up-project, residual) sit after the
 attention sub-block and after the feed-forward sub-block of every layer; with
@@ -608,27 +612,32 @@ class Seq2SeqModel:
 
     # -- decoding -----------------------------------------------------------------
 
-    def greedy_decode(self, frames, frame_mask, prompt_ids: list[int],
+    def greedy_decode(self, memory: Tensor, col_mask: np.ndarray | None,
+                      prompt_ids: list[int],
                       max_new: int | None = None) -> list[list[int]]:
-        """Greedy decoding from a shared prompt; returns content token lists
-        (prompt and end marker stripped).
+        """Greedy decoding from a shared prompt over an encoded batch;
+        returns content token lists (prompt and end marker stripped).
 
-        The batch is encoded once, and each decoder layer projects the memory
-        to its cross-attention K/V once. The first step runs the prompt rows
-        as one block; every later step runs one query row per sequence, whose
-        self-attention K/V row each layer appends to its cache. A sequence
-        that has emitted <eot> stays in the batch and keeps receiving <eot>
-        until every sequence has, or `max_new` (capped by the positions left
-        after the prompt) tokens are out.
+        `memory` and `col_mask` are the output of `encode`, so a caller that
+        needs the memory for more than decoding encodes once. Each decoder
+        layer projects the memory to its cross-attention K/V once. The first
+        step runs the prompt rows as one block; every later step runs one
+        query row per sequence, whose self-attention K/V row each layer
+        appends to its cache. A sequence that has emitted <eot> stays in the
+        batch and keeps receiving <eot> until every sequence has, or
+        `max_new` (capped by the positions left after the prompt) tokens are
+        out.
         """
         c = self.config
+        if memory.ndim != 3 or memory.shape[-1] != c.width:
+            raise DataError(f"memory must have shape (B, T, {c.width}), got "
+                            f"{memory.shape}; decode the output of encode")
         eot = self.vocab.id("<eot>")
         prompt_len = len(prompt_ids)
         limit = c.max_len - prompt_len
         if max_new is not None:
             limit = min(limit, max_new)
         with no_grad():
-            memory, col_mask = self.encode(frames, frame_mask)
             batch = memory.shape[0]
             cache = DecoderCache(
                 [self._kv(memory, f"dec.{i}.cross_attn") for i in range(c.dec_layers)],

@@ -569,8 +569,13 @@ class OptimizerState:
 
 def adamw_step(state: OptimizerState, params: Mapping[str, Parameter],
                grads: GradientStore) -> None:
-    """One AdamW update in place. Weight decay is decoupled: it scales the
-    parameter directly instead of entering the moment estimates."""
+    """One AdamW update. Weight decay is decoupled: it scales the parameter
+    directly instead of entering the moment estimates.
+
+    Every parameter's new value and moments are computed into new arrays and
+    checked before any of them is stored, so a step that raises NumericError
+    leaves the parameters, the moments and the step counter exactly as they
+    were. Storing swaps the new arrays in; nothing is copied."""
     for name in grads:
         if name not in params:
             raise NumericError(f"gradient for unknown parameter {name!r}")
@@ -582,44 +587,48 @@ def adamw_step(state: OptimizerState, params: Mapping[str, Parameter],
                 f"gradient shape {grads[name].shape} does not match "
                 f"parameter {name!r} shape {p.data.shape}")
 
-    state.step += 1
-    t = state.step
+    t = state.step + 1
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
     # two scratch buffers, sized for the largest parameter, serve every update
     size = max((grads[name].size for name in grads), default=0)
     buf_a = np.empty(size)
     buf_b = np.empty(size)
+    staged = []
     for name in sorted(grads):
         p = params[name]
         g = grads[name]
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        m = state.m[name]
-        v = state.v[name]
         tmp = buf_a[:g.size].reshape(g.shape)
         update = buf_b[:g.size].reshape(g.shape)
         if state.weight_decay != 0.0:
-            p.data *= (1.0 - state.lr * state.weight_decay)
+            pn = p.data * (1.0 - state.lr * state.weight_decay)
+        else:
+            pn = p.data.copy()
+        zeros = None if name in state.m else np.zeros_like(p.data)
         # m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g^2
-        m *= state.beta1
+        mn = state.m.get(name, zeros) * state.beta1
         np.multiply(g, 1.0 - state.beta1, out=tmp)
-        m += tmp
-        v *= state.beta2
+        mn += tmp
+        vn = state.v.get(name, zeros) * state.beta2
         np.multiply(g, g, out=tmp)
         tmp *= 1.0 - state.beta2
-        v += tmp
+        vn += tmp
         # update = (m / bc1) / (sqrt(v / bc2) + eps)
-        np.divide(v, bc2, out=tmp)
+        np.divide(vn, bc2, out=tmp)
         np.sqrt(tmp, out=tmp)
         tmp += state.eps
-        np.divide(m, bc1, out=update)
+        np.divide(mn, bc1, out=update)
         update /= tmp
         update *= state.lr
-        p.data -= update
-        if not np.all(np.isfinite(p.data)):
+        pn -= update
+        if not np.all(np.isfinite(pn)):
             raise NumericError(f"non-finite parameter after update: {name!r}")
+        staged.append((name, pn, mn, vn))
+    for name, pn, mn, vn in staged:
+        params[name].data = pn
+        state.m[name] = mn
+        state.v[name] = vn
+    state.step = t
 
 
 # ---------------------------------------------------------------------------
@@ -644,15 +653,3 @@ def finite_diff_grad(f: Callable[[Array], float], p: Array, h: float = 1e-4) -> 
         gflat[i] = (fp - fm) / (2.0 * h)
     return grad
 
-
-def finite_diff_coordinate(f: Callable[[Array], float], p: Array, index: tuple,
-                           h: float = 1e-4) -> float:
-    """Central difference along a single coordinate of `p`."""
-    base = np.array(p, dtype=np.float64)
-    orig = base[index]
-    base[index] = orig + h
-    fp = float(f(base.copy()))
-    base[index] = orig - h
-    fm = float(f(base.copy()))
-    base[index] = orig
-    return (fp - fm) / (2.0 * h)

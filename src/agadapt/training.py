@@ -1,9 +1,17 @@
-"""Backbone pretraining, two-stage adapter adaptation, and evaluation.
+"""Backbone pretraining, head selection, two-stage adapter adaptation, and
+evaluation.
 
 Stage 1 trains the encoder adapters with cross-entropy only; stage 2 trains
 both adapter sets with the joint objective (cross-entropy plus the weighted
 guidance loss). The backbone is frozen throughout adaptation, and each stage
 ends by averaging the best checkpoints by validation loss.
+
+Every head statistic comes from the batched maps of one teacher-forced
+decoder pass (see `guidance`): `select_heads` counts each batch of backbone
+maps at once, `batch_loss` adds one guidance-loss node per step, and
+`evaluate_model` encodes each test chunk once, decodes from that memory, and
+attributes languages from a teacher-forced pass over the references on the
+same memory.
 """
 
 from __future__ import annotations
@@ -21,7 +29,9 @@ from .guidance import (
     HeadSelection,
     ag_loss,
     count_and_select,
+    count_heads,
     guidance_target,
+    lid_attribution,
 )
 from .model import (
     ModelConfig,
@@ -29,7 +39,6 @@ from .model import (
     TokenSequence,
     Vocabulary,
     build_prompt,
-    extract_attention,
 )
 from .numerics import (
     OptimizerState,
@@ -225,7 +234,8 @@ def batch_loss(model: Seq2SeqModel, batch: Batch, selection: HeadSelection | Non
                gamma: float, targets: Mapping[str, GuidanceTarget] | None
                ) -> tuple[Tensor, float, float]:
     """Joint loss for one batch: mean per-utterance CE plus gamma times the
-    mean per-utterance guidance loss. Returns (loss, ce_mean, ag_mean)."""
+    mean per-utterance guidance loss, which is one `ag_loss` node over the
+    whole batch. Returns (loss, ce_mean, ag_mean)."""
     b = len(batch.uids)
     ce_sum, out = sequence_ce(model, batch)
     ce_mean = ce_sum * (1.0 / b)
@@ -233,15 +243,7 @@ def batch_loss(model: Seq2SeqModel, batch: Batch, selection: HeadSelection | Non
         return ce_mean, ce_mean.item(), 0.0
     if selection is None:
         raise ConfigError("guidance weight is positive but no head selection given")
-    selection.require_nonempty()
-    ag_total: Tensor | None = None
-    for i, uid in enumerate(batch.uids):
-        n = batch.lengths[i]
-        maps = {}
-        for layer, head in set(selection.selected):
-            maps[(layer, head)] = out.attention[layer][i, head, :n, :n]
-        term = ag_loss(maps, selection, targets[uid])
-        ag_total = term if ag_total is None else ag_total + term
+    ag_total = ag_loss(out.attention, selection, [targets[uid] for uid in batch.uids])
     ag_mean = ag_total * (1.0 / b)
     loss = ce_mean + gamma * ag_mean
     return loss, ce_mean.item(), ag_mean.item()
@@ -287,9 +289,6 @@ class RunRecord:
     epochs: list[EpochStats] = field(default_factory=list)
     checkpoints: list[EpochCheckpoint] = field(default_factory=list)
     final_val_ce: float | None = None
-
-    def loss_trace(self) -> list[tuple[float, float, float]]:
-        return [(e.train_ce, e.train_ag, e.val_ce) for e in self.epochs]
 
 
 def average_checkpoints(run: RunRecord, k: int) -> dict[str, np.ndarray]:
@@ -465,28 +464,38 @@ def pretrain_backbone(model: Seq2SeqModel, pretrain_utts: Sequence[Utterance],
 # Head selection over the frozen backbone
 # ---------------------------------------------------------------------------
 
-def collect_head_maps(model: Seq2SeqModel, utts: Sequence[Utterance],
-                      batch_size: int = 32):
-    """Per-utterance decoder self-attention maps from teacher-forced passes,
-    with adapters disabled (selection runs on the backbone alone)."""
-    batches = make_batches(utts, model.vocab, batch_size)
-    with no_grad():
-        for batch in batches:
+OMEGA = (1, 2)  # LID positions in the bilingual prompt
+
+
+def _backbone_maps(model: Seq2SeqModel, utts: Sequence[Utterance], batch_size: int):
+    """(attention, lengths) of each teacher-forced batch of the
+    bilingual-prompt utterances, with adapters disabled: selection runs on
+    the backbone alone. Batches are computed as they are consumed."""
+    seqs = [u for u in utts if len(u.reference.lid_positions) == 2]
+    if not seqs:
+        raise DataError("head selection needs bilingual-prompt utterances")
+
+    def maps(batch: Batch):
+        with no_grad():
             out = model.forward(batch.frames, batch.tokens, batch.frame_mask,
                                 enc_adapters=False, dec_adapters=False)
-            for i in range(len(batch.uids)):
-                yield extract_attention(out, batch_index=i, n=batch.lengths[i])
+        return out.attention, batch.lengths
+
+    return (maps(batch) for batch in make_batches(seqs, model.vocab, batch_size))
+
+
+def head_counts(model: Seq2SeqModel, utts: Sequence[Utterance],
+                batch_size: int = 32) -> HeadSelection:
+    """Indicator counts of every backbone head, with nothing selected."""
+    return count_heads(_backbone_maps(model, utts, batch_size), OMEGA)
 
 
 def select_heads(model: Seq2SeqModel, utts: Sequence[Utterance],
                  fraction: float | None = None, top_k: int | None = None,
                  batch_size: int = 32) -> HeadSelection:
-    omega = (1, 2)  # LID positions in the bilingual prompt
-    seqs = [u for u in utts if len(u.reference.lid_positions) == 2]
-    if not seqs:
-        raise DataError("head selection needs bilingual-prompt utterances")
-    maps = collect_head_maps(model, seqs, batch_size=batch_size)
-    return count_and_select(maps, omega, top_k=top_k, fraction=fraction)
+    """Count every backbone head and pick the top ones (see `count_and_select`)."""
+    return count_and_select(_backbone_maps(model, utts, batch_size), OMEGA,
+                            top_k=top_k, fraction=fraction)
 
 
 # ---------------------------------------------------------------------------
@@ -507,9 +516,17 @@ class EvalReport:
         return out
 
 
-def _decode_set(model: Seq2SeqModel, utts: Sequence[Utterance],
-                prompt: list[int], chunk: int = 64) -> dict[str, list[int]]:
+def _decode_set(model: Seq2SeqModel, utts: Sequence[Utterance], prompt: list[int],
+                selection: HeadSelection | None = None,
+                chunk: int = 64) -> tuple[dict[str, list[int]], tuple[int, int]]:
+    """Greedy hypotheses by utterance id, decoded in chunks of similar frame
+    length, each encoded once. With a selection, also the LID attribution
+    (correct, total) of the code-switched utterances: a teacher-forced
+    decoder pass over their references, on the memory their chunk was
+    decoded from, supplies the maps."""
     hyps: dict[str, list[int]] = {}
+    correct = total = 0
+    blnk = model.vocab.id("<blnk>")
     ordered = sorted(utts, key=lambda u: u.frames.shape[0])
     for start in range(0, len(ordered), chunk):
         group = ordered[start:start + chunk]
@@ -521,10 +538,23 @@ def _decode_set(model: Seq2SeqModel, utts: Sequence[Utterance],
             t = utt.frames.shape[0]
             frames[i, :t] = utt.frames
             mask[i, :t] = True
-        decoded = model.greedy_decode(frames, mask, prompt)
+        with no_grad():
+            memory, col_mask = model.encode(frames, mask)
+            decoded = model.greedy_decode(memory, col_mask, prompt)
+            rows = [i for i, utt in enumerate(group) if utt.kind == KIND_CS]
+            if selection is not None and rows:
+                seqs = [group[i].reference for i in rows]
+                tokens = np.full((len(rows), max(s.n for s in seqs)), blnk, dtype=np.int64)
+                for i, seq in enumerate(seqs):
+                    tokens[i, :seq.n] = seq.ids
+                _, maps = model._decode_rows(tokens, Tensor(memory.data[rows]),
+                                             col_mask[rows])
+                right, words = lid_attribution(maps, seqs, selection)
+                correct += right
+                total += words
         for utt, hyp in zip(group, decoded):
             hyps[utt.uid] = hyp
-    return hyps
+    return hyps, (correct, total)
 
 
 def token_accuracy(model: Seq2SeqModel, utts: Sequence[Utterance],
@@ -544,64 +574,37 @@ def token_accuracy(model: Seq2SeqModel, utts: Sequence[Utterance],
     total_err = 0
     total_ref = 0
     for prompt, group in sorted(groups.items()):
-        hyps = _decode_set(model, group, list(prompt))
+        hyps, _ = _decode_set(model, group, list(prompt))
         for utt in group:
             total_err += edit_distance(utt.words, hyps[utt.uid]).distance
             total_ref += len(utt.words)
     return max(0.0, 1.0 - total_err / total_ref)
 
 
-def lid_attribution(model: Seq2SeqModel, utts: Sequence[Utterance],
-                    selection: HeadSelection, batch_size: int = 32,
-                    use_adapters: bool = True) -> float:
-    """Fraction of word tokens whose mean selected-head attention puts its
-    argmax over the two LID columns on the token's true language."""
-    selection.require_nonempty()
-    batches = make_batches(utts, model.vocab, batch_size)
-    correct = 0
-    total = 0
-    with no_grad():
-        for batch in batches:
-            out = model.forward(batch.frames, batch.tokens, batch.frame_mask,
-                                enc_adapters=use_adapters, dec_adapters=use_adapters)
-            for i, seq in enumerate(batch.sequences):
-                n = batch.lengths[i]
-                acc = np.zeros((n, n))
-                for layer, head in selection.selected:
-                    acc += out.attention[layer].data[i, head, :n, :n]
-                acc /= len(selection.selected)
-                zh_col, en_col = seq.lid_positions
-                for pos in seq.word_positions:
-                    predicted = "A" if acc[pos, zh_col] >= acc[pos, en_col] else "B"
-                    correct += int(predicted == seq.lang_tags[pos])
-                    total += 1
-    if total == 0:
-        raise DataError("no word tokens to attribute")
-    return correct / total
-
-
 def evaluate_model(model: Seq2SeqModel, test_sets: Mapping[str, Sequence[Utterance]],
                    selection: HeadSelection | None = None) -> EvalReport:
-    """Greedy-decode the three test sets and report error rates, plus the
-    LID-attribution accuracy on the code-switched set when heads are given."""
+    """Greedy-decode the three test sets and report error rates, plus, when
+    heads are given, the LID-attribution accuracy: the fraction of word
+    tokens of the code-switched utterances whose mean selected-head map
+    favours their own language's LID column. Each chunk of a test set is
+    encoded once; the model's full `forward` is never called."""
     for name, utts in test_sets.items():
         if not utts:
             raise DataError(f"test set {name!r} is empty")
     refs: dict[str, list[int]] = {}
     hyps: dict[str, list[int]] = {}
     kinds: dict[str, str] = {}
+    correct = total = 0
     prompt = build_prompt(model.vocab)
     for name in sorted(test_sets):
         utts = test_sets[name]
-        set_hyps = _decode_set(model, utts, prompt)
+        set_hyps, (right, words) = _decode_set(model, utts, prompt, selection)
+        correct += right
+        total += words
         for utt in utts:
             refs[utt.uid] = utt.words
             hyps[utt.uid] = set_hyps[utt.uid]
             kinds[utt.uid] = utt.kind
     mer = mixed_error_rate(refs, hyps, kinds)
-    attribution = None
-    if selection is not None:
-        cs_utts = [u for utts in test_sets.values() for u in utts if u.kind == KIND_CS]
-        if cs_utts:
-            attribution = lid_attribution(model, cs_utts, selection)
+    attribution = correct / total if total else None
     return EvalReport(mer=mer, lid_attribution=attribution)

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from agadapt.analysis import (
-    PATTERN_ORDER,
-    classify_head_pattern,
-    export_heatmap,
-    read_heatmap_csv,
-)
+from agadapt.analysis import PATTERN_ORDER, classify_head_pattern, export_heatmap
 from agadapt.errors import ConfigError, DataError
 from agadapt.model import TokenSequence, Vocabulary
 
@@ -18,6 +13,13 @@ Y = TokenSequence.from_words(VOCAB, [7, 12, 8])  # 9 tokens
 
 def tokens_of(y):
     return [VOCAB.string(t) for t in y.ids]
+
+
+def read_heatmap_csv(path):
+    """The token header and the values of a CSV heatmap."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:] if line]
+    return lines[0].split(","), np.array(rows)
 
 
 class TestClassifyHeadPattern:

@@ -177,7 +177,7 @@ def test_select_heads(heads):
     assert len(sel.selected) == 2
 
 
-def test_select_heads_random_strategy(data, backbone, workdir):
+def test_select_heads_random_strategy(data, backbone, workdir, capsys):
     out = workdir / "rand.tsv"
     rc = main(["select-heads", "--backbone", str(backbone), "--data", str(data),
                "--fraction", "0.5", "--strategy", "random", "--seed", "7",
@@ -185,6 +185,12 @@ def test_select_heads_random_strategy(data, backbone, workdir):
     assert rc == 0
     sel = load_head_selection(out)
     assert len(sel.selected) == 1  # half of 2 heads
+    # every head's count is printed, and the drawn head is marked
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("head (")]
+    assert [ln.split(":")[0] for ln in lines] == ["head (0, 0)", "head (0, 1)"]
+    layer, head = sel.selected[0]
+    marked = [ln for ln in lines if ln.endswith(" selected")]
+    assert marked == [f"head ({layer}, {head}): count {sel.counts[(layer, head)]} selected"]
 
 
 def test_adapt_one_stage(adapted):

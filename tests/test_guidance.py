@@ -1,4 +1,7 @@
-"""Language indicator, head selection, guidance targets, and the AG loss."""
+"""Head statistics over batched attention maps: the language indicator and
+head counts, selection, guidance targets, the AG loss and LID attribution.
+The batched functions are checked against per-utterance oracles, the loops
+they replaced, kept here."""
 
 import numpy as np
 import pytest
@@ -9,15 +12,17 @@ from agadapt.guidance import (
     HeadSelection,
     ag_loss,
     count_and_select,
+    count_heads,
     guidance_target,
-    lid_indicator,
+    lid_attribution,
+    lid_counts,
     load_head_selection,
     rank_heads,
     save_head_selection,
     select_random_heads,
 )
-from agadapt.model import TokenSequence, Vocabulary
-from agadapt.numerics import Parameter, backward
+from agadapt.model import LANG_A, TokenSequence, Vocabulary
+from agadapt.numerics import Parameter, Tensor, backward, finite_diff_grad
 
 RNG = np.random.default_rng(77)
 OMEGA = (1, 2)
@@ -42,15 +47,100 @@ def brute_force_indicator(a, omega):
     return 1 if lid > rest else 0
 
 
+def pad_batch(maps_per_utterance, rng=RNG):
+    """Per-utterance {(layer, head): (n, n) map} dicts as per-layer
+    (B, H, N, N) maps plus lengths. Padding rows hold junk that is not even
+    stochastic, so a batched statistic that reads them fails its oracle;
+    padding columns of valid rows are 0, as the causal mask leaves them."""
+    heads = sorted(maps_per_utterance[0])
+    layers = max(l for l, _ in heads) + 1
+    per_layer = max(h for _, h in heads) + 1
+    lengths = [next(iter(m.values())).shape[0] for m in maps_per_utterance]
+    n = max(lengths)
+    attention = [rng.random((len(lengths), per_layer, n, n)) * 3.0 for _ in range(layers)]
+    for i, maps in enumerate(maps_per_utterance):
+        for (layer, head), a in maps.items():
+            attention[layer][i, head, :lengths[i], :] = 0.0
+            attention[layer][i, head, :lengths[i], :lengths[i]] = a
+    return attention, lengths
+
+
+def as_batches(maps_per_utterance, size=3):
+    return [pad_batch(maps_per_utterance[i:i + size])
+            for i in range(0, len(maps_per_utterance), size)]
+
+
+def indicator(a, omega):
+    """`lid_counts` on a batch holding the single map `a`."""
+    return int(lid_counts([np.asarray(a)[None, None]], [len(a)], omega)[0, 0])
+
+
+# ---------------------------------------------------------------------------
+# Per-utterance oracles
+# ---------------------------------------------------------------------------
+
+def oracle_counts(maps_per_utterance, omega):
+    """The per-map indicator loop over every head of every utterance."""
+    counts = {h: 0 for h in sorted(maps_per_utterance[0])}
+    for maps in maps_per_utterance:
+        for head, a in maps.items():
+            lid_mass = a[:, list(omega)].sum()
+            counts[head] += int(lid_mass > a.sum() - lid_mass)
+    return counts
+
+
+def oracle_ag_loss(maps, selection, target):
+    """One utterance's guidance loss as a chain of slice, subtract, multiply
+    and sum nodes over its (n, n) maps, keyed by head."""
+    total = None
+    for head in selection.selected:
+        diff = maps[head][:, list(target.omega)] - Tensor(target.matrix)
+        term = (diff * diff).sum()
+        total = term if total is None else total + term
+    return total
+
+
+def oracle_attribution(maps_per_utterance, sequences, selection):
+    """The per-utterance, per-word-token attribution loop."""
+    correct = total = 0
+    for maps, seq in zip(maps_per_utterance, sequences):
+        acc = np.zeros((seq.n, seq.n))
+        for head in selection.selected:
+            acc += maps[head]
+        acc /= len(selection.selected)
+        zh_col, en_col = seq.lid_positions
+        for pos in seq.word_positions:
+            predicted = "A" if acc[pos, zh_col] >= acc[pos, en_col] else "B"
+            correct += int(predicted == seq.lang_tags[pos])
+            total += 1
+    return correct, total
+
+
+def random_dataset(rng, lengths, layers=2, heads=3):
+    """Random per-utterance maps; about half are sharpened toward the LID
+    columns so that both indicator outcomes appear."""
+    data = []
+    for n in lengths:
+        maps = {}
+        for head in [(l, h) for l in range(layers) for h in range(heads)]:
+            a = random_stochastic(n, rng)
+            if rng.random() < 0.5:
+                a[:, list(OMEGA)] += rng.random() * 4
+                a /= a.sum(axis=1, keepdims=True)
+            maps[head] = a
+        data.append(maps)
+    return data
+
+
 class TestLidIndicator:
     def test_uniform_map_is_zero(self):
         a = np.full((6, 6), 1 / 6)
-        assert lid_indicator(a, OMEGA) == 0
+        assert indicator(a, OMEGA) == 0
 
     def test_onehot_lid_column_is_one(self):
         a = np.zeros((5, 5))
         a[:, 1] = 1.0
-        assert lid_indicator(a, OMEGA) == 1
+        assert indicator(a, OMEGA) == 1
 
     def test_against_brute_force(self):
         rng = np.random.default_rng(5)
@@ -60,19 +150,19 @@ class TestLidIndicator:
             if rng.random() < 0.5:
                 a[:, [1, 2]] += rng.random() * 4
                 a = a / a.sum(axis=1, keepdims=True)
-            assert lid_indicator(a, (1, 2)) == brute_force_indicator(a, (1, 2))
+            assert indicator(a, (1, 2)) == brute_force_indicator(a, (1, 2))
 
     def test_rejects_non_stochastic(self):
         a = np.full((3, 3), 0.5)
         with pytest.raises(NumericError):
-            lid_indicator(a, OMEGA)
+            indicator(a, OMEGA)
 
     def test_rejects_bad_omega(self):
         a = np.full((3, 3), 1 / 3)
         with pytest.raises(DataError):
-            lid_indicator(a, (1,))
+            indicator(a, (1,))
         with pytest.raises(DataError):
-            lid_indicator(a, (1, 7))
+            indicator(a, (1, 7))
 
     def test_invariant_under_non_lid_permutation(self):
         rng = np.random.default_rng(6)
@@ -83,12 +173,23 @@ class TestLidIndicator:
             cols = list(range(7))
             for src, dst in zip(non_lid, perm):
                 cols[src] = dst
-            assert lid_indicator(a, OMEGA) == lid_indicator(a[:, cols], OMEGA)
+            assert indicator(a, OMEGA) == indicator(a[:, cols], OMEGA)
+
+    def test_non_stochastic_padding_row_is_ignored(self):
+        # the junk rows of a shorter sequence are not checked, but its
+        # valid rows are
+        attention, lengths = pad_batch([{(0, 0): np.full((4, 4), 0.25)},
+                                        {(0, 0): np.full((2, 2), 0.5)}])
+        assert lid_counts(attention, lengths, OMEGA).tolist() == [[0]]
+        attention[0][1, 0, 1, 0] = 0.9
+        with pytest.raises(NumericError):
+            lid_counts(attention, lengths, OMEGA)
 
 
 class TestCountAndSelect:
     def _dataset(self, indicator_plan):
-        """indicator_plan: head -> list of 0/1 per utterance."""
+        """indicator_plan: head -> list of 0/1 per utterance; returns
+        (attention, lengths) batches of up to three utterances."""
         heads = sorted(indicator_plan)
         n_utts = len(next(iter(indicator_plan.values())))
         data = []
@@ -102,7 +203,7 @@ class TestCountAndSelect:
                     a[:, 0] = 1.0
                 maps[head] = a
             data.append(maps)
-        return data
+        return as_batches(data)
 
     def test_example_counts(self):
         plan = {
@@ -113,6 +214,7 @@ class TestCountAndSelect:
         }
         sel = count_and_select(self._dataset(plan), OMEGA, top_k=2)
         assert sel.counts == {(0, 0): 5, (0, 1): 9, (1, 0): 7, (1, 1): 1}
+        assert sel.dataset_size == 10
         assert sel.selected == [(0, 1), (1, 0)]
 
     def test_tie_break_layer_head_order(self):
@@ -150,11 +252,35 @@ class TestCountAndSelect:
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)
-        data = [{(l, h): random_stochastic(6, rng) for l in range(2) for h in range(3)}
-                for _ in range(12)]
+        data = as_batches([{(l, h): random_stochastic(6, rng) for l in range(2)
+                            for h in range(3)} for _ in range(12)])
         a = count_and_select(data, OMEGA, fraction=1.0)
         b = count_and_select(data, OMEGA, fraction=1.0)
         assert a.counts == b.counts and a.selected == b.selected
+
+    def test_counts_match_oracle_on_padded_batches(self):
+        rng = np.random.default_rng(10)
+        data = random_dataset(rng, rng.integers(5, 10, size=23))
+        batches = as_batches(data, size=8)
+        assert any(len(set(lengths)) > 1 for _, lengths in batches)  # padded rows
+        want = oracle_counts(data, OMEGA)
+        assert len(set(want.values())) > 1
+        counted = count_heads(batches, OMEGA)
+        assert counted.counts == want
+        assert counted.dataset_size == len(data) and counted.selected == []
+        for kwargs in ({"top_k": 4}, {"fraction": 1.0}, {"fraction": 0.5}):
+            sel = count_and_select(batches, OMEGA, **kwargs)
+            top_k = kwargs.get("top_k")
+            if top_k is None:
+                top_k = round(kwargs["fraction"] * len(counted.qualifying))
+            assert sel.counts == want
+            assert sel.selected == rank_heads(want)[:top_k]
+
+    def test_inconsistent_head_sets_error(self):
+        batches = [pad_batch([{(0, 0): np.eye(3)}]),
+                   pad_batch([{(0, 0): np.eye(3), (0, 1): np.eye(3)}])]
+        with pytest.raises(DataError, match="inconsistent"):
+            count_heads(batches, OMEGA)
 
     def test_random_selection_seeded(self):
         counts = {(l, h): 0 for l in range(2) for h in range(4)}
@@ -200,6 +326,23 @@ def make_selection(selected, n_heads=(2, 2)):
     return HeadSelection(counts=counts, dataset_size=1, selected=list(selected))
 
 
+def one_map(a):
+    """The per-layer attention of a batch holding the single map `a` as head (0, 0)."""
+    return [a[None, None] if isinstance(a, np.ndarray) else a.reshape(1, 1, *a.shape)]
+
+
+def random_targets(rng, lengths, c=0.6):
+    """Guidance targets of random word rows for sequences of `lengths`."""
+    targets = []
+    for n in lengths:
+        matrix = np.zeros((n, 2))
+        words = rng.integers(0, 2, size=n)
+        matrix[np.arange(n), words] = c
+        matrix[:5] = 0.0  # prompt rows carry no target
+        targets.append(GuidanceTarget(n=n, omega=OMEGA, c=c, matrix=matrix))
+    return targets
+
+
 class TestAgLoss:
     def setup_method(self):
         self.vocab = Vocabulary.build(4, 4)
@@ -216,9 +359,8 @@ class TestAgLoss:
         return a
 
     def test_exact_match_is_zero(self):
-        maps = {(0, 0): self._matching_map()}
         sel = make_selection([(0, 0)])
-        assert ag_loss(maps, sel, self.target).item() == 0.0
+        assert ag_loss(one_map(self._matching_map()), sel, [self.target]).item() == 0.0
 
     def test_direct_summation_example(self):
         # one head, N=3, one guided column with targets [0, .6, .6] vs [.2, .7, .1]
@@ -227,34 +369,143 @@ class TestAgLoss:
         a = np.zeros((3, 3))
         a[:, 1] = [0.2, 0.7, 0.1]
         sel = make_selection([(0, 0)], n_heads=(1, 1))
-        loss = ag_loss({(0, 0): a}, sel, target)
+        loss = ag_loss(one_map(a), sel, [target])
         assert loss.item() == pytest.approx(0.04 + 0.01 + 0.25, abs=1e-12)
 
     def test_duplicate_head_doubles(self):
         rng = np.random.default_rng(4)
-        a = random_stochastic(self.y.n, rng)
-        once = ag_loss({(0, 0): a}, make_selection([(0, 0)]), self.target).item()
-        twice = ag_loss({(0, 0): a}, make_selection([(0, 0), (0, 0)]), self.target).item()
+        a = one_map(random_stochastic(self.y.n, rng))
+        once = ag_loss(a, make_selection([(0, 0)]), [self.target]).item()
+        twice = ag_loss(a, make_selection([(0, 0), (0, 0)]), [self.target]).item()
         assert twice == pytest.approx(2 * once, rel=1e-12)
 
     def test_missing_head_errors(self):
         with pytest.raises(DataError):
-            ag_loss({(0, 0): self._matching_map()}, make_selection([(0, 1)]), self.target)
+            ag_loss(one_map(self._matching_map()), make_selection([(0, 1)]), [self.target])
+        with pytest.raises(DataError):
+            ag_loss(one_map(self._matching_map()), make_selection([(1, 0)]), [self.target])
 
     def test_empty_selection_errors(self):
         with pytest.raises(ConfigError):
-            ag_loss({(0, 0): self._matching_map()}, make_selection([]), self.target)
+            ag_loss(one_map(self._matching_map()), make_selection([]), [self.target])
 
     def test_non_lid_columns_get_zero_gradient(self):
         n = self.y.n
         rng = np.random.default_rng(8)
-        a = Parameter("a", random_stochastic(n, rng))
+        a = Parameter("a", random_stochastic(n, rng)[None, None])
         sel = make_selection([(0, 0)])
-        loss = ag_loss({(0, 0): a}, sel, self.target)
-        grad = backward(loss, [a])["a"]
+        loss = ag_loss([a], sel, [self.target])
+        grad = backward(loss, [a])["a"][0, 0]
         non_lid = [j for j in range(n) if j not in (1, 2)]
-        assert np.all(np.abs(grad[:, non_lid]) <= 1e-12)
+        assert np.all(grad[:, non_lid] == 0.0)
         assert np.any(grad[:, [1, 2]] != 0.0)
+
+    def test_rejects_mismatched_targets(self):
+        rng = np.random.default_rng(3)
+        maps = one_map(random_stochastic(8, rng))
+        sel = make_selection([(0, 0)])
+        with pytest.raises(DataError):  # longer than the map
+            ag_loss(maps, sel, random_targets(rng, [9]))
+        with pytest.raises(DataError):  # one target for a batch of two
+            ag_loss([np.concatenate([maps[0], maps[0]])], sel, random_targets(rng, [8]))
+        other = GuidanceTarget(n=8, omega=(2, 3), c=0.6, matrix=np.zeros((8, 2)))
+        with pytest.raises(DataError):
+            ag_loss([np.concatenate([maps[0], maps[0]])], sel,
+                    random_targets(rng, [8]) + [other])
+
+    def test_batch_matches_per_utterance_sum(self):
+        rng = np.random.default_rng(11)
+        lengths = [9, 6, 11, 7]
+        data = random_dataset(rng, lengths, layers=2, heads=2)
+        attention, _ = pad_batch(data, rng)
+        targets = random_targets(rng, lengths)
+        sel = make_selection([(1, 0), (0, 1), (1, 1)])
+        batched = ag_loss(attention, sel, targets).item()
+        singles = sum(oracle_ag_loss({h: Tensor(a) for h, a in maps.items()}, sel, t).item()
+                      for maps, t in zip(data, targets))
+        assert batched == pytest.approx(singles, rel=1e-12, abs=0.0)
+
+    def test_gradient_matches_finite_difference(self):
+        # padded rows in the shorter sequence and a head selected twice
+        rng = np.random.default_rng(12)
+        lengths = [7, 5]
+        data = random_dataset(rng, lengths, layers=2, heads=2)
+        attention, _ = pad_batch(data, rng)
+        targets = random_targets(rng, lengths)
+        sel = make_selection([(1, 0), (0, 1), (1, 0)])
+        fixed = Tensor(attention[0])
+
+        def loss(maps):
+            return ag_loss([fixed, maps], sel, targets) * 0.37
+
+        p = Parameter("p", attention[1])
+        ana = backward(loss(p), [p])["p"]
+        num = finite_diff_grad(lambda arr: loss(Tensor(arr)).item(), attention[1], h=1e-5)
+        np.testing.assert_allclose(ana, num, rtol=0.0, atol=1e-9)
+        assert np.all(ana[1, :, 5:] == 0.0)          # padded rows
+        assert np.all(ana[:, 1] == 0.0)              # head (1, 1) is not selected
+        assert np.all(np.delete(ana, list(OMEGA), axis=-1) == 0.0)
+        assert np.any(ana[:, 0][..., list(OMEGA)] != 0.0)
+
+    def test_gradient_equals_per_utterance_graph_bitwise(self):
+        # the per-utterance graph of slice nodes that the batched node
+        # replaced gives the same gradient bit for bit, so guided training
+        # takes the same steps
+        rng = np.random.default_rng(13)
+        lengths = [8, 6, 10]
+        data = random_dataset(rng, lengths, layers=2, heads=2)
+        attention, _ = pad_batch(data, rng)
+        targets = random_targets(rng, lengths)
+        sel = make_selection([(1, 0), (1, 1), (0, 1)])
+        scale = 0.01 * (1.0 / len(lengths))
+        params = [Parameter(f"l{i}", a) for i, a in enumerate(attention)]
+        batched = backward(ag_loss(params, sel, targets) * scale, params)
+        total = None
+        for i, (n, t) in enumerate(zip(lengths, targets)):
+            maps = {(l, h): params[l][i, h, :n, :n] for l, h in sel.selected}
+            term = oracle_ag_loss(maps, sel, t)
+            total = term if total is None else total + term
+        per_utterance = backward(total * scale, params)
+        for name in batched:
+            assert np.array_equal(batched[name], per_utterance[name]), name
+
+
+class TestLidAttribution:
+    def _sequences(self, rng, vocab, lengths):
+        words = vocab.word_ids("A") + vocab.word_ids("B")
+        return [TokenSequence.from_words(vocab, list(rng.choice(words, size=k)))
+                for k in lengths]
+
+    def test_matches_per_utterance_oracle(self):
+        rng = np.random.default_rng(14)
+        vocab = Vocabulary.build(6, 6)
+        seqs = self._sequences(rng, vocab, [3, 7, 1, 5, 4])
+        data = random_dataset(rng, [s.n for s in seqs], layers=2, heads=3)
+        attention, _ = pad_batch(data, rng)
+        for selected in ([(1, 0), (1, 2)], [(0, 1)], [(1, 1), (0, 0), (1, 1)]):
+            sel = make_selection(selected, n_heads=(2, 3))
+            got = lid_attribution(attention, seqs, sel)
+            assert got == oracle_attribution(data, seqs, sel)
+            assert got[1] == sum(len(s.word_positions) for s in seqs)
+
+    def test_tie_counts_as_language_a(self):
+        vocab = Vocabulary.build(4, 4)
+        seqs = [TokenSequence.from_words(vocab, [vocab.word_ids("A")[0], vocab.word_ids("B")[0]])]
+        a = np.full((seqs[0].n, seqs[0].n), 1.0 / seqs[0].n)
+        assert lid_attribution(one_map(a), seqs, make_selection([(0, 0)])) == (1, 2)
+        assert seqs[0].lang_tags[5] == LANG_A
+
+    def test_rejects_bad_selection_and_sequences(self):
+        vocab = Vocabulary.build(4, 4)
+        seq = TokenSequence.from_words(vocab, [vocab.word_ids("A")[0]])
+        maps = one_map(np.full((seq.n, seq.n), 1.0 / seq.n))
+        with pytest.raises(ConfigError):
+            lid_attribution(maps, [seq], make_selection([]))
+        mono = TokenSequence.from_words(vocab, [vocab.word_ids("A")[0]], "A")
+        with pytest.raises(DataError):
+            lid_attribution(maps, [mono], make_selection([(0, 0)]))
+        with pytest.raises(DataError):  # two sequences for a batch of one
+            lid_attribution(maps, [seq, seq], make_selection([(0, 0)]))
 
 
 class TestHeadSelectionFile:

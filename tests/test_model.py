@@ -275,7 +275,7 @@ def recorded_greedy(model, frames, frame_mask, prompt_ids, max_new=None):
 
     model._decode_rows = recording
     try:
-        hyps = model.greedy_decode(frames, frame_mask, prompt_ids, max_new)
+        hyps = model.greedy_decode(*model.encode(frames, frame_mask), prompt_ids, max_new)
     finally:
         del model._decode_rows
     return hyps, steps
@@ -296,7 +296,7 @@ class TestGreedyDecode:
     def test_decode_terminates_and_strips(self, model, vocab):
         frames = RNG.normal(size=(3, 6, 8))
         mask = np.ones((3, 6), dtype=bool)
-        out = model.greedy_decode(frames, mask, build_prompt(vocab))
+        out = model.greedy_decode(*model.encode(frames, mask), build_prompt(vocab))
         assert len(out) == 3
         for row in out:
             assert len(row) <= model.config.max_len
@@ -355,19 +355,24 @@ class TestGreedyDecode:
         hyps = assert_decode_matches_oracle(model, frames, mask, build_prompt(vocab))
         assert len({len(h) for h in hyps}) > 1
 
+    # frames are validated where they enter, in `encode`
     def test_rejects_frames_longer_than_max_len(self, model, vocab):
         frames = RNG.normal(size=(2, model.config.max_len + 1, 8))
         with pytest.raises(DataError, match="too long"):
-            model.greedy_decode(frames, None, build_prompt(vocab))
+            model.encode(frames, None)
 
     def test_rejects_wrong_feature_dimension(self, model, vocab):
         frames = RNG.normal(size=(2, 6, 5))
         with pytest.raises(DataError, match="feature dimension"):
-            model.greedy_decode(frames, None, build_prompt(vocab))
+            model.encode(frames, None)
 
     def test_rejects_malformed_frame_inputs(self, model, vocab):
         with pytest.raises(DataError, match="frame mask shape"):
-            model.greedy_decode(RNG.normal(size=(2, 6, 8)), np.ones((2, 5), dtype=bool),
-                                build_prompt(vocab))
+            model.encode(RNG.normal(size=(2, 6, 8)), np.ones((2, 5), dtype=bool))
         with pytest.raises(DataError, match="frames must have shape"):
-            model.greedy_decode(RNG.normal(size=(1, 2, 6, 8)), None, build_prompt(vocab))
+            model.encode(RNG.normal(size=(1, 2, 6, 8)), None)
+
+    def test_rejects_frames_in_place_of_memory(self, model, vocab):
+        frames = Tensor(RNG.normal(size=(2, 6, 8)))
+        with pytest.raises(DataError, match="output of encode"):
+            model.greedy_decode(frames, None, build_prompt(vocab))

@@ -240,9 +240,31 @@ class TestAdamW:
             assert np.array_equal(s_new.v[n], s_old.v[n])
 
     def test_non_finite_update_errors(self):
-        p = Parameter("w", np.array([1.0, 2.0]))
-        with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="non-finite"):
-            adamw_step(OptimizerState(), {"w": p}, {"w": np.array([np.inf, 0.0])})
+        # the bad gradient is on "b", the second parameter in update order; the
+        # raise must leave both parameters, every moment and the step as they
+        # were, on the first step and on a later one
+        good = {"a": np.array([0.5, -0.2]), "b": np.array([0.1, 0.3])}
+        bad = {"a": good["a"], "b": np.array([np.inf, 0.0])}
+        for warm_steps in (0, 2):
+            params = {"a": Parameter("a", np.array([1.0, 2.0])),
+                      "b": Parameter("b", np.array([3.0, -1.0]))}
+            state = OptimizerState(weight_decay=0.01)
+            for _ in range(warm_steps):
+                adamw_step(state, params, good)
+            data = {n: p.data.copy() for n, p in params.items()}
+            m = {n: a.copy() for n, a in state.m.items()}
+            v = {n: a.copy() for n, a in state.v.items()}
+            step = state.step
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(NumericError, match="non-finite.*'b'"):
+                adamw_step(state, params, bad)
+            for n, p in params.items():
+                assert np.array_equal(p.data, data[n]), n
+            assert state.m.keys() == m.keys() and state.v.keys() == v.keys()
+            for n in m:
+                assert np.array_equal(state.m[n], m[n]), n
+                assert np.array_equal(state.v[n], v[n]), n
+            assert state.step == step
 
     def test_zero_grad_no_decay_unchanged(self):
         p = Parameter("w", np.array([1.0, -2.0, 3.0]))

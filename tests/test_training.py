@@ -1,11 +1,13 @@
 """Training machinery at micro scale: losses, stages, averaging, evaluation."""
 
+import math
+
 import numpy as np
 import pytest
 
 from agadapt import training
 from agadapt.errors import ConfigError, DataError
-from agadapt.guidance import HeadSelection, guidance_target
+from agadapt.guidance import HeadSelection, guidance_target, rank_heads
 from agadapt.model import (
     ModelConfig,
     Seq2SeqModel,
@@ -13,8 +15,8 @@ from agadapt.model import (
     Vocabulary,
     is_adapter_param,
 )
-from agadapt.numerics import finite_diff_coordinate, backward
-from agadapt.synthtask import SynthSpec, Utterance, generate_corpus
+from agadapt.numerics import backward, finite_diff_grad, no_grad
+from agadapt.synthtask import KIND_CS, SynthSpec, Utterance, generate_corpus
 from agadapt.training import (
     EpochCheckpoint,
     RunRecord,
@@ -24,6 +26,7 @@ from agadapt.training import (
     build_model_config,
     build_train_config,
     evaluate_model,
+    head_counts,
     make_batches,
     parse_config_file,
     pretrain_backbone,
@@ -141,7 +144,8 @@ def utterance_loss(model, utt, vocab, selection, gamma):
 
 
 def count_ag_calls(monkeypatch):
-    """Route `training.ag_loss` through a wrapper; returns the call list."""
+    """Route `training.ag_loss` through a wrapper; returns the call list,
+    one entry per guided batch."""
     calls = []
     real = training.ag_loss
 
@@ -183,7 +187,6 @@ class TestJointLoss:
         store = backward(loss, adapted_model.adapter_params().values())
         name = "dec.0.ffn_adapter.up.weight"
         p = adapted_model.params[name]
-        idx = (1, 5)
 
         def f(arr):
             saved = p.data
@@ -192,9 +195,9 @@ class TestJointLoss:
             p.data = saved
             return val
 
-        num = finite_diff_coordinate(f, p.data, idx, h=1e-4)
-        ana = store[name][idx]
-        assert abs(ana - num) / max(abs(ana), abs(num), 1e-6) < 1e-4
+        num = finite_diff_grad(f, p.data, h=1e-4)
+        ana = store[name]
+        assert np.max(np.abs(ana - num)) / np.max(np.abs(ana)) < 1e-4
 
     def test_batched_matches_per_utterance(self, adapted_model, vocab, corpus):
         utts = corpus["adapt"][:4]
@@ -276,7 +279,7 @@ class TestStages:
         assert ag_calls == []
         assert all(e.train_ag == 0.0 for e in record.epochs)
 
-    def test_stage2_guided_updates_both_sides(self, adapted_model, corpus,
+    def test_stage2_guided_updates_both_sides(self, adapted_model, vocab, corpus,
                                               monkeypatch):
         model = adapted_model
         ag_calls = count_ag_calls(monkeypatch)
@@ -284,10 +287,13 @@ class TestStages:
         dec_before = {n: p.data.copy() for n, p in model.adapter_params("dec").items()}
         theta_before = {n: p.data.copy() for n, p in model.params.items()
                         if not is_adapter_param(n)}
-        record = run_stage2(model, corpus["adapt"], corpus["valid"], self._cfg(),
+        cfg = self._cfg()
+        record = run_stage2(model, corpus["adapt"], corpus["valid"], cfg,
                             micro_selection())
-        # one guidance evaluation per training utterance per epoch
-        assert len(ag_calls) == self._cfg().epochs * len(corpus["adapt"])
+        # one guidance node per training batch per epoch
+        batches = make_batches(corpus["adapt"], vocab, cfg.batch_size)
+        assert len(batches) > 1
+        assert len(ag_calls) == cfg.epochs * len(batches)
         assert any(e.train_ag > 0.0 for e in record.epochs)
         assert any(not np.array_equal(model.params[n].data, enc_before[n])
                    for n in enc_before)
@@ -303,7 +309,7 @@ class TestStages:
             model.init_adapters(seed=2)
             record = run_stage2(model, corpus["adapt"], corpus["valid"],
                                 self._cfg(), micro_selection())
-            return record.loss_trace()
+            return [(e.train_ce, e.train_ag, e.val_ce) for e in record.epochs]
 
         assert run() == run()
 
@@ -316,6 +322,25 @@ class TestStages:
             pretrain_backbone(model, corpus["pretrain"], corpus["valid"], self._cfg())
 
 
+def oracle_head_counts(model, utts):
+    """The per-utterance path that batched counting replaced: one forward
+    per utterance, each head's map trimmed to its length, one indicator
+    per map."""
+    counts = {}
+    with no_grad():
+        for utt in utts:
+            if len(utt.reference.lid_positions) != 2:
+                continue
+            out = model.forward(utt.frames[None], np.array([utt.reference.ids]),
+                                enc_adapters=False, dec_adapters=False)
+            for layer, maps in enumerate(out.attention):
+                for head, a in enumerate(maps.data[0]):
+                    lid = a[:, [1, 2]].sum()
+                    counts[(layer, head)] = (counts.get((layer, head), 0)
+                                             + int(lid > a.sum() - lid))
+    return counts
+
+
 class TestSelectHeadsIntegration:
     def test_runs_on_frozen_backbone(self, vocab, corpus):
         model = Seq2SeqModel(MICRO_CONFIG, vocab, seed=1)
@@ -326,11 +351,88 @@ class TestSelectHeadsIntegration:
         sel_k = select_heads(model, corpus["adapt"], top_k=2)
         assert len(sel_k.selected) == 2
 
+    def test_counts_match_per_utterance_oracle(self, vocab, corpus):
+        # two decoder layers with anchored heads, so counts differ by head
+        config = ModelConfig(**{**MICRO_CONFIG.__dict__, "dec_layers": 2})
+        model = Seq2SeqModel(config, vocab, seed=1)
+        model.freeze_backbone()
+        utts = corpus["adapt"] + corpus["valid"]
+        want = oracle_head_counts(model, utts)
+        assert len(set(want.values())) > 1
+        for batch_size in (5, 32):
+            counted = head_counts(model, utts, batch_size=batch_size)
+            assert counted.counts == want and counted.selected == []
+            sel = select_heads(model, utts, top_k=3, batch_size=batch_size)
+            assert sel.counts == want
+            assert sel.selected == rank_heads(want)[:3]
+
+    def test_needs_bilingual_utterances(self, vocab, corpus):
+        model = Seq2SeqModel(MICRO_CONFIG, vocab, seed=1)
+        with pytest.raises(DataError, match="bilingual"):
+            select_heads(model, corpus["pretrain"], fraction=1.0)
+
+
+def oracle_lid_attribution(model, utts, selection):
+    """The attribution path that evaluation replaced: a full teacher-forced
+    forward, encoder included, per batch, then a loop over word tokens."""
+    correct = total = 0
+    with no_grad():
+        for batch in make_batches(utts, model.vocab, 32):
+            out = model.forward(batch.frames, batch.tokens, batch.frame_mask)
+            for i, seq in enumerate(batch.sequences):
+                n = batch.lengths[i]
+                acc = np.zeros((n, n))
+                for layer, head in selection.selected:
+                    acc += out.attention[layer].data[i, head, :n, :n]
+                acc /= len(selection.selected)
+                zh_col, en_col = seq.lid_positions
+                for pos in seq.word_positions:
+                    predicted = "A" if acc[pos, zh_col] >= acc[pos, en_col] else "B"
+                    correct += int(predicted == seq.lang_tags[pos])
+                    total += 1
+    return correct / total
+
+
+def randomise_adapters(model, seed=4):
+    rng = np.random.default_rng(seed)
+    for p in model.adapter_params().values():
+        p.data = rng.normal(0, 0.05, p.data.shape)
+
 
 class TestEvaluation:
     def test_empty_set_errors(self, adapted_model):
         with pytest.raises(DataError):
             evaluate_model(adapted_model, {"test-cs": []})
+
+    def test_attribution_matches_full_forward_oracle(self, adapted_model, corpus):
+        randomise_adapters(adapted_model)
+        # "valid" mixes kinds, so only some rows of its chunk are attributed
+        sets = {"test-cs": corpus["test-cs"], "valid": corpus["valid"],
+                "test-mono-a": corpus["test-mono-a"]}
+        cs = [u for utts in sets.values() for u in utts if u.kind == KIND_CS]
+        assert 0 < len(cs) < len(corpus["test-cs"]) + len(corpus["valid"])
+        sel = micro_selection()
+        report = evaluate_model(adapted_model, sets, selection=sel)
+        assert report.lid_attribution == oracle_lid_attribution(adapted_model, cs, sel)
+        assert evaluate_model(adapted_model, sets).lid_attribution is None
+
+    def test_encodes_once_per_chunk_and_never_runs_forward(self, adapted_model, vocab,
+                                                           monkeypatch):
+        corpus = generate_corpus(MICRO_SPEC, vocab, {**MICRO_SIZES, "test-cs": 70})
+        sets = {name: corpus[name] for name in ("test-cs", "test-mono-a", "test-mono-b")}
+        calls = {"encode": 0, "forward": 0}
+        for name in calls:
+            real = getattr(Seq2SeqModel, name)
+
+            def counting(self, *args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(self, *args, **kwargs)
+
+            monkeypatch.setattr(Seq2SeqModel, name, counting)
+        evaluate_model(adapted_model, sets, selection=micro_selection())
+        chunks = sum(math.ceil(len(utts) / 64) for utts in sets.values())
+        assert chunks == 4
+        assert calls == {"encode": chunks, "forward": 0}
 
     def test_validation_ce_finite(self, adapted_model, vocab, corpus):
         batches = make_batches(corpus["valid"], vocab, 8)
