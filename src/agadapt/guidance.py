@@ -8,11 +8,12 @@ layer's (B, H, N, N) self-attention maps, the lengths of the B sequences
   mass on the LID columns than on all other columns combined, over their
   valid rows; `count_heads` adds these up over a dataset, and
   `count_and_select` ranks the heads and picks the top ones.
-- `ag_loss` is one tape node: the squared error between the selected heads'
-  LID columns and the soft guidance target, summed over heads, valid rows
-  and the two columns. Its backward, 2 (a - t) on valid rows, is written
-  into those two columns only, so every other column gets an exactly zero
-  gradient.
+- `ag_loss` builds the soft guidance target and the valid-row mask of a
+  batch and returns one tape node, `numerics.column_squared_error`: the
+  squared error between the selected heads' LID columns and the target,
+  summed over heads, valid rows and the two columns. Its backward,
+  2 (a - t) on valid rows, is written into those two columns only, so every
+  other column gets an exactly zero gradient.
 - `lid_attribution` counts the word tokens whose mean selected-head map puts
   at least as much mass on their own language's LID column as on the other.
 """
@@ -27,7 +28,7 @@ import numpy as np
 from .atomicio import atomic_write
 from .errors import ConfigError, DataError, NumericError
 from .model import LANG_A, LANG_B, TokenSequence
-from .numerics import Tensor, _node, as_tensor
+from .numerics import Tensor, as_tensor, column_squared_error
 
 HeadIndex = tuple[int, int]
 
@@ -46,22 +47,28 @@ def _valid_rows(lengths: Sequence[int], n: int) -> np.ndarray:
     return np.arange(n) < lengths[:, None]
 
 
-def _lid_columns(attention: Sequence, heads: Sequence[HeadIndex],
-                 omega: tuple[int, int]) -> np.ndarray:
-    """(B, K, N, 2): the two `omega` columns of each listed (layer, head) map
-    of the per-layer (B, H, N, N) `attention`, in list order."""
+def _check_heads(attention: Sequence, heads: Sequence[HeadIndex],
+                 omega: tuple[int, int]) -> None:
+    """Raise DataError unless every listed (layer, head) and both `omega`
+    columns exist in the per-layer (B, H, N, N) `attention`."""
     if len(omega) != 2:
         raise DataError("omega must hold exactly two column indices")
     n = _data(attention[0]).shape[-1]
     for j in omega:
         if not 0 <= j < n:
             raise DataError(f"omega column {j} out of range for width {n}")
-    cols = []
     for layer, head in heads:
         if not (0 <= layer < len(attention) and 0 <= head < _data(attention[layer]).shape[1]):
             raise DataError(f"selected head {(layer, head)} missing from attention maps")
-        cols.append(_data(attention[layer])[:, head][..., list(omega)])
-    return np.stack(cols, axis=1)
+
+
+def _lid_columns(attention: Sequence, heads: Sequence[HeadIndex],
+                 omega: tuple[int, int]) -> np.ndarray:
+    """(B, K, N, 2): the two `omega` columns of each listed (layer, head) map
+    of the per-layer (B, H, N, N) `attention`, in list order."""
+    _check_heads(attention, heads, omega)
+    return np.stack([_data(attention[layer])[:, head][..., list(omega)]
+                     for layer, head in heads], axis=1)
 
 
 def lid_counts(attention: Sequence, lengths: Sequence[int],
@@ -232,20 +239,8 @@ def ag_loss(attention: Sequence, selection: HeadSelection,
     goal = np.zeros((b, n, 2))
     for i, target in enumerate(targets):
         goal[i, :target.n] = target.matrix
-    diff = _lid_columns(maps, selection.selected, omega) - goal[:, None]
-    diff *= valid[:, None, :, None]
-    loss = np.sum(diff * diff)
-    layers = sorted({layer for layer, _ in selection.selected})
-
-    def grad_fn(g):
-        scaled = diff * (2.0 * g)
-        grads = {layer: np.zeros(maps[layer].shape) for layer in layers}
-        for k, (layer, head) in enumerate(selection.selected):
-            for c, col in enumerate(omega):
-                grads[layer][:, head, :, col] += scaled[:, k, :, c]
-        return tuple(grads[layer] for layer in layers)
-
-    return _node(loss, tuple(maps[layer] for layer in layers), grad_fn)
+    _check_heads(maps, selection.selected, omega)
+    return column_squared_error(maps, selection.selected, omega, goal, valid)
 
 
 def lid_attribution(attention: Sequence, sequences: Sequence[TokenSequence],

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -549,6 +549,35 @@ def attention_map(q, k, causal: bool = True, extra_mask: Array | None = None) ->
     return _node(p, (q, k), grad_fn)
 
 
+def column_squared_error(tensors: Sequence, picks: Sequence[tuple[int, int]],
+                         columns: Sequence[int], goal: Array, row_mask: Array) -> Tensor:
+    """Squared error between gathered columns of (B, H, N, M) tensors and a
+    goal, summed over the picks, the batch, the unmasked rows and the columns.
+
+    Pick (i, h) gathers tensors[i][:, h, :, columns]; a repeated pick counts
+    twice. `goal` is (B, N, len(columns)) and shared by every pick; rows where
+    the (B, N) `row_mask` is False add nothing. The backward, 2 (a - goal) on
+    unmasked rows, is written into the picked columns only, so every other
+    entry gets an exactly zero gradient."""
+    ts = [as_tensor(t) for t in tensors]
+    cols = list(columns)
+    gathered = np.stack([ts[i].data[:, h][..., cols] for i, h in picks], axis=1)
+    diff = gathered - goal[:, None]
+    diff *= row_mask[:, None, :, None]
+    loss = np.sum(diff * diff)
+    used = sorted({i for i, _ in picks})
+
+    def grad_fn(g):
+        scaled = diff * (2.0 * g)
+        grads = {i: np.zeros(ts[i].shape) for i in used}
+        for k, (i, h) in enumerate(picks):
+            for c, col in enumerate(cols):
+                grads[i][:, h, :, col] += scaled[:, k, :, c]
+        return tuple(grads[i] for i in used)
+
+    return _node(loss, tuple(ts[i] for i in used), grad_fn)
+
+
 # ---------------------------------------------------------------------------
 # AdamW
 # ---------------------------------------------------------------------------
@@ -600,10 +629,6 @@ def adamw_step(state: OptimizerState, params: Mapping[str, Parameter],
         g = grads[name]
         tmp = buf_a[:g.size].reshape(g.shape)
         update = buf_b[:g.size].reshape(g.shape)
-        if state.weight_decay != 0.0:
-            pn = p.data * (1.0 - state.lr * state.weight_decay)
-        else:
-            pn = p.data.copy()
         zeros = None if name in state.m else np.zeros_like(p.data)
         # m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g^2
         mn = state.m.get(name, zeros) * state.beta1
@@ -620,7 +645,11 @@ def adamw_step(state: OptimizerState, params: Mapping[str, Parameter],
         np.divide(mn, bc1, out=update)
         update /= tmp
         update *= state.lr
-        pn -= update
+        if state.weight_decay != 0.0:
+            pn = p.data * (1.0 - state.lr * state.weight_decay)
+            pn -= update
+        else:
+            pn = p.data - update
         if not np.all(np.isfinite(pn)):
             raise NumericError(f"non-finite parameter after update: {name!r}")
         staged.append((name, pn, mn, vn))

@@ -484,10 +484,9 @@ def _backbone_maps(model: Seq2SeqModel, utts: Sequence[Utterance], batch_size: i
     return (maps(batch) for batch in make_batches(seqs, model.vocab, batch_size))
 
 
-def head_counts(model: Seq2SeqModel, utts: Sequence[Utterance],
-                batch_size: int = 32) -> HeadSelection:
+def head_counts(model: Seq2SeqModel, utts: Sequence[Utterance]) -> HeadSelection:
     """Indicator counts of every backbone head, with nothing selected."""
-    return count_heads(_backbone_maps(model, utts, batch_size), OMEGA)
+    return count_heads(_backbone_maps(model, utts, 32), OMEGA)
 
 
 def select_heads(model: Seq2SeqModel, utts: Sequence[Utterance],

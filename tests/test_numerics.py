@@ -17,6 +17,7 @@ from agadapt.numerics import (
     attention_map,
     backward,
     causal_mask,
+    column_squared_error,
     cross_entropy,
     embedding,
     finite_diff_grad,
@@ -416,6 +417,30 @@ class TestOpGradients:
         c = Tensor(RNG.normal(size=(4, 1)))
         assert gradcheck(lambda p: (p[..., None, 2] * c).sum(),
                          RNG.normal(size=(4, 3))) < 1e-6
+
+    def test_column_squared_error_duplicate_pick_and_masked_rows(self):
+        # (B, H, N, M) = (2, 2, 4, 5); pick (0, 1) twice, columns (1, 3)
+        other = Tensor(RNG.normal(size=(2, 2, 4, 5)))
+        picks = [(0, 1), (1, 0), (0, 1)]
+        goal = RNG.normal(size=(2, 4, 2))
+        mask = np.array([[True, True, True, False], [True, False, False, False]])
+
+        def build(p):
+            return column_squared_error([p, other], picks, (1, 3), goal, mask)
+
+        x0 = RNG.normal(size=(2, 2, 4, 5))
+        assert gradcheck(build, x0) < 1e-6
+        p = Parameter("p", x0)
+        grad = backward(build(p), [p])["p"]
+        keep = np.zeros(x0.shape, dtype=bool)
+        keep[:, 1, :, [1, 3]] = True
+        keep &= mask[:, None, :, None]
+        assert np.all(grad[~keep] == 0.0)
+        a = x0[:, 1][..., [1, 3]]
+        b = other.data[:, 0][..., [1, 3]]
+        m = mask[..., None]
+        want = 2.0 * np.sum(((a - goal) * m) ** 2) + np.sum(((b - goal) * m) ** 2)
+        assert build(p).item() == pytest.approx(want, rel=1e-12)
 
     def test_matmul_batched(self):
         a0 = RNG.normal(size=(2, 3, 4))

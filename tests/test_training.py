@@ -359,9 +359,9 @@ class TestSelectHeadsIntegration:
         utts = corpus["adapt"] + corpus["valid"]
         want = oracle_head_counts(model, utts)
         assert len(set(want.values())) > 1
+        counted = head_counts(model, utts)
+        assert counted.counts == want and counted.selected == []
         for batch_size in (5, 32):
-            counted = head_counts(model, utts, batch_size=batch_size)
-            assert counted.counts == want and counted.selected == []
             sel = select_heads(model, utts, top_k=3, batch_size=batch_size)
             assert sel.counts == want
             assert sel.selected == rank_heads(want)[:3]
