@@ -15,7 +15,8 @@ it:
   row per step, appending each step's self-attention K/V rows to a
   per-layer `DecoderCache`. Evaluation reuses the same memory for a
   teacher-forced `_decode_rows` pass whose maps give the LID attribution,
-  so a test chunk is encoded once.
+  so a test chunk is encoded once; that pass stops at the deepest layer
+  holding a selected head.
 
 Bottleneck adapters (down-project, GELU, up-project, residual) sit after the
 attention sub-block and after the feed-forward sub-block of every layer; with
@@ -539,7 +540,8 @@ class Seq2SeqModel:
         return memory, col_mask
 
     def _decode_rows(self, tokens, memory: Tensor, col_mask, dec_adapters: bool = True,
-                     cache: DecoderCache | None = None) -> tuple[Tensor, list[Tensor]]:
+                     cache: DecoderCache | None = None,
+                     depth: int | None = None) -> tuple[Tensor | None, list[Tensor]]:
         """Decoder pass over rows `tokens[:, start:]`, where `start` is the
         number of positions `cache` already holds (0 without a cache).
 
@@ -549,7 +551,9 @@ class Seq2SeqModel:
         rows' self-attention K/V to the cached rows before attending.
 
         Returns the output projection of the new rows, (B, N - start, M), and
-        each layer's self-attention maps, (B, H, N - start, N).
+        each layer's self-attention maps, (B, H, N - start, N). With `depth`,
+        the pass stops once the first `depth` layers' maps exist and returns
+        no projection: the rest of the decoder cannot change them.
         """
         c = self.config
         tokens = np.asarray(tokens, dtype=np.int64)
@@ -575,6 +579,8 @@ class Seq2SeqModel:
             attn_out, maps = self._attend(h, k, v, p + "self_attn", causal=True,
                                           extra_mask=self._lid_prior(tokens, i))
             attn_maps.append(maps)
+            if len(attn_maps) == depth:
+                return None, attn_maps
             y = y + attn_out
             h = layer_norm(y, self._p(p + "ln2.gain"), self._p(p + "ln2.bias"))
             if cache is None:

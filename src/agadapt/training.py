@@ -522,7 +522,7 @@ def _decode_set(model: Seq2SeqModel, utts: Sequence[Utterance], prompt: list[int
     length, each encoded once. With a selection, also the LID attribution
     (correct, total) of the code-switched utterances: a teacher-forced
     decoder pass over their references, on the memory their chunk was
-    decoded from, supplies the maps."""
+    decoded from and through the deepest selected layer, supplies the maps."""
     hyps: dict[str, list[int]] = {}
     correct = total = 0
     blnk = model.vocab.id("<blnk>")
@@ -546,8 +546,10 @@ def _decode_set(model: Seq2SeqModel, utts: Sequence[Utterance], prompt: list[int
                 tokens = np.full((len(rows), max(s.n for s in seqs)), blnk, dtype=np.int64)
                 for i, seq in enumerate(seqs):
                     tokens[i, :seq.n] = seq.ids
+                selection.require_nonempty()
+                depth = 1 + max(layer for layer, _ in selection.selected)
                 _, maps = model._decode_rows(tokens, Tensor(memory.data[rows]),
-                                             col_mask[rows])
+                                             col_mask[rows], depth=depth)
                 right, words = lid_attribution(maps, seqs, selection)
                 correct += right
                 total += words

@@ -128,6 +128,20 @@ class TestAttentionContracts:
             got = model.forward(frames, perturbed).logits.data[0]
             assert np.array_equal(got[:pos + 1], base[:pos + 1])
 
+    def test_depth_stops_with_the_same_maps(self, model, vocab):
+        frames = RNG.normal(size=(2, 6, 8))
+        mask = np.array([[True] * 6, [True] * 4 + [False] * 2])
+        y = TokenSequence.from_words(vocab, [7, 17, 8])
+        toks = np.array([y.ids, y.ids])
+        model.init_adapters(seed=3)
+        memory, col_mask = model.encode(frames, mask)
+        _, full = model._decode_rows(toks, memory, col_mask)
+        for depth in range(1, model.config.dec_layers + 1):
+            proj, maps = model._decode_rows(toks, memory, col_mask, depth=depth)
+            assert proj is None and len(maps) == depth
+            for got, want in zip(maps, full):
+                assert np.array_equal(got.data, want.data)
+
     def test_sequence_too_long_errors(self, model, vocab):
         frames = RNG.normal(size=(1, 40, 8))
         y = TokenSequence.from_words(vocab, [7])
