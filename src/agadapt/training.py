@@ -11,7 +11,7 @@ decoder pass (see `guidance`): `select_heads` counts each batch of backbone
 maps at once, `batch_loss` adds one guidance-loss node per step, and
 `evaluate_model` encodes each test chunk once, decodes from that memory, and
 attributes languages from a teacher-forced pass over the references on the
-same memory.
+same memory, run only through the deepest selected layer.
 """
 
 from __future__ import annotations
