@@ -227,14 +227,10 @@ class ForwardOut:
 
     `logits[b, n]` holds the next-token scores over the vocabulary given
     tokens strictly before position n (row 0 is a constant zero row).
-    `next_logits[b]` scores the token that would follow the full input; a
-    greedy decoding step computes the same row from its K/V cache without a
-    full forward. `attention[l]` holds the decoder self-attention maps,
-    shape (B, H, N, N).
+    `attention[l]` holds the decoder self-attention maps, shape (B, H, N, N).
     """
 
     logits: Tensor
-    next_logits: Tensor
     attention: list[Tensor]
 
 
@@ -613,8 +609,7 @@ class Seq2SeqModel:
         """
         memory, col_mask = self.encode(frames, frame_mask, enc_adapters)
         proj, attn_maps = self._decode_rows(tokens, memory, col_mask, dec_adapters)
-        return ForwardOut(logits=shift_rows(proj, axis=1), next_logits=proj[:, -1],
-                          attention=attn_maps)
+        return ForwardOut(logits=shift_rows(proj, axis=1), attention=attn_maps)
 
     # -- decoding -----------------------------------------------------------------
 

@@ -15,6 +15,12 @@ Three fused nodes carry most of the work:
 - `cross_entropy(logits, ids, mask)` is a row log-sum-exp over logits and
   integer target ids (softmax-minus-target backward), so no probability is
   ever clamped before a log.
+
+A graph lives for one backward sweep. Recording holds every activation a
+node's backward needs; `Tensor.backward` frees each interior node as soon as
+it has pushed its gradient on, so after the sweep only the leaves, with their
+gradients, and whatever the caller still references remain. A graph is
+differentiated once: a second sweep over it raises NumericError.
 """
 
 from __future__ import annotations
@@ -69,7 +75,8 @@ class Tensor:
     """A float64 array plus the tape bookkeeping for reverse-mode autodiff.
 
     Tensors are immutable once created (ops return new tensors); `grad` is
-    populated by `backward()` on the loss node.
+    populated by `backward()` on the loss node. `_parents` is () on a leaf and
+    None on an interior node that a backward sweep has consumed.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn")
@@ -205,12 +212,21 @@ class Tensor:
         return _node(out_data, (self,), grad_fn)
 
     def backward(self) -> None:
-        """Reverse-mode sweep from a scalar node; fills `grad` on the graph."""
+        """Reverse-mode sweep from a scalar node; fills `grad` on the leaves.
+
+        The sweep consumes the graph. Once an interior node (one with a
+        `grad_fn`) has pushed its gradient to its parents, its `grad`,
+        `_grad_fn` and `_parents` are cleared and the sweep lets go of it, so
+        its activations and closure are freed while the sweep runs on. Leaves,
+        `Parameter`s among them, keep their `grad`. A later sweep that reaches
+        a consumed node raises NumericError instead of returning zeros.
+        """
         if self.data.size != 1:
             raise NumericError("backward requires a scalar loss node")
         order = _topo_order(self)
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             if node._grad_fn is None:
                 continue
             grads = node._grad_fn(node.grad)
@@ -218,6 +234,7 @@ class Tensor:
                 if g is None or not parent.requires_grad:
                     continue
                 parent.grad = g if parent.grad is None else parent.grad + g
+            node.grad = node._grad_fn = node._parents = None
 
 
 def _is_basic_index(idx) -> bool:
@@ -231,7 +248,8 @@ def _is_basic_index(idx) -> bool:
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
-    """Iterative post-order over nodes that require grad; deterministic."""
+    """Iterative post-order over nodes that require grad; deterministic.
+    Raises NumericError on reaching a node that a sweep has consumed."""
     order: list[Tensor] = []
     visited: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -242,6 +260,8 @@ def _topo_order(root: Tensor) -> list[Tensor]:
             continue
         if id(node) in visited:
             continue
+        if node._parents is None:
+            raise NumericError("backward over a graph that an earlier backward consumed")
         visited.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
@@ -295,7 +315,8 @@ def backward(loss: Tensor, params: Iterable[Parameter]) -> GradientStore:
     """Gradients of a scalar loss for every trainable parameter in `params`.
 
     Parameters not on the loss path get an all-zero entry, which keeps the
-    optimizer loop uniform.
+    optimizer loop uniform. The sweep consumes the loss's graph (see
+    `Tensor.backward`).
     """
     params = list(params)
     zero_grads(params)
@@ -478,19 +499,12 @@ def shift_rows(t: Tensor, axis: int = 1) -> Tensor:
     return _node(out_data, (t,), grad_fn)
 
 
-_causal_masks: dict[tuple[int, int], Array] = {}
-
-
 def causal_mask(n: int, offset: int = 0) -> Array:
     """Additive (n, offset + n) mask for n queries at positions
     offset..offset+n-1 over keys 0..offset+n-1: 0 where the key sits at or
     before the query's position, -inf after it. Offset 0 is the square
     teacher-forced mask."""
-    m = _causal_masks.get((n, offset))
-    if m is None:
-        m = np.triu(np.full((n, offset + n), -np.inf), k=offset + 1)
-        _causal_masks[(n, offset)] = m
-    return m
+    return np.triu(np.full((n, offset + n), -np.inf), k=offset + 1)
 
 
 def attention_map(q, k, causal: bool = True, extra_mask: Array | None = None) -> Tensor:

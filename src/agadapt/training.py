@@ -6,6 +6,12 @@ both adapter sets with the joint objective (cross-entropy plus the weighted
 guidance loss). The backbone is frozen throughout adaptation, and each stage
 ends by averaging the best checkpoints by validation loss.
 
+A training step holds one tape: `_train_step` records the step's graph,
+`backward` consumes it, and the loss and the gradient store go out of scope
+when the step returns, so no activation of a step is alive during the next
+step, validation or the accuracy gate. Only the `avg_count` best checkpoints
+by validation loss are kept as an epoch ends, not one per epoch.
+
 Every head statistic comes from the batched maps of one teacher-forced
 decoder pass (see `guidance`): `select_heads` counts each batch of backbone
 maps at once, `batch_loss` adds one guidance-loss node per step, and
@@ -42,6 +48,7 @@ from .model import (
 )
 from .numerics import (
     OptimizerState,
+    Parameter,
     Tensor,
     adamw_step,
     backward,
@@ -285,10 +292,26 @@ class EpochCheckpoint:
 
 @dataclass
 class RunRecord:
+    """One training run: every epoch's statistics, and the checkpoints kept
+    for averaging (a run keeps only its `avg_count` best, see `keep_best`)."""
+
     stage: str
     epochs: list[EpochStats] = field(default_factory=list)
     checkpoints: list[EpochCheckpoint] = field(default_factory=list)
     final_val_ce: float | None = None
+
+
+def _rank(cp: EpochCheckpoint) -> tuple[float, int]:
+    """Checkpoint order: lower validation loss first, earlier epoch on ties."""
+    return (cp.val_loss, cp.epoch)
+
+
+def keep_best(kept: list[EpochCheckpoint], cp: EpochCheckpoint, k: int) -> None:
+    """Add `cp` to `kept`, then keep only the k best by `_rank`: the k
+    checkpoints that `average_checkpoints` would pick from every one seen."""
+    kept.append(cp)
+    kept.sort(key=_rank)
+    del kept[k:]
 
 
 def average_checkpoints(run: RunRecord, k: int) -> dict[str, np.ndarray]:
@@ -302,7 +325,7 @@ def average_checkpoints(run: RunRecord, k: int) -> dict[str, np.ndarray]:
     if k > len(run.checkpoints):
         raise ConfigError(
             f"cannot average {k} checkpoints, only {len(run.checkpoints)} exist")
-    ranked = sorted(run.checkpoints, key=lambda cp: (cp.val_loss, cp.epoch))[:k]
+    ranked = sorted(run.checkpoints, key=_rank)[:k]
     names = ranked[0].params.keys()
     averaged: dict[str, np.ndarray] = {}
     for name in names:
@@ -320,6 +343,18 @@ def average_checkpoints(run: RunRecord, k: int) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 # Training engine
 # ---------------------------------------------------------------------------
+
+def _train_step(model: Seq2SeqModel, batch: Batch, selection: HeadSelection | None,
+                gamma: float, targets: Mapping[str, GuidanceTarget] | None,
+                opt: OptimizerState, params: Mapping[str, Parameter]
+                ) -> tuple[float, float]:
+    """One AdamW step on one batch; returns (ce_mean, ag_mean). The loss and
+    its gradient store are local, so the step's tape is gone on return."""
+    loss, ce_mean, ag_mean = batch_loss(model, batch, selection, gamma, targets)
+    grads = backward(loss, params.values())
+    adamw_step(opt, params, grads)
+    return ce_mean, ag_mean
+
 
 def _run_training(model: Seq2SeqModel, train_utts: Sequence[Utterance],
                   valid_utts: Sequence[Utterance], cfg: TrainConfig, *,
@@ -348,9 +383,8 @@ def _run_training(model: Seq2SeqModel, train_utts: Sequence[Utterance],
         n_utts = 0
         for bi in order:
             batch = batches[bi]
-            loss, ce_mean, ag_mean = batch_loss(model, batch, selection, gamma, targets)
-            grads = backward(loss, params.values())
-            adamw_step(opt, params, grads)
+            ce_mean, ag_mean = _train_step(model, batch, selection, gamma, targets,
+                                           opt, params)
             b = len(batch.uids)
             ce_acc += ce_mean * b
             ag_acc += ag_mean * b
@@ -359,9 +393,9 @@ def _run_training(model: Seq2SeqModel, train_utts: Sequence[Utterance],
         record.epochs.append(EpochStats(
             epoch=epoch, train_ce=ce_acc / n_utts, train_ag=ag_acc / n_utts,
             val_ce=val_ce, seconds=time.perf_counter() - start))
-        record.checkpoints.append(EpochCheckpoint(
+        keep_best(record.checkpoints, EpochCheckpoint(
             epoch=epoch, val_loss=val_ce,
-            params={n: p.data.copy() for n, p in params.items()}))
+            params={n: p.data.copy() for n, p in params.items()}), cfg.avg_count)
     averaged = average_checkpoints(record, min(cfg.avg_count, len(record.checkpoints)))
     for name, arr in averaged.items():
         model.params[name].data = arr.copy()

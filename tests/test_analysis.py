@@ -1,18 +1,10 @@
-"""Pattern classification and heatmap export."""
+"""Heatmap export."""
 
 import numpy as np
 import pytest
 
-from agadapt.analysis import PATTERN_ORDER, classify_head_pattern, export_heatmap
+from agadapt.analysis import export_heatmap
 from agadapt.errors import ConfigError, DataError
-from agadapt.model import TokenSequence, Vocabulary
-
-VOCAB = Vocabulary.build(5, 5)
-Y = TokenSequence.from_words(VOCAB, [7, 12, 8])  # 9 tokens
-
-
-def tokens_of(y):
-    return [VOCAB.string(t) for t in y.ids]
 
 
 def read_heatmap_csv(path):
@@ -20,55 +12,6 @@ def read_heatmap_csv(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     rows = [[float(v) for v in line.split(",")] for line in lines[1:] if line]
     return lines[0].split(","), np.array(rows)
-
-
-class TestClassifyHeadPattern:
-    def test_identity_is_self(self):
-        label = classify_head_pattern(np.eye(Y.n), Y, VOCAB)
-        assert label.label == "self"
-        assert label.scores["self"] == pytest.approx(1.0)
-
-    def test_subdiagonal_shift_is_neighboring(self):
-        a = np.zeros((Y.n, Y.n))
-        a[0, 0] = 1.0
-        for i in range(1, Y.n):
-            a[i, i - 1] = 1.0
-        label = classify_head_pattern(a, Y, VOCAB)
-        assert label.label == "neighboring"
-
-    def test_lid_column_onehot_is_lid(self):
-        a = np.zeros((Y.n, Y.n))
-        a[:, 1] = 1.0
-        label = classify_head_pattern(a, Y, VOCAB)
-        assert label.label == "lid-token"
-
-    def test_special_columns(self):
-        a = np.zeros((Y.n, Y.n))
-        a[:, 3] = 1.0  # <trans> column
-        label = classify_head_pattern(a, Y, VOCAB)
-        assert label.label == "special-token"
-
-    def test_scores_partition_mass(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            a = rng.random((Y.n, Y.n))
-            a /= a.sum(axis=1, keepdims=True)
-            label = classify_head_pattern(a, Y, VOCAB)
-            assert sum(label.scores.values()) <= 1.0 + 1e-9
-            assert sum(label.scores.values()) == pytest.approx(1.0, abs=1e-9)
-            assert label.label in PATTERN_ORDER
-
-    def test_degenerate_small_map(self):
-        label = classify_head_pattern(np.array([[1.0]]), Y, VOCAB)
-        assert label.label == "other"
-
-    def test_overlap_precedence_self_first(self):
-        # all mass on the (1, 1) cell: diagonal and an LID column overlap
-        a = np.zeros((Y.n, Y.n))
-        a[1, 1] = 1.0
-        label = classify_head_pattern(a, Y, VOCAB)
-        assert label.label == "self"
-        assert label.scores["lid-token"] == 0.0
 
 
 class TestExportHeatmap:

@@ -250,6 +250,14 @@ class TestAdapters:
             model.init_adapters(seed=4)
 
 
+def next_logits(model, frames, toks, frame_mask=None, adapters=True):
+    """Scores of the token after the whole of `toks`: the last row of a full
+    teacher-forced decoder pass's output projection."""
+    memory, col_mask = model.encode(frames, frame_mask, adapters)
+    proj, _ = model._decode_rows(toks, memory, col_mask, adapters)
+    return proj.data[:, -1]
+
+
 def full_forward_greedy(model, frames, frame_mask, prompt_ids, max_new=None):
     """Reference greedy loop: one full teacher-forced forward of the whole
     prefix per emitted token. Returns the content token lists and the
@@ -263,7 +271,7 @@ def full_forward_greedy(model, frames, frame_mask, prompt_ids, max_new=None):
     steps = []
     with no_grad():
         for _ in range(limit):
-            logits = model.forward(frames, toks, frame_mask).next_logits.data
+            logits = next_logits(model, frames, toks, frame_mask)
             steps.append(logits)
             nxt = np.where(done, eot, logits.argmax(axis=-1))
             toks = np.concatenate([toks, nxt[:, None]], axis=1)
@@ -331,9 +339,8 @@ class TestGreedyDecode:
         frames = RNG.normal(size=(3, 6, 8))
         prompt = build_prompt(vocab)
         toks = np.tile(prompt, (3, 1))
-        on = model.forward(frames, toks).next_logits.data
-        off = model.forward(frames, toks, enc_adapters=False,
-                            dec_adapters=False).next_logits.data
+        on = next_logits(model, frames, toks)
+        off = next_logits(model, frames, toks, adapters=False)
         assert not np.array_equal(on, off)  # the adapters change the function
         assert_decode_matches_oracle(model, frames, None, prompt)
 

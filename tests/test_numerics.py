@@ -358,6 +358,33 @@ class TestBackward:
         store = backward(y.sum(), [w])
         np.testing.assert_allclose(store["w"], [6.0])
 
+    def test_sweep_releases_interior_nodes_and_keeps_leaf_grads(self):
+        w = Parameter("w", RNG.normal(size=(4, 3)))
+        b = Parameter("b", RNG.normal(size=3))
+        x = Tensor(RNG.normal(size=(2, 5, 4)), requires_grad=True)  # a plain leaf
+        h = linear(x, w, b)
+        a = gelu(h)
+        y = layer_norm(a + h, Tensor(np.ones(3)), Tensor(np.zeros(3)))
+        loss = cross_entropy(y, np.array([[0, 1, 2, 0, 1], [2, 2, 1, 0, 0]]))
+        interior = [h, a, y, loss]
+        assert all(t._grad_fn is not None and t._parents for t in interior)
+        store = backward(loss, [w, b])
+        for t in interior:
+            assert t.grad is None and t._grad_fn is None and t._parents is None
+        assert x.grad is not None and x.grad.shape == x.shape
+        assert w.grad is store["w"] and b.grad is store["b"]
+        assert np.isfinite(loss.item())  # a consumed node keeps its value
+
+    def test_second_backward_over_consumed_graph_raises(self):
+        w = Parameter("w", np.array([1.0, 2.0]))
+        y = w * w
+        loss = y.sum()
+        backward(loss, [w])
+        with pytest.raises(NumericError, match="consumed"):
+            loss.backward()
+        with pytest.raises(NumericError, match="consumed"):
+            backward((y * 2.0).sum(), [w])  # a new loss over a consumed node
+
 
 # ---------------------------------------------------------------------------
 # elementary op gradients vs the finite-difference oracle

@@ -1,5 +1,6 @@
 """Training machinery at micro scale: losses, stages, averaging, evaluation."""
 
+import gc
 import math
 
 import numpy as np
@@ -15,7 +16,14 @@ from agadapt.model import (
     Vocabulary,
     is_adapter_param,
 )
-from agadapt.numerics import backward, finite_diff_grad, no_grad
+from agadapt.numerics import (
+    Parameter,
+    Tensor,
+    _topo_order,
+    backward,
+    finite_diff_grad,
+    no_grad,
+)
 from agadapt.synthtask import KIND_CS, SynthSpec, Utterance, generate_corpus
 from agadapt.training import (
     EpochCheckpoint,
@@ -27,6 +35,7 @@ from agadapt.training import (
     build_train_config,
     evaluate_model,
     head_counts,
+    keep_best,
     make_batches,
     parse_config_file,
     pretrain_backbone,
@@ -240,6 +249,18 @@ class TestAverageCheckpoints:
         with pytest.raises(ConfigError):
             average_checkpoints(run, 2)
 
+    def test_streaming_top_k_matches_full_list_with_ties(self):
+        rng = np.random.default_rng(8)
+        losses = [3.0, 1.0, 2.0, 1.0, 2.0, 0.5, 2.0, 1.0, 0.5, 3.0]
+        full = self._record([(v, rng.normal(size=4)) for v in losses])
+        for k in range(1, len(losses) + 1):
+            kept = []
+            for i, cp in enumerate(full.checkpoints):
+                keep_best(kept, cp, k)
+                assert len(kept) == min(k, i + 1)
+            streamed = average_checkpoints(RunRecord(stage="x", checkpoints=kept), k)
+            assert np.array_equal(streamed["w"], average_checkpoints(full, k)["w"]), k
+
 
 class TestStages:
     def _cfg(self, **kw):
@@ -313,6 +334,12 @@ class TestStages:
 
         assert run() == run()
 
+    def test_run_keeps_only_the_best_checkpoints(self, adapted_model, corpus):
+        record = run_stage2(adapted_model, corpus["adapt"], corpus["valid"],
+                            self._cfg(epochs=4), None, gamma=0.0)
+        best = sorted(record.epochs, key=lambda e: (e.val_ce, e.epoch))[:2]
+        assert [cp.epoch for cp in record.checkpoints] == [e.epoch for e in best]
+
     def test_pretrain_rejects_cs_and_adapters(self, vocab, corpus):
         model = Seq2SeqModel(MICRO_CONFIG, vocab, seed=1)
         with pytest.raises(DataError):
@@ -320,6 +347,72 @@ class TestStages:
         model.init_adapters(seed=2)
         with pytest.raises(ConfigError):
             pretrain_backbone(model, corpus["pretrain"], corpus["valid"], self._cfg())
+
+
+def retained_backward(loss, params):
+    """Reference reverse sweep that releases nothing: the same order and the
+    same accumulation as `numerics.backward`, but every node keeps its
+    `grad`, `_grad_fn` and `_parents`. Returns the gradient store."""
+    params = list(params)
+    for p in params:
+        p.grad = None
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(_topo_order(loss)):
+        if node._grad_fn is None:
+            continue
+        for parent, g in zip(node._parents, node._grad_fn(node.grad)):
+            if g is not None and parent.requires_grad:
+                parent.grad = g if parent.grad is None else parent.grad + g
+    return {p.name: p.grad if p.grad is not None else np.zeros_like(p.data)
+            for p in params if p.trainable}
+
+
+def live_graph_tensors():
+    """Recorded non-leaf tensors still referenced anywhere, consumed or not."""
+    return sum(1 for obj in gc.get_objects()
+               if isinstance(obj, Tensor) and not isinstance(obj, Parameter)
+               and obj.requires_grad)
+
+
+class TestTapeLifetime:
+    def _assert_matches_retained_sweep(self, model, batch, selection, gamma, targets):
+        params = [p for p in model.params.values() if p.trainable]
+        want = retained_backward(
+            batch_loss(model, batch, selection, gamma, targets)[0], params)
+        got = backward(batch_loss(model, batch, selection, gamma, targets)[0], params)
+        assert got.keys() == want.keys()
+        for name in want:
+            assert np.array_equal(got[name], want[name]), name
+
+    def test_pretrain_gradients_bit_identical_to_retained_sweep(self, vocab, corpus):
+        model = Seq2SeqModel(MICRO_CONFIG, vocab, seed=1)
+        batch = make_batches(corpus["pretrain"], vocab, 8)[0]
+        self._assert_matches_retained_sweep(model, batch, None, 0.0, None)
+
+    def test_adapter_ag_gradients_bit_identical_to_retained_sweep(self, adapted_model,
+                                                                  vocab, corpus):
+        randomise_adapters(adapted_model)
+        utts = corpus["adapt"]
+        targets = {u.uid: guidance_target(u.reference, 0.6) for u in utts}
+        batch = make_batches(utts, vocab, 8)[0]
+        self._assert_matches_retained_sweep(adapted_model, batch, micro_selection(),
+                                            0.5, targets)
+
+    def test_no_tape_alive_at_forward_entry(self, adapted_model, corpus, monkeypatch):
+        cfg = TrainConfig(epochs=1, batch_size=6, avg_count=1, seed=3)
+        counts = []
+        real = Seq2SeqModel.forward
+
+        def counting(self, *args, **kwargs):
+            counts.append(live_graph_tensors())
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Seq2SeqModel, "forward", counting)
+        gc.collect()
+        base = live_graph_tensors()
+        run_stage2(adapted_model, corpus["adapt"], corpus["valid"], cfg, micro_selection())
+        # 4 training steps, then 2 validation batches after the epoch and 2 after averaging
+        assert counts == [base] * 8
 
 
 def oracle_head_counts(model, utts):
