@@ -1,15 +1,26 @@
-"""Binary checkpoint container.
+"""Self-describing model checkpoint, format version 2.
 
-Layout: magic ``AGCK``, version u32, tensor count u32; then per tensor a
-u16 name length, the UTF-8 name, a u8 rank, u32 dims, and the row-major
-little-endian float64 payload. Tensors are written in sorted name order so
-identical states produce identical bytes.
+Layout: magic ``AGCK``, version u32, header length u32, the header, then
+every tensor's row-major little-endian float64 payload in header order. The
+header is UTF-8 JSON with sorted keys: ``model_config`` (every `ModelConfig`
+field), ``vocab`` (``n_words_a``, ``n_words_b``), ``adapters`` (a bool) and
+``tensors``, each parameter's shape by name, so in name order.
+
+The bytes follow from the model alone: two saves of one model are equal, and
+so are a save and the save of what it loads as. `load_model` raises DataError
+for a missing file; another magic or version (a version-1 file is not read);
+a header that is not JSON, lacks a key or has an unknown one; a value not of
+its JSON type (an int field takes an integer, never a bool; a float field any
+number); a config `ModelConfig` rejects; a tensor index other than the
+described model's names and shapes; and a payload longer or shorter than the
+index.
 """
 
 from __future__ import annotations
 
-import math
+import json
 import struct
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -19,93 +30,68 @@ from .errors import DataError
 from .model import ModelConfig, Seq2SeqModel, Vocabulary
 
 MAGIC = b"AGCK"
-VERSION = 1
+VERSION = 2
+PREFIX = struct.Struct("<4sII")  # magic, version, header length
 
-META_KEY = "__meta__"
-
-
-def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
-    with atomic_write(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<I", len(tensors)))
-        for name in sorted(tensors):
-            arr = np.asarray(tensors[name], dtype=np.float64, order="C")
-            encoded = name.encode("utf-8")
-            if len(encoded) > 0xFFFF:
-                raise DataError(f"tensor name too long: {name!r}")
-            if arr.ndim > 0xFF:
-                raise DataError(f"tensor rank too large: {name!r}")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            for dim in arr.shape:
-                fh.write(struct.pack("<I", dim))
-            fh.write(arr.astype("<f8").tobytes())
-
-
-def load_checkpoint(path) -> dict[str, np.ndarray]:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"checkpoint not found: {path}")
-    blob = path.read_bytes()
-
-    def need(offset: int, size: int) -> None:
-        if offset + size > len(blob):
-            raise DataError(f"truncated checkpoint: {path} has {len(blob)} bytes, "
-                            f"needs at least {offset + size}")
-
-    if blob[:4] != MAGIC:
-        raise DataError(f"not a checkpoint file: {path}")
-    need(4, 8)
-    version, count = struct.unpack_from("<II", blob, 4)
-    if version != VERSION:
-        raise DataError(f"unsupported checkpoint version {version}")
-    offset = 12
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        need(offset, 2)
-        (name_len,) = struct.unpack_from("<H", blob, offset)
-        offset += 2
-        need(offset, name_len + 1)  # the name and the rank byte after it
-        try:
-            name = blob[offset:offset + name_len].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"malformed tensor name in checkpoint: {path}") from exc
-        offset += name_len
-        (rank,) = struct.unpack_from("<B", blob, offset)
-        offset += 1
-        need(offset, 4 * rank)
-        dims = struct.unpack_from(f"<{rank}I", blob, offset) if rank else ()
-        offset += 4 * rank
-        size = math.prod(dims)
-        need(offset, 8 * size)
-        arr = np.frombuffer(blob, dtype="<f8", count=size, offset=offset)
-        offset += 8 * size
-        tensors[name] = arr.reshape(dims).astype(np.float64)
-    if offset != len(blob):
-        raise DataError(f"trailing bytes in checkpoint: {path}")
-    return tensors
-
-
-# ---------------------------------------------------------------------------
-# Whole-model persistence
-# ---------------------------------------------------------------------------
-
-def _meta_vector(model: Seq2SeqModel) -> np.ndarray:
-    c = model.config
-    v = model.vocab
-    return np.array([
-        VERSION, c.enc_layers, c.dec_layers, c.heads, c.width, c.ffn_width,
-        c.bottleneck, c.feat_dim, c.max_len, v.n_words_a, v.n_words_b,
-        1.0 if model.has_adapters else 0.0, c.anchored_heads, c.anchor_strength,
-    ], dtype=np.float64)
+HEADER_KEYS = {"model_config", "vocab", "adapters", "tensors"}
+VOCAB_KEYS = {"n_words_a", "n_words_b"}
 
 
 def save_model(path, model: Seq2SeqModel) -> None:
-    tensors = model.state_dict()
-    tensors[META_KEY] = _meta_vector(model)
-    save_checkpoint(path, tensors)
+    header = {
+        "model_config": asdict(model.config),
+        "vocab": {"n_words_a": model.vocab.n_words_a, "n_words_b": model.vocab.n_words_b},
+        "adapters": model.has_adapters,
+        "tensors": {name: list(p.data.shape) for name, p in model.params.items()},
+    }
+    encoded = json.dumps(header, sort_keys=True).encode("utf-8")
+    with atomic_write(path, "wb") as fh:
+        fh.write(PREFIX.pack(MAGIC, VERSION, len(encoded)))
+        fh.write(encoded)
+        for name in sorted(model.params):
+            fh.write(np.ascontiguousarray(model.params[name].data, dtype="<f8").tobytes())
+
+
+def _object(value, keys: set[str], what: str) -> dict:
+    """`value` when it is a JSON object with exactly the keys `keys`."""
+    if not isinstance(value, dict):
+        raise DataError(f"checkpoint {what} must be a JSON object")
+    unknown, missing = sorted(set(value) - keys), sorted(keys - set(value))
+    if unknown or missing:
+        raise DataError(f"checkpoint {what} has unknown keys {unknown} and lacks {missing}")
+    return value
+
+
+def _typed(value, kind: type, what: str):
+    """`value` as a `kind` (int or float) when it is a JSON value of that
+    type: an int is an integer and never a bool, a float any number."""
+    allowed = int if kind is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise DataError(f"checkpoint {what} must be a JSON {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
+def _describe(header) -> Seq2SeqModel:
+    """The freshly initialised model the header describes."""
+    header = _object(header, HEADER_KEYS, "header")
+    values = _object(header["model_config"], {f.name for f in fields(ModelConfig)},
+                     "model_config")
+    config = ModelConfig(**{f.name: _typed(values[f.name], type(f.default), f.name)
+                            for f in fields(ModelConfig)})
+    vocab = _object(header["vocab"], VOCAB_KEYS, "vocab")
+    n_a, n_b = (_typed(vocab[key], int, key) for key in sorted(VOCAB_KEYS))
+    adapters = header["adapters"]
+    if not isinstance(adapters, bool):
+        raise DataError(f"checkpoint adapters flag must be a JSON bool, got {adapters!r}")
+    model = Seq2SeqModel(config, Vocabulary.build(n_a, n_b), seed=0)
+    if adapters:
+        model.init_adapters(seed=0)
+    listed = _object(header["tensors"], set(model.params), "tensor index")
+    for name, p in model.params.items():
+        if listed[name] != list(p.data.shape):
+            raise DataError(f"checkpoint tensor {name} has shape {listed[name]}, "
+                            f"the described model {list(p.data.shape)}")
+    return model
 
 
 def load_model(path, freeze_backbone: bool = True) -> Seq2SeqModel:
@@ -114,24 +100,38 @@ def load_model(path, freeze_backbone: bool = True) -> Seq2SeqModel:
     The backbone is frozen on load; adapter parameters (when present in the
     checkpoint) stay trainable.
     """
-    tensors = load_checkpoint(path)
-    if META_KEY not in tensors:
-        raise DataError("checkpoint is missing model metadata")
-    meta = tensors.pop(META_KEY)
-    if len(meta) != 14:
-        raise DataError("malformed model metadata")
-    (_, enc_layers, dec_layers, heads, width, ffn_width, bottleneck,
-     feat_dim, max_len, n_a, n_b, has_adapters, anchored) = (int(x) for x in meta[:13])
-    config = ModelConfig(enc_layers=enc_layers, dec_layers=dec_layers,
-                         heads=heads, width=width, ffn_width=ffn_width,
-                         bottleneck=bottleneck, feat_dim=feat_dim,
-                         max_len=max_len, anchored_heads=anchored,
-                         anchor_strength=float(meta[13]))
-    vocab = Vocabulary.build(n_a, n_b)
-    model = Seq2SeqModel(config, vocab, seed=0)
-    if has_adapters:
-        model.init_adapters(seed=0)
-    model.load_state(tensors)
+    path = Path(path)
+    if not path.is_file():
+        raise DataError(f"checkpoint not found: {path}")
+    blob = path.read_bytes()
+    if blob[:4] != MAGIC:
+        raise DataError(f"not a checkpoint file: {path}")
+    if len(blob) < PREFIX.size:
+        raise DataError(f"truncated checkpoint: {path} has {len(blob)} bytes")
+    _, version, header_len = PREFIX.unpack_from(blob)
+    if version != VERSION:
+        raise DataError(f"{path} is a version-{version} checkpoint; "
+                        f"only version {VERSION} is read")
+    start = PREFIX.size + header_len
+    if len(blob) < start:
+        raise DataError(f"truncated checkpoint: {path} has {len(blob)} bytes, "
+                        f"its header ends at {start}")
+    try:
+        header = json.loads(blob[PREFIX.size:start].decode("utf-8"))
+    except ValueError as exc:  # also UnicodeDecodeError and JSONDecodeError
+        raise DataError(f"malformed checkpoint header in {path}: {exc}") from exc
+    model = _describe(header)
+    params = [model.params[name] for name in sorted(model.params)]
+    size = start + 8 * sum(p.data.size for p in params)
+    if len(blob) != size:
+        problem = "truncated checkpoint" if len(blob) < size else "trailing bytes in checkpoint"
+        raise DataError(f"{problem}: {path} has {len(blob)} bytes, "
+                        f"its tensor index needs {size}")
+    payload = np.frombuffer(blob, dtype="<f8", offset=start)
+    at = 0
+    for p in params:
+        p.data = payload[at:at + p.data.size].reshape(p.data.shape).astype(np.float64)
+        at += p.data.size
     if freeze_backbone:
         model.freeze_backbone()
     return model

@@ -8,8 +8,9 @@ it:
 
 - The teacher-forced `forward` encodes, then runs all rows at once under a
   square causal mask. Its per-head (B, H, N, N) self-attention maps are what
-  head selection and the guidance loss consume, and its logits are shifted
-  so that row n depends only on tokens strictly before n.
+  head selection and the guidance loss consume. Its logits are the output
+  projection itself: row n sees tokens 0..n and scores token n + 1, which
+  `training.make_batches` places at row n of the batch's targets.
 - `greedy_decode` takes the output of `encode`, computes each layer's
   cross-attention K/V once, runs the prompt as one block and then one query
   row per step, appending each step's self-attention K/V rows to a
@@ -41,7 +42,6 @@ from .numerics import (
     layer_norm,
     linear,
     no_grad,
-    shift_rows,
 )
 
 SOT, ZH, EN, TRANS, NOTS, EOT, BLNK = range(7)
@@ -115,7 +115,6 @@ class Vocabulary:
         tokens = list(specials) + list(words_a) + list(words_b)
         if len(set(tokens)) != len(tokens):
             raise DataError("vocabulary tokens must be unique")
-        self.specials = tuple(specials)
         self._strings = tokens
         self._ids = {s: i for i, s in enumerate(tokens)}
         self.n_words_a = len(words_a)
@@ -147,9 +146,6 @@ class Vocabulary:
         if token_id in self._b_range:
             return LANG_B
         return None
-
-    def is_special(self, token_id: int) -> bool:
-        return token_id < len(self.specials)
 
     def word_ids(self, lang: str) -> list[int]:
         return list(self._a_range if lang == LANG_A else self._b_range)
@@ -207,15 +203,6 @@ class TokenSequence:
     def word_positions(self) -> list[int]:
         return [i for i, t in enumerate(self.lang_tags) if t is not None]
 
-    def validate(self, vocab: Vocabulary, max_len: int) -> None:
-        if self.n > max_len:
-            raise DataError(f"sequence length {self.n} exceeds maximum {max_len}")
-        if len(self.lang_tags) != self.n:
-            raise DataError("language tags must cover every token")
-        if self.lid_positions == (1, 2):
-            if self.ids[:5] != build_prompt(vocab):
-                raise DataError("bilingual sequence must begin with the five-token prompt")
-
 
 # ---------------------------------------------------------------------------
 # Model
@@ -225,8 +212,8 @@ class TokenSequence:
 class ForwardOut:
     """Teacher-forced forward outputs.
 
-    `logits[b, n]` holds the next-token scores over the vocabulary given
-    tokens strictly before position n (row 0 is a constant zero row).
+    `logits[b, n]` holds the scores over the vocabulary for token n + 1,
+    given tokens 0..n; the last row scores the token after the sequence.
     `attention[l]` holds the decoder self-attention maps, shape (B, H, N, N).
     """
 
@@ -609,7 +596,7 @@ class Seq2SeqModel:
         """
         memory, col_mask = self.encode(frames, frame_mask, enc_adapters)
         proj, attn_maps = self._decode_rows(tokens, memory, col_mask, dec_adapters)
-        return ForwardOut(logits=shift_rows(proj, axis=1), attention=attn_maps)
+        return ForwardOut(logits=proj, attention=attn_maps)
 
     # -- decoding -----------------------------------------------------------------
 

@@ -129,12 +129,6 @@ class Tensor:
 
         return _node(a.data - b.data, (a, b), grad_fn)
 
-    def __rsub__(self, other):
-        return as_tensor(other) - self
-
-    def __neg__(self):
-        return _node(-self.data, (self,), lambda g: (-g,))
-
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             c = float(other)
@@ -475,28 +469,6 @@ def embedding(weight: Tensor, ids) -> Tensor:
         return (out.reshape(n_rows, width),)
 
     return _node(w.data[ids], (w,), grad_fn)
-
-
-def shift_rows(t: Tensor, axis: int = 1) -> Tensor:
-    """Shift forward by one along `axis`; position 0 becomes zeros.
-
-    Used to align next-token predictions so that output row n depends only
-    on inputs strictly before n.
-    """
-    t = as_tensor(t)
-    out_data = np.zeros_like(t.data)
-    src = [slice(None)] * t.data.ndim
-    dst = [slice(None)] * t.data.ndim
-    src[axis] = slice(None, -1)
-    dst[axis] = slice(1, None)
-    out_data[tuple(dst)] = t.data[tuple(src)]
-
-    def grad_fn(g):
-        gi = np.zeros_like(g)
-        gi[tuple(src)] = g[tuple(dst)]
-        return (gi,)
-
-    return _node(out_data, (t,), grad_fn)
 
 
 def causal_mask(n: int, offset: int = 0) -> Array:

@@ -76,7 +76,6 @@ class TrainConfig:
     epochs: int = 15
     batch_size: int = 16
     seed: int = 0
-    head_fraction: float = 0.6
     avg_count: int = 3
     mode: str = "two-stage-ag"
     weight_decay: float = 0.01
@@ -93,8 +92,6 @@ class TrainConfig:
             raise ConfigError("batch size must be positive")
         if self.avg_count < 1:
             raise ConfigError("checkpoint-average count must be positive")
-        if not 0.0 <= self.head_fraction <= 1.0:
-            raise ConfigError("head fraction must lie in [0, 1]")
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +181,9 @@ class Batch:
     uids: list[str]
     frames: np.ndarray        # (B, T_max, feat)
     frame_mask: np.ndarray    # (B, T_max) bool
-    tokens: np.ndarray        # (B, N_max) int64, <blnk>-padded
-    ce_mask: np.ndarray       # (B, N_max) float, 1 on predictable rows
+    tokens: np.ndarray        # (B, N_max) int64 decoder input, <blnk>-padded
+    targets: np.ndarray       # (B, N_max) int64, [:, j] = tokens[:, j + 1], <blnk>-padded
+    ce_mask: np.ndarray       # (B, N_max) float, 1 on rows j < length - 1 (a next token)
     lengths: list[int]        # true token lengths
     sequences: list[TokenSequence]
 
@@ -208,6 +206,7 @@ def make_batches(utts: Sequence[Utterance], vocab: Vocabulary,
         frames = np.zeros((b, t_max, feat))
         frame_mask = np.zeros((b, t_max), dtype=bool)
         tokens = np.full((b, n_max), blnk, dtype=np.int64)
+        targets = np.full((b, n_max), blnk, dtype=np.int64)
         ce_mask = np.zeros((b, n_max))
         for i, utt in enumerate(chunk):
             t = utt.frames.shape[0]
@@ -215,10 +214,11 @@ def make_batches(utts: Sequence[Utterance], vocab: Vocabulary,
             frames[i, :t] = utt.frames
             frame_mask[i, :t] = True
             tokens[i, :n] = utt.reference.ids
-            ce_mask[i, 1:n] = 1.0  # row 0 has no left context
+            targets[i, :n - 1] = utt.reference.ids[1:]
+            ce_mask[i, :n - 1] = 1.0
         batches.append(Batch(uids=[u.uid for u in chunk], frames=frames,
                              frame_mask=frame_mask, tokens=tokens,
-                             ce_mask=ce_mask,
+                             targets=targets, ce_mask=ce_mask,
                              lengths=[u.reference.n for u in chunk],
                              sequences=[u.reference for u in chunk]))
     return batches
@@ -230,11 +230,12 @@ def make_batches(utts: Sequence[Utterance], vocab: Vocabulary,
 
 def sequence_ce(model: Seq2SeqModel, batch: Batch,
                 enc_adapters: bool = True, dec_adapters: bool = True):
-    """Summed cross-entropy over all predictable rows of a batch; returns
-    (ce_sum, forward_out) so callers can reuse the attention maps."""
+    """Summed cross-entropy of the logits against the batch's next-token
+    targets over the rows `ce_mask` marks; returns (ce_sum, forward_out) so
+    callers can reuse the attention maps."""
     out = model.forward(batch.frames, batch.tokens, batch.frame_mask,
                         enc_adapters=enc_adapters, dec_adapters=dec_adapters)
-    return cross_entropy(out.logits, batch.tokens, row_mask=batch.ce_mask), out
+    return cross_entropy(out.logits, batch.targets, row_mask=batch.ce_mask), out
 
 
 def batch_loss(model: Seq2SeqModel, batch: Batch, selection: HeadSelection | None,

@@ -1,5 +1,7 @@
 """CLI subcommands and exit codes on a micro corpus."""
 
+import json
+
 import pytest
 
 from agadapt.cli import main
@@ -280,3 +282,21 @@ def test_eval_truncated_checkpoint(data, workdir, capsys):
                    "--report", str(workdir / "truncated.csv")])
         assert rc == 3
         assert "truncated checkpoint" in capsys.readouterr().err
+
+
+def test_eval_checkpoint_with_tensors_the_model_lacks(data, adapted, workdir, capsys):
+    # the header says "no adapters" while the file holds the adapter tensors
+    from agadapt.checkpoint import MAGIC, PREFIX, VERSION
+
+    blob = adapted.read_bytes()
+    _, _, length = PREFIX.unpack_from(blob)
+    header = json.loads(blob[PREFIX.size:PREFIX.size + length])
+    header["adapters"] = False
+    encoded = json.dumps(header, sort_keys=True).encode("utf-8")
+    path = workdir / "mislabelled.ckpt"
+    path.write_bytes(PREFIX.pack(MAGIC, VERSION, len(encoded)) + encoded
+                     + blob[PREFIX.size + length:])
+    rc = main(["eval", "--model", str(path), "--data", str(data),
+               "--report", str(workdir / "mislabelled.csv")])
+    assert rc == 3
+    assert "unknown keys ['dec.0.attn_adapter" in capsys.readouterr().err

@@ -84,16 +84,16 @@ class TestTokenSequence:
         assert y.lid_positions == (1, 2)
         assert y.lang_tags == [None] * 5 + ["A", "B"] + [None]
         assert y.ids[-1] == EOT
-        y.validate(vocab, 32)
 
     def test_rejects_non_word(self, vocab):
         with pytest.raises(DataError):
             TokenSequence.from_words(vocab, [0])
 
-    def test_too_long_rejected(self, vocab):
-        y = TokenSequence.from_words(vocab, [7] * 10)
-        with pytest.raises(DataError):
-            y.validate(vocab, 8)
+    def test_too_long_rejected(self, model, vocab):
+        y = TokenSequence.from_words(vocab, [7] * (model.config.max_len - 5))
+        assert y.n == model.config.max_len + 1
+        with pytest.raises(DataError, match="too long"):
+            model.forward(RNG.normal(size=(1, 4, 8)), np.array([y.ids]))
 
 
 class TestAttentionContracts:
@@ -126,7 +126,7 @@ class TestAttentionContracts:
             perturbed = toks.copy()
             perturbed[0, pos] = 9
             got = model.forward(frames, perturbed).logits.data[0]
-            assert np.array_equal(got[:pos + 1], base[:pos + 1])
+            assert np.array_equal(got[:pos], base[:pos])
 
     def test_depth_stops_with_the_same_maps(self, model, vocab):
         frames = RNG.normal(size=(2, 6, 8))

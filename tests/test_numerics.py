@@ -25,7 +25,6 @@ from agadapt.numerics import (
     layer_norm,
     linear,
     no_grad,
-    shift_rows,
 )
 from scipy.special import erf
 
@@ -484,11 +483,6 @@ class TestOpGradients:
         p = Parameter("p", np.arange(4.0))
         store = backward(p[np.array([2, 2, 0])].sum(), [p])
         assert np.array_equal(store["p"], [1.0, 0.0, 2.0, 0.0])
-
-    def test_shift_rows(self):
-        c = Tensor(RNG.normal(size=(1, 4, 3)))
-        assert gradcheck(lambda p: (shift_rows(p.reshape(1, 4, 3), axis=1) * c).sum(),
-                         RNG.normal(size=(4, 3))) < 1e-6
 
     def test_attention_map_both_inputs(self):
         q0 = RNG.normal(size=(4, 3))

@@ -8,7 +8,7 @@ import pytest
 
 from agadapt import training
 from agadapt.errors import ConfigError, DataError
-from agadapt.guidance import HeadSelection, guidance_target, rank_heads
+from agadapt.guidance import HeadSelection, ag_loss, guidance_target, rank_heads
 from agadapt.model import (
     ModelConfig,
     Seq2SeqModel,
@@ -21,6 +21,7 @@ from agadapt.numerics import (
     Tensor,
     _topo_order,
     backward,
+    cross_entropy,
     finite_diff_grad,
     no_grad,
 )
@@ -83,7 +84,6 @@ class TestConfig:
         assert cfg.c == 0.6
         assert cfg.lr == 1e-3
         assert cfg.epochs == 15
-        assert cfg.head_fraction == 0.6
         assert cfg.avg_count == 3
 
     def test_parse_and_override(self, tmp_path):
@@ -119,6 +119,11 @@ class TestConfig:
         path.write_text("width = 24\nheads = 3\nepochs = 2\n")
         mc = build_model_config(parse_config_file(path))
         assert mc.width == 24 and mc.heads == 3
+
+    def test_head_fraction_is_not_a_run_config_key(self):
+        # the selection fraction is select-heads --fraction; no run reads one
+        with pytest.raises(ConfigError, match="head_fraction"):
+            build_train_config({"head_fraction": "0.3"})
 
     def test_unknown_key_rejected(self, tmp_path):
         # a key that neither TrainConfig nor ModelConfig claims is a typo
@@ -490,6 +495,51 @@ def randomise_adapters(model, seed=4):
     rng = np.random.default_rng(seed)
     for p in model.adapter_params().values():
         p.data = rng.normal(0, 0.05, p.data.shape)
+
+
+def oracle_loss(model, batch, selection, gamma, targets):
+    """`batch_loss` with the next-token alignment spelled out in the loss:
+    the logits of rows 0..N-2 score tokens[:, 1:]."""
+    b = len(batch.uids)
+    out = model.forward(batch.frames, batch.tokens, batch.frame_mask)
+    mask = np.zeros((b, batch.tokens.shape[1] - 1))
+    for i, n in enumerate(batch.lengths):
+        mask[i, :n - 1] = 1.0
+    loss = cross_entropy(out.logits[:, :-1], batch.tokens[:, 1:], row_mask=mask) * (1.0 / b)
+    if gamma == 0.0:
+        return loss
+    ag = ag_loss(out.attention, selection, [targets[uid] for uid in batch.uids])
+    return loss + gamma * (ag * (1.0 / b))
+
+
+class TestNextTokenAlignment:
+    def _assert_matches_oracle(self, model, batch, selection, gamma, targets):
+        params = [p for p in model.params.values() if p.trainable]
+        want = backward(oracle_loss(model, batch, selection, gamma, targets), params)
+        got = backward(batch_loss(model, batch, selection, gamma, targets)[0], params)
+        assert got.keys() == want.keys()
+        for name in want:  # bytes, so the sign of a zero counts too
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+    def test_batch_targets_are_the_tokens_shifted_left(self, vocab, corpus):
+        batch = make_batches(corpus["adapt"], vocab, 8)[0]
+        for i, n in enumerate(batch.lengths):
+            assert np.array_equal(batch.targets[i, :n - 1], batch.tokens[i, 1:n])
+            assert np.all(batch.targets[i, n - 1:] == vocab.id("<blnk>"))
+            assert np.array_equal(batch.ce_mask[i], np.arange(batch.tokens.shape[1]) < n - 1)
+
+    def test_pretrain_gradients_bit_identical_to_oracle(self, vocab, corpus):
+        model = Seq2SeqModel(MICRO_CONFIG, vocab, seed=1)
+        batch = make_batches(corpus["pretrain"], vocab, 8)[0]
+        self._assert_matches_oracle(model, batch, None, 0.0, None)
+
+    def test_adapter_ag_gradients_bit_identical_to_oracle(self, adapted_model, vocab,
+                                                          corpus):
+        randomise_adapters(adapted_model)
+        utts = corpus["adapt"]
+        targets = {u.uid: guidance_target(u.reference, 0.6) for u in utts}
+        batch = make_batches(utts, vocab, 8)[0]
+        self._assert_matches_oracle(adapted_model, batch, micro_selection(), 0.5, targets)
 
 
 class TestEvaluation:
