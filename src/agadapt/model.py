@@ -16,8 +16,9 @@ it:
   row per step, appending each step's self-attention K/V rows to a
   per-layer `DecoderCache`. Evaluation reuses the same memory for a
   teacher-forced `_decode_rows` pass whose maps give the LID attribution,
-  so a test chunk is encoded once; that pass stops at the deepest layer
-  holding a selected head.
+  so each test utterance is encoded once, 16 rows at a time; that pass
+  stops at the deepest layer holding a selected head. Head selection runs
+  `encode` and `_decode_rows` through the last layer's self-attention maps.
 
 Bottleneck adapters (down-project, GELU, up-project, residual) sit after the
 attention sub-block and after the feed-forward sub-block of every layer; with
@@ -427,11 +428,18 @@ class Seq2SeqModel:
         return {n: p.data.copy() for n, p in self.params.items()}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
+        """Set every parameter from `state`, which must hold exactly this
+        model's parameter names, each with its parameter's shape. A state
+        that fails either check raises DataError and changes nothing."""
+        extra = sorted(set(state) - set(self.params))
+        if extra:
+            raise DataError(f"state has entries the model lacks: {', '.join(extra)}")
         for name, p in self.params.items():
             if name not in state:
                 raise DataError(f"state is missing parameter {name!r}")
             if state[name].shape != p.data.shape:
                 raise DataError(f"state shape mismatch for {name!r}")
+        for name, p in self.params.items():
             p.data = np.array(state[name], dtype=np.float64)
 
     # -- forward ----------------------------------------------------------------

@@ -15,9 +15,10 @@ by validation loss are kept as an epoch ends, not one per epoch.
 Every head statistic comes from the batched maps of one teacher-forced
 decoder pass (see `guidance`): `select_heads` counts each batch of backbone
 maps at once, `batch_loss` adds one guidance-loss node per step, and
-`evaluate_model` encodes each test chunk once, decodes from that memory, and
-attributes languages from a teacher-forced pass over the references on the
-same memory, run only through the deepest selected layer.
+`evaluate_model` encodes each utterance once, 16 rows at a time, decodes each
+chunk of 64 from that memory, and attributes languages from a teacher-forced
+pass over the references on the same memory, run only through the deepest
+selected layer.
 """
 
 from __future__ import annotations
@@ -505,16 +506,21 @@ OMEGA = (1, 2)  # LID positions in the bilingual prompt
 def _backbone_maps(model: Seq2SeqModel, utts: Sequence[Utterance], batch_size: int):
     """(attention, lengths) of each teacher-forced batch of the
     bilingual-prompt utterances, with adapters disabled: selection runs on
-    the backbone alone. Batches are computed as they are consumed."""
+    the backbone alone. Batches are computed as they are consumed, and each
+    decoder pass stops at the last layer's self-attention maps, the deepest
+    thing a count reads."""
     seqs = [u for u in utts if len(u.reference.lid_positions) == 2]
     if not seqs:
         raise DataError("head selection needs bilingual-prompt utterances")
 
     def maps(batch: Batch):
         with no_grad():
-            out = model.forward(batch.frames, batch.tokens, batch.frame_mask,
-                                enc_adapters=False, dec_adapters=False)
-        return out.attention, batch.lengths
+            memory, col_mask = model.encode(batch.frames, batch.frame_mask,
+                                            enc_adapters=False)
+            _, attention = model._decode_rows(batch.tokens, memory, col_mask,
+                                              dec_adapters=False,
+                                              depth=model.config.dec_layers)
+        return attention, batch.lengths
 
     return (maps(batch) for batch in make_batches(seqs, model.vocab, batch_size))
 
@@ -550,14 +556,45 @@ class EvalReport:
         return out
 
 
+# Rows per `encode` call while decoding a test set. A chunk's greedy decode
+# runs 64 rows per step, because a step's cost is mostly per call (5.1 ms at
+# 64 rows, 2.1 ms at 16), but its encoder activations fall out of L2 at 64:
+# over the 600 eval-decode test utterances (2-vCPU host, one BLAS thread,
+# medians of 15 interleaved repetitions) the encoder took 360 ms in 64-row
+# calls, 342 ms at 32, 293 ms at 16 and 306 ms at 8, and the
+# (64, T, ffn_width) FFN activations set evaluation's peak memory. Blocking is the tiling of FlashAttention (arXiv:2205.14135).
+ENCODE_ROWS = 16
+
+
+def _encode_blocked(model: Seq2SeqModel, frames: np.ndarray,
+                    mask: np.ndarray) -> tuple[Tensor, np.ndarray]:
+    """`model.encode(frames, mask)`, run `ENCODE_ROWS` rows at a time; the
+    blocks' memory and column mask are concatenated along the batch."""
+    blocks = [model.encode(frames[i:i + ENCODE_ROWS], mask[i:i + ENCODE_ROWS])
+              for i in range(0, len(frames), ENCODE_ROWS)]
+    return (Tensor(np.concatenate([m.data for m, _ in blocks])),
+            np.concatenate([c for _, c in blocks]))
+
+
 def _decode_set(model: Seq2SeqModel, utts: Sequence[Utterance], prompt: list[int],
                 selection: HeadSelection | None = None,
                 chunk: int = 64) -> tuple[dict[str, list[int]], tuple[int, int]]:
     """Greedy hypotheses by utterance id, decoded in chunks of similar frame
-    length, each encoded once. With a selection, also the LID attribution
-    (correct, total) of the code-switched utterances: a teacher-forced
-    decoder pass over their references, on the memory their chunk was
-    decoded from and through the deepest selected layer, supplies the maps."""
+    length. With a selection, also the LID attribution (correct, total) of
+    the code-switched utterances: a teacher-forced decoder pass over their
+    references, on the memory their chunk was decoded from and through the
+    deepest selected layer, supplies the maps.
+
+    Each utterance is encoded once, `ENCODE_ROWS` rows at a time at its
+    chunk's padded length, and the blocks' memory is concatenated into the
+    chunk's. That memory is bit-identical to one whole-chunk `encode`,
+    because every encoder op is row-local (layer norm over the width,
+    attention within one sequence, projections row by row) and a GEMM row's
+    result does not depend on how many rows share the call as long as the
+    call has at least 2 rows; a call with 1 row takes BLAS's GEMV path,
+    which rounds differently. Every projection of a block has at least 2
+    rows whenever the chunk's padded length T is at least 2.
+    """
     hyps: dict[str, list[int]] = {}
     correct = total = 0
     blnk = model.vocab.id("<blnk>")
@@ -573,7 +610,7 @@ def _decode_set(model: Seq2SeqModel, utts: Sequence[Utterance], prompt: list[int
             frames[i, :t] = utt.frames
             mask[i, :t] = True
         with no_grad():
-            memory, col_mask = model.encode(frames, mask)
+            memory, col_mask = _encode_blocked(model, frames, mask)
             decoded = model.greedy_decode(memory, col_mask, prompt)
             rows = [i for i, utt in enumerate(group) if utt.kind == KIND_CS]
             if selection is not None and rows:
@@ -622,8 +659,9 @@ def evaluate_model(model: Seq2SeqModel, test_sets: Mapping[str, Sequence[Utteran
     """Greedy-decode the three test sets and report error rates, plus, when
     heads are given, the LID-attribution accuracy: the fraction of word
     tokens of the code-switched utterances whose mean selected-head map
-    favours their own language's LID column. Each chunk of a test set is
-    encoded once; the model's full `forward` is never called."""
+    favours their own language's LID column. Each utterance is encoded
+    once, 16 rows at a time (see `_decode_set`); the model's full `forward`
+    is never called."""
     for name, utts in test_sets.items():
         if not utts:
             raise DataError(f"test set {name!r} is empty")

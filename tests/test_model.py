@@ -397,3 +397,37 @@ class TestGreedyDecode:
         frames = Tensor(RNG.normal(size=(2, 6, 8)))
         with pytest.raises(DataError, match="output of encode"):
             model.greedy_decode(frames, None, build_prompt(vocab))
+
+
+class TestLoadState:
+    def test_round_trips_its_own_state(self, model, small_config, vocab):
+        clone = Seq2SeqModel(small_config, vocab, seed=5)
+        clone.load_state(model.state_dict())
+        for name, p in model.params.items():
+            assert np.array_equal(clone.params[name].data, p.data), name
+
+    def test_rejects_entries_the_model_lacks(self, model):
+        state = {**model.state_dict(), "bogus": np.zeros(3), "also.bogus": np.zeros(1)}
+        with pytest.raises(DataError, match="lacks: also.bogus, bogus"):
+            model.load_state(state)
+
+    def test_rejects_missing_and_misshapen_entries(self, model):
+        state = model.state_dict()
+        del state["enc.in_proj.weight"]
+        with pytest.raises(DataError, match="missing parameter 'enc.in_proj.weight'"):
+            model.load_state(state)
+        state = {**model.state_dict(), "enc.in_proj.bias": np.zeros(1)}
+        with pytest.raises(DataError, match="shape mismatch for 'enc.in_proj.bias'"):
+            model.load_state(state)
+
+    def test_rejected_state_changes_nothing(self, model, small_config, vocab):
+        # the misshapen entry is the last parameter, so every other would
+        # already be overwritten by a load that checks as it goes
+        before = model.state_dict()
+        state = Seq2SeqModel(small_config, vocab, seed=5).state_dict()
+        last = list(model.params)[-1]
+        state[last] = np.zeros(1)
+        with pytest.raises(DataError, match=f"shape mismatch for '{last}'"):
+            model.load_state(state)
+        for name, p in model.params.items():
+            assert np.array_equal(p.data, before[name]), name

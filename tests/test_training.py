@@ -1,7 +1,7 @@
 """Training machinery at micro scale: losses, stages, averaging, evaluation."""
 
 import gc
-import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from agadapt.model import (
     Seq2SeqModel,
     TokenSequence,
     Vocabulary,
+    build_prompt,
     is_adapter_param,
 )
 from agadapt.numerics import (
@@ -464,6 +465,21 @@ class TestSelectHeadsIntegration:
             assert sel.counts == want
             assert sel.selected == rank_heads(want)[:3]
 
+    def test_never_runs_forward(self, vocab, corpus, monkeypatch):
+        # the decoder pass stops at the last layer's self-attention maps
+        config = ModelConfig(**{**MICRO_CONFIG.__dict__, "dec_layers": 2})
+        model = Seq2SeqModel(config, vocab, seed=1)
+        model.freeze_backbone()
+        utts = corpus["adapt"]
+        want = oracle_head_counts(model, utts)
+
+        def no_forward(self, *args, **kwargs):
+            raise AssertionError("head selection ran the full forward")
+
+        monkeypatch.setattr(Seq2SeqModel, "forward", no_forward)
+        assert head_counts(model, utts).counts == want
+        assert select_heads(model, utts, top_k=2).counts == want
+
     def test_needs_bilingual_utterances(self, vocab, corpus):
         model = Seq2SeqModel(MICRO_CONFIG, vocab, seed=1)
         with pytest.raises(DataError, match="bilingual"):
@@ -561,21 +577,107 @@ class TestEvaluation:
 
     def test_encodes_once_per_chunk_and_never_runs_forward(self, adapted_model, vocab,
                                                            monkeypatch):
+        # every utterance's frames are encoded exactly once, in blocks of at
+        # most ENCODE_ROWS rows, and the full forward never runs
         corpus = generate_corpus(MICRO_SPEC, vocab, {**MICRO_SIZES, "test-cs": 70})
         sets = {name: corpus[name] for name in ("test-cs", "test-mono-a", "test-mono-b")}
-        calls = {"encode": 0, "forward": 0}
-        for name in calls:
-            real = getattr(Seq2SeqModel, name)
+        blocks = []
+        real_encode = Seq2SeqModel.encode
 
-            def counting(self, *args, _real=real, _name=name, **kwargs):
-                calls[_name] += 1
-                return _real(self, *args, **kwargs)
+        def counting_encode(self, frames, *args, **kwargs):
+            blocks.append(len(frames))
+            return real_encode(self, frames, *args, **kwargs)
 
-            monkeypatch.setattr(Seq2SeqModel, name, counting)
+        def no_forward(self, *args, **kwargs):
+            raise AssertionError("evaluation ran the full forward")
+
+        monkeypatch.setattr(Seq2SeqModel, "encode", counting_encode)
+        monkeypatch.setattr(Seq2SeqModel, "forward", no_forward)
         evaluate_model(adapted_model, sets, selection=micro_selection())
-        chunks = sum(math.ceil(len(utts) / 64) for utts in sets.values())
-        assert chunks == 4
-        assert calls == {"encode": chunks, "forward": 0}
+        assert sum(blocks) == sum(len(utts) for utts in sets.values()) == 82
+        assert max(blocks) == training.ENCODE_ROWS
+        assert len(blocks) == 7  # chunks 64 + 6, 6 and 6; the 64 in four blocks
+
+    def test_blocked_memory_bit_identical_on_every_chunk(self, monkeypatch):
+        """At the default model size, every chunk's blocked memory and column
+        mask equal one whole-chunk `encode`, and the hypotheses and LID counts
+        equal a whole-chunk oracle's. Decoding stops after two tokens: the
+        memory is what blocking can change."""
+        vocab = Vocabulary.build()
+        sizes = {"pretrain": 0, "adapt": 0, "valid": 0, "test-mono-a": 200,
+                 "test-mono-b": 200, "test-cs": 200}
+        corpus = generate_corpus(SynthSpec(seed=3), vocab, sizes)
+        model = Seq2SeqModel(ModelConfig(), vocab, seed=2)
+        model.init_adapters(seed=3)
+        randomise_adapters(model)
+        sel = HeadSelection(counts={(l, h): 0 for l in range(2) for h in range(4)},
+                            dataset_size=1, selected=[(1, 0), (1, 1)])
+        real_decode = Seq2SeqModel.greedy_decode
+        monkeypatch.setattr(Seq2SeqModel, "greedy_decode",
+                            lambda self, *a: real_decode(self, *a, max_new=2))
+        prompt = build_prompt(vocab)
+        real_blocked = training._encode_blocked
+        chunk_rows = []
+
+        def checked(model, frames, mask):
+            memory, col_mask = real_blocked(model, frames, mask)
+            with no_grad():
+                whole, whole_mask = model.encode(frames, mask)
+            assert np.array_equal(memory.data, whole.data)
+            assert np.array_equal(col_mask, whole_mask)
+            chunk_rows.append(len(frames))
+            return memory, col_mask
+
+        monkeypatch.setattr(training, "_encode_blocked", checked)
+        got = {name: training._decode_set(model, corpus[name], prompt, sel)
+               for name in sorted(corpus) if corpus[name]}
+        assert chunk_rows == [64, 64, 64, 8] * 3
+        monkeypatch.setattr(training, "_encode_blocked",
+                            lambda model, frames, mask: model.encode(frames, mask))
+        want = {name: training._decode_set(model, corpus[name], prompt, sel)
+                for name in got}
+        assert got == want
+        assert got["test-cs"][1][1] > 0
+
+    @pytest.mark.parametrize("with_selection", [False, True])
+    def test_decode_set_matches_whole_chunk_oracle(self, adapted_model, vocab,
+                                                   monkeypatch, with_selection):
+        randomise_adapters(adapted_model)
+        corpus = generate_corpus(MICRO_SPEC, vocab, {**MICRO_SIZES, "test-cs": 70})
+        utts = corpus["test-cs"] + corpus["test-mono-a"]
+        sel = micro_selection() if with_selection else None
+        prompt = build_prompt(vocab)
+        got = training._decode_set(adapted_model, utts, prompt, sel)
+        monkeypatch.setattr(training, "_encode_blocked",
+                            lambda model, frames, mask: model.encode(frames, mask))
+        want = training._decode_set(adapted_model, utts, prompt, sel)
+        assert got == want
+        assert (got[1][1] > 0) == with_selection
+
+    def test_decode_working_set_below_whole_chunk_encode(self, monkeypatch):
+        """The traced peak of decoding one 64-utterance chunk stays below
+        that of encoding the chunk in one call (at the parent design, which
+        encoded the whole chunk, it was above)."""
+        vocab = Vocabulary.build()
+        spec = SynthSpec(words_min=9, words_max=9, frames_min=4, frames_max=4)
+        sizes = {"pretrain": 0, "adapt": 0, "valid": 0, "test-mono-a": 64,
+                 "test-mono-b": 0, "test-cs": 0}
+        utts = generate_corpus(spec, vocab, sizes)["test-mono-a"]
+        assert {u.frames.shape[0] for u in utts} == {36}
+        model = Seq2SeqModel(ModelConfig(), vocab, seed=0)
+        frames = np.stack([u.frames for u in utts])
+        mask = np.ones(frames.shape[:2], dtype=bool)
+        tracemalloc.start()
+        try:
+            with no_grad():
+                model.encode(frames, mask)
+            whole_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            training._decode_set(model, utts, build_prompt(vocab))
+            decode_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert decode_peak < whole_peak
 
     def test_validation_ce_finite(self, adapted_model, vocab, corpus):
         batches = make_batches(corpus["valid"], vocab, 8)
