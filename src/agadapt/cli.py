@@ -8,6 +8,7 @@ inspect-attention. Exit codes: 0 success, 2 config error, 3 data error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -15,7 +16,7 @@ import numpy as np
 from . import analysis, checkpoint, guidance, synthtask, training
 from .atomicio import atomic_write
 from .errors import ConfigError, DataError, NumericError
-from .model import ModelConfig, Seq2SeqModel, Vocabulary, extract_attention
+from .model import FIRST_GUIDABLE_LAYER, Seq2SeqModel, Vocabulary, extract_attention
 from .numerics import no_grad
 
 EXIT_OK = 0
@@ -72,15 +73,12 @@ def cmd_pretrain(args) -> int:
 def cmd_select_heads(args) -> int:
     model = checkpoint.load_model(args.backbone)
     _, _, utts = synthtask.read_split(args.data, "adapt")
-    if args.strategy == "random":
-        counted = training.head_counts(model, utts)
-        selection = guidance.select_random_heads(
-            counted.counts, counted.dataset_size, args.fraction, seed=args.seed or 0)
-    elif args.strategy == "all":
-        n_heads = model.config.dec_layers * model.config.heads
-        selection = training.select_heads(model, utts, top_k=n_heads)
-    else:
-        selection = training.select_heads(model, utts, fraction=args.fraction)
+    selection = training.select_heads(model, utts, args.fraction)
+    if args.strategy == "all":
+        selection.selected = guidance.candidate_heads(selection.counts)
+    elif args.strategy == "random":
+        selection.selected = guidance.random_heads(selection.counts, args.fraction,
+                                                   seed=args.seed or 0)
     if not selection.selected:
         raise ConfigError(
             f"no heads selected ({args.strategy} strategy, fraction {args.fraction}): "
@@ -103,6 +101,14 @@ def cmd_adapt(args) -> int:
     model = checkpoint.load_model(args.backbone)
     if model.has_adapters:
         raise DataError("backbone checkpoint already contains adapters")
+    for f in dataclasses.fields(model.config):
+        if f.name not in values:
+            continue
+        want = training.coerce_value(f.name, values[f.name], type(f.default))
+        have = getattr(model.config, f.name)
+        if want != have:
+            raise ConfigError(f"config sets {f.name} = {want!r}, but the backbone "
+                              f"has {f.name} = {have!r}")
     _, _, train_utts = synthtask.read_split(args.data, "adapt")
     _, _, valid_utts = synthtask.read_split(args.data, "valid")
     selection = None
@@ -192,7 +198,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backbone", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--fraction", type=float, default=0.6)
-    p.add_argument("--strategy", choices=("top", "all", "random"), default="top")
+    p.add_argument("--strategy", choices=("top", "all", "random"), default="top",
+                   help="top: the top fraction of the qualifying candidate heads; "
+                        "all: every candidate head; random: a seeded draw of "
+                        "fraction x the candidate heads. Candidates are the heads of "
+                        f"decoder layers {FIRST_GUIDABLE_LAYER} and up")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_select_heads)

@@ -1,19 +1,27 @@
 """Language-aware attention guidance over batched decoder self-attention maps.
 
-Every head statistic of the method is read from one object: each decoder
-layer's (B, H, N, N) self-attention maps, the lengths of the B sequences
-(rows past a length are padding) and the two language-ID columns omega.
+Every head statistic of the method reads the same two inputs: each decoder
+layer's (B, H, N, N) self-attention maps and the batch's B `TokenSequence`s.
+A sequence's length marks its valid rows (rows past it are padding), and its
+language tags mark its language-A and language-B word rows. Each sequence
+must carry the bilingual prompt, whose LID tokens sit at the map columns
+`model.LID_COLUMNS`; one without it raises DataError.
 
 - `lid_counts` gives, for each head, how many sequences of a batch put more
   mass on the LID columns than on all other columns combined, over their
   valid rows; `count_heads` adds these up over a dataset, and
-  `count_and_select` ranks the heads and picks the top ones.
-- `ag_loss` builds the soft guidance target and the valid-row mask of a
-  batch and returns one tape node, `numerics.column_squared_error`: the
-  squared error between the selected heads' LID columns and the target,
-  summed over heads, valid rows and the two columns. Its backward,
-  2 (a - t) on valid rows, is written into those two columns only, so every
-  other column gets an exactly zero gradient.
+  `count_and_select` picks the top candidates.
+- Every head is counted, but only candidate heads are selected: those of
+  decoder layers `model.FIRST_GUIDABLE_LAYER` and up, as no adapter feeds a
+  layer-0 map. `candidate_heads` ranks them by count and `random_heads`
+  draws from them.
+- `ag_loss` builds the soft goal of a batch (c on a word row's own
+  language's column, 0 on every other valid row and column) and returns one
+  tape node, `numerics.column_squared_error`: the squared error between the
+  selected heads' LID columns and the goal, summed over heads, valid rows
+  and the two columns. Its backward, 2 (a - goal) on valid rows, is written
+  into those two columns only, so every other column gets an exactly zero
+  gradient.
 - `lid_attribution` counts the word tokens whose mean selected-head map puts
   at least as much mass on their own language's LID column as on the other.
 """
@@ -27,7 +35,7 @@ import numpy as np
 
 from .atomicio import atomic_write
 from .errors import ConfigError, DataError, NumericError
-from .model import LANG_A, LANG_B, TokenSequence
+from .model import FIRST_GUIDABLE_LAYER, LANG_A, LANG_B, LID_COLUMNS, TokenSequence
 from .numerics import Tensor, as_tensor, column_squared_error
 
 HeadIndex = tuple[int, int]
@@ -39,54 +47,57 @@ def _data(maps) -> np.ndarray:
     return maps.data if isinstance(maps, Tensor) else np.asarray(maps, dtype=np.float64)
 
 
-def _valid_rows(lengths: Sequence[int], n: int) -> np.ndarray:
-    """(B, n) bool mask that is True on the first lengths[b] rows of sequence b."""
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if np.any(lengths < 1) or np.any(lengths > n):
-        raise DataError(f"sequence lengths must lie in [1, {n}]")
-    return np.arange(n) < lengths[:, None]
+def _row_masks(sequences: Sequence[TokenSequence], b: int,
+               n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(valid, lang_a, lang_b), each (b, n) bool: the rows each sequence
+    holds, and its word rows of language A and of language B. Raises
+    DataError unless there are b sequences, each at most n long and each
+    carrying the bilingual prompt."""
+    if len(sequences) != b:
+        raise DataError(f"{len(sequences)} sequences for a batch of {b} maps")
+    valid = np.zeros((b, n), dtype=bool)
+    lang_a = np.zeros((b, n), dtype=bool)
+    lang_b = np.zeros((b, n), dtype=bool)
+    for i, seq in enumerate(sequences):
+        if tuple(seq.lid_positions) != LID_COLUMNS:
+            raise DataError("head statistics need sequences with the bilingual prompt")
+        if seq.n > n:
+            raise DataError(f"sequence of length {seq.n} exceeds the map width {n}")
+        valid[i, :seq.n] = True
+        lang_a[i, :seq.n] = [tag == LANG_A for tag in seq.lang_tags]
+        lang_b[i, :seq.n] = [tag == LANG_B for tag in seq.lang_tags]
+    return valid, lang_a, lang_b
 
 
-def _check_heads(attention: Sequence, heads: Sequence[HeadIndex],
-                 omega: tuple[int, int]) -> None:
-    """Raise DataError unless every listed (layer, head) and both `omega`
-    columns exist in the per-layer (B, H, N, N) `attention`."""
-    if len(omega) != 2:
-        raise DataError("omega must hold exactly two column indices")
-    n = _data(attention[0]).shape[-1]
-    for j in omega:
-        if not 0 <= j < n:
-            raise DataError(f"omega column {j} out of range for width {n}")
+def _check_heads(attention: Sequence, heads: Sequence[HeadIndex]) -> None:
+    """Raise DataError unless every listed (layer, head) exists in the
+    per-layer (B, H, N, N) `attention`."""
     for layer, head in heads:
         if not (0 <= layer < len(attention) and 0 <= head < _data(attention[layer]).shape[1]):
             raise DataError(f"selected head {(layer, head)} missing from attention maps")
 
 
-def _lid_columns(attention: Sequence, heads: Sequence[HeadIndex],
-                 omega: tuple[int, int]) -> np.ndarray:
-    """(B, K, N, 2): the two `omega` columns of each listed (layer, head) map
-    of the per-layer (B, H, N, N) `attention`, in list order."""
-    _check_heads(attention, heads, omega)
-    return np.stack([_data(attention[layer])[:, head][..., list(omega)]
+def _lid_columns(attention: Sequence, heads: Sequence[HeadIndex]) -> np.ndarray:
+    """(B, K, N, 2): the two LID columns of each listed (layer, head) map of
+    the per-layer (B, H, N, N) `attention`, in list order."""
+    _check_heads(attention, heads)
+    return np.stack([_data(attention[layer])[:, head][..., list(LID_COLUMNS)]
                      for layer, head in heads], axis=1)
 
 
-def lid_counts(attention: Sequence, lengths: Sequence[int],
-               omega: tuple[int, int]) -> np.ndarray:
+def lid_counts(attention: Sequence, sequences: Sequence[TokenSequence]) -> np.ndarray:
     """(L, H) indicator counts of one batch: how many of its sequences put
-    more total mass on the `omega` columns than on all other columns
-    combined, summing over each sequence's valid rows (prompt rows
-    included). A valid row that is not stochastic raises NumericError."""
+    more total mass on the LID columns than on all other columns combined,
+    summing over each sequence's valid rows (prompt rows included). A valid
+    row that is not stochastic raises NumericError."""
     layers = len(attention)
     b, heads, n, _ = _data(attention[0]).shape
-    if len(lengths) != b:
-        raise DataError(f"{len(lengths)} lengths for a batch of {b} maps")
     every = [(layer, head) for layer in range(layers) for head in range(heads)]
-    valid = _valid_rows(lengths, n)[:, None, :]
+    valid = _row_masks(sequences, b, n)[0][:, None, :]
     row_sums = np.concatenate([_data(a).sum(axis=-1) for a in attention], axis=1)
     if np.any(valid & (np.abs(row_sums - 1.0) > ROW_SUM_TOL)):
         raise NumericError("attention rows must be stochastic")
-    lid = np.where(valid, _lid_columns(attention, every, omega).sum(axis=-1), 0.0).sum(axis=-1)
+    lid = np.where(valid, _lid_columns(attention, every).sum(axis=-1), 0.0).sum(axis=-1)
     total = np.where(valid, row_sums, 0.0).sum(axis=-1)
     return (lid > total - lid).sum(axis=0).reshape(layers, heads)
 
@@ -110,137 +121,89 @@ class HeadSelection:
 
     @property
     def qualifying(self) -> list[HeadIndex]:
+        """Candidate heads whose count clears the bar, in (layer, head) order."""
         bar = self.threshold
-        return sorted(h for h, c in self.counts.items() if c > bar)
+        return sorted(h for h in candidate_heads(self.counts) if self.counts[h] > bar)
 
     def require_nonempty(self) -> None:
         if not self.selected:
             raise ConfigError("head selection is empty")
 
 
-def rank_heads(counts: Mapping[HeadIndex, int]) -> list[HeadIndex]:
-    """Heads ordered by count descending, ties broken by (layer, head) ascending."""
-    return sorted(counts, key=lambda h: (-counts[h], h[0], h[1]))
+def candidate_heads(counts: Mapping[HeadIndex, int]) -> list[HeadIndex]:
+    """The heads of decoder layers FIRST_GUIDABLE_LAYER and up, by count
+    descending, ties broken by (layer, head) ascending."""
+    return sorted((h for h in counts if h[0] >= FIRST_GUIDABLE_LAYER),
+                  key=lambda h: (-counts[h], h[0], h[1]))
 
 
-def count_heads(batches: Iterable[tuple[Sequence, Sequence[int]]],
-                omega: tuple[int, int]) -> HeadSelection:
+def random_heads(counts: Mapping[HeadIndex, int], fraction: float,
+                 seed: int) -> list[HeadIndex]:
+    """Ablation selector: a seeded uniform draw of round(fraction * K) of the
+    K candidate heads, ignoring their counts, in (layer, head) order."""
+    if not 0.0 <= fraction <= 1.0:
+        raise ConfigError("head fraction must lie in [0, 1]")
+    heads = sorted(candidate_heads(counts))
+    picked = np.random.default_rng(seed).choice(len(heads), size=round(fraction * len(heads)),
+                                                replace=False)
+    return sorted(heads[i] for i in picked)
+
+
+def count_heads(batches: Iterable[tuple[Sequence, Sequence[TokenSequence]]]) -> HeadSelection:
     """Indicator counts of every head over a dataset given as
-    (attention, lengths) batches; the returned selection is empty."""
+    (attention, sequences) batches; the returned selection is empty."""
     total = None
     size = 0
-    for attention, lengths in batches:
-        counts = lid_counts(attention, lengths, omega)
+    for attention, sequences in batches:
+        counts = lid_counts(attention, sequences)
         if total is None:
             total = counts
         elif counts.shape != total.shape:
             raise DataError("inconsistent head sets across batches")
         else:
             total += counts
-        size += len(lengths)
+        size += len(sequences)
     if size == 0:
         raise DataError("head selection requires a non-empty dataset")
     return HeadSelection(counts={(layer, head): int(c) for (layer, head), c
                                  in np.ndenumerate(total)}, dataset_size=size)
 
 
-def count_and_select(batches: Iterable[tuple[Sequence, Sequence[int]]],
-                     omega: tuple[int, int], top_k: int | None = None,
-                     fraction: float | None = None) -> HeadSelection:
-    """Count every head over a dataset of (attention, lengths) batches and
-    pick the top heads.
-
-    Exactly one of `top_k` and `fraction` must be given. A fraction selects
-    round(fraction * |qualifying|) heads, where qualifying heads pass the
-    majority bar; an absolute K ranks all heads by count.
-    """
-    if (top_k is None) == (fraction is None):
-        raise ConfigError("specify exactly one of top_k and fraction")
-    selection = count_heads(batches, omega)
-    if fraction is not None:
-        if not 0.0 <= fraction <= 1.0:
-            raise ConfigError("head fraction must lie in [0, 1]")
-        top_k = round(fraction * len(selection.qualifying))
-    if top_k < 0 or top_k > len(selection.counts):
-        raise ConfigError(f"top_k {top_k} out of range for {len(selection.counts)} heads")
-    selection.selected = rank_heads(selection.counts)[:top_k]
+def count_and_select(batches: Iterable[tuple[Sequence, Sequence[TokenSequence]]],
+                     fraction: float) -> HeadSelection:
+    """Count every head over a dataset of (attention, sequences) batches and
+    select the top round(fraction * |qualifying|) candidate heads, where the
+    qualifying candidates are those that pass the majority bar."""
+    if not 0.0 <= fraction <= 1.0:
+        raise ConfigError("head fraction must lie in [0, 1]")
+    selection = count_heads(batches)
+    top = round(fraction * len(selection.qualifying))
+    selection.selected = candidate_heads(selection.counts)[:top]
     return selection
 
 
-def select_random_heads(counts: Mapping[HeadIndex, int], dataset_size: int,
-                        fraction: float, seed: int) -> HeadSelection:
-    """Ablation selector: a seeded uniform draw of round(fraction * total)
-    heads from all heads, ignoring the indicator ranking."""
-    if not 0.0 <= fraction <= 1.0:
-        raise ConfigError("head fraction must lie in [0, 1]")
-    heads = sorted(counts)
-    k = round(fraction * len(heads))
-    rng = np.random.default_rng(seed)
-    picked = rng.choice(len(heads), size=k, replace=False)
-    selected = sorted(heads[i] for i in picked)
-    return HeadSelection(counts=dict(counts), dataset_size=dataset_size,
-                         selected=selected)
-
-
 # ---------------------------------------------------------------------------
-# Guidance target and loss
+# Guidance loss and attribution
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GuidanceTarget:
-    """Soft targets for the two language-ID columns of an attention map.
+def ag_loss(attention: Sequence, sequences: Sequence[TokenSequence],
+            selection: HeadSelection, c: float) -> Tensor:
+    """Squared error between the selected heads' LID columns and the soft
+    goal with label `c`, summed over the heads (a repeated head counts
+    twice), the batch, each sequence's valid rows and the two LID columns.
 
-    `matrix[i]` holds the (zh-column, en-column) targets for row i: word rows
-    get the soft label c on their own language's column and 0 on the other;
-    special-token rows get (0, 0). Non-LID columns carry no target at all.
-    """
-
-    n: int
-    omega: tuple[int, int]
-    c: float
-    matrix: np.ndarray  # (n, 2)
-
-
-def guidance_target(y: TokenSequence, c: float) -> GuidanceTarget:
-    if not 0.5 < c < 1.0:
-        raise ConfigError("soft label out of range (need 0.5 < c < 1)")
-    if len(y.lid_positions) != 2:
-        raise DataError("guidance requires a bilingual sequence with two LID positions")
-    matrix = np.zeros((y.n, 2))
-    for i, tag in enumerate(y.lang_tags):
-        if tag == LANG_A:
-            matrix[i, 0] = c
-        elif tag == LANG_B:
-            matrix[i, 1] = c
-    return GuidanceTarget(n=y.n, omega=tuple(y.lid_positions), c=c, matrix=matrix)
-
-
-def ag_loss(attention: Sequence, selection: HeadSelection,
-            targets: Sequence[GuidanceTarget]) -> Tensor:
-    """Squared error between the selected heads' LID columns and the
-    targets, summed over the heads (a repeated head counts twice), the
-    batch, each sequence's valid rows and the two LID columns.
-
-    `attention` holds each decoder layer's (B, H, N, N) maps, as graph
-    tensors or arrays; `targets[b]` covers the first targets[b].n rows of
-    sequence b, and every target must name the same two LID columns. The
-    result is one tape node over the layers that hold a selected head, so
-    gradients flow back through the maps into the decoder adapters.
+    `attention` holds each decoder layer's (B, H, N, N) maps over the
+    <blnk>-padded `sequences`, as graph tensors or arrays. The result is one
+    tape node over the layers that hold a selected head, so gradients flow
+    back through the maps into the decoder adapters.
     """
     selection.require_nonempty()
     maps = [as_tensor(a) for a in attention]
     b, _, n, _ = maps[0].shape
-    if len(targets) != b:
-        raise DataError(f"{len(targets)} guidance targets for a batch of {b} maps")
-    omega = tuple(targets[0].omega)
-    if any(tuple(t.omega) != omega for t in targets):
-        raise DataError("guidance targets disagree on the LID columns")
-    valid = _valid_rows([t.n for t in targets], n)
-    goal = np.zeros((b, n, 2))
-    for i, target in enumerate(targets):
-        goal[i, :target.n] = target.matrix
-    _check_heads(maps, selection.selected, omega)
-    return column_squared_error(maps, selection.selected, omega, goal, valid)
+    valid, lang_a, lang_b = _row_masks(sequences, b, n)
+    goal = c * np.stack([lang_a, lang_b], axis=-1)
+    _check_heads(maps, selection.selected)
+    return column_squared_error(maps, selection.selected, LID_COLUMNS, goal, valid)
 
 
 def lid_attribution(attention: Sequence, sequences: Sequence[TokenSequence],
@@ -251,27 +214,16 @@ def lid_attribution(attention: Sequence, sequences: Sequence[TokenSequence],
     (a tie counts as language A).
 
     `attention` holds each decoder layer's (B, H, N, N) maps over the
-    <blnk>-padded `sequences`, which must all carry the same two LID
-    positions.
+    <blnk>-padded `sequences`.
     """
     selection.require_nonempty()
-    omega = tuple(sequences[0].lid_positions)
-    if len(omega) != 2 or any(tuple(s.lid_positions) != omega for s in sequences):
-        raise DataError("attribution needs bilingual sequences with shared LID positions")
     b, _, n, _ = _data(attention[0]).shape
-    if len(sequences) != b:
-        raise DataError(f"{len(sequences)} sequences for a batch of {b} maps")
-    mean = _lid_columns(attention, selection.selected, omega).sum(axis=1)
+    _, lang_a, lang_b = _row_masks(sequences, b, n)
+    mean = _lid_columns(attention, selection.selected).sum(axis=1)
     mean /= len(selection.selected)
     says_a = mean[..., 0] >= mean[..., 1]
-    is_word = np.zeros(says_a.shape, dtype=bool)
-    is_a = np.zeros(says_a.shape, dtype=bool)
-    for i, seq in enumerate(sequences):
-        if seq.n > n:
-            raise DataError(f"sequence of length {seq.n} exceeds the map width {n}")
-        is_word[i, :seq.n] = [tag is not None for tag in seq.lang_tags]
-        is_a[i, :seq.n] = [tag == LANG_A for tag in seq.lang_tags]
-    return int(np.sum(is_word & (says_a == is_a))), int(np.sum(is_word))
+    is_word = lang_a | lang_b
+    return int(np.sum(is_word & (says_a == lang_a))), int(np.sum(is_word))
 
 
 # ---------------------------------------------------------------------------

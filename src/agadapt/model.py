@@ -173,6 +173,11 @@ def build_prompt(vocab: Vocabulary, lang: str | None = None) -> list[int]:
     raise DataError(f"unknown language {lang!r}")
 
 
+# Positions of <zh> and <en> in the bilingual prompt: the two LID columns of
+# every decoder self-attention map that head statistics read.
+LID_COLUMNS = (1, 2)
+
+
 @dataclass
 class TokenSequence:
     """Prompt tokens plus word tokens and the end marker, with language tags."""
@@ -193,7 +198,7 @@ class TokenSequence:
             tags.append(tag)
         ids = prompt + list(word_ids) + [vocab.id("<eot>")]
         tags.append(None)
-        lid_positions = (1, 2) if lang is None else (1,)
+        lid_positions = LID_COLUMNS if lang is None else (1,)
         return cls(ids=ids, lang_tags=tags, lid_positions=lid_positions)
 
     @property
@@ -233,6 +238,13 @@ class AdapterSummary:
 
     def format(self) -> str:
         return f"{self.adapter_count:,} ({self.fraction:.1%})"
+
+
+# The first decoder adapter sits after layer 0's cross-attention, so no adapter
+# feeds layer 0's self-attention maps, and guiding one of its heads sends no
+# gradient anywhere. Head selection offers, and guided training accepts, only
+# heads of decoder layers from this one up.
+FIRST_GUIDABLE_LAYER = 1
 
 
 def is_adapter_param(name: str) -> bool:

@@ -12,9 +12,13 @@ when the step returns, so no activation of a step is alive during the next
 step, validation or the accuracy gate. Only the `avg_count` best checkpoints
 by validation loss are kept as an epoch ends, not one per epoch.
 
-Every head statistic comes from the batched maps of one teacher-forced
-decoder pass (see `guidance`): `select_heads` counts each batch of backbone
-maps at once, `batch_loss` adds one guidance-loss node per step, and
+Every head statistic reads the batched maps of one teacher-forced decoder
+pass together with the batch's token sequences (see `guidance`):
+`select_heads` counts every head of each batch of backbone maps at once and
+selects only candidate heads, those of decoder layers
+`model.FIRST_GUIDABLE_LAYER` and up; `run_stage2` refuses to guide any other
+head; `batch_loss` adds one guidance-loss node per step, its goal built from
+the batch's sequences and the soft label `TrainConfig.c`; and
 `evaluate_model` encodes each utterance once, 16 rows at a time, decodes each
 chunk of 64 from that memory, and attributes languages from a teacher-forced
 pass over the references on the same memory, run only through the deepest
@@ -31,16 +35,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
-from .guidance import (
-    GuidanceTarget,
-    HeadSelection,
-    ag_loss,
-    count_and_select,
-    count_heads,
-    guidance_target,
-    lid_attribution,
-)
+from .guidance import HeadSelection, ag_loss, count_and_select, lid_attribution
 from .model import (
+    FIRST_GUIDABLE_LAYER,
     ModelConfig,
     Seq2SeqModel,
     TokenSequence,
@@ -85,6 +82,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.gamma < 0:
             raise ConfigError("gamma must be non-negative")
+        if not 0.5 < self.c < 1.0:
+            raise ConfigError("soft label c out of range (need 0.5 < c < 1)")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
         if self.epochs < 1 or self.pretrain_epochs < 1:
@@ -240,11 +239,10 @@ def sequence_ce(model: Seq2SeqModel, batch: Batch,
 
 
 def batch_loss(model: Seq2SeqModel, batch: Batch, selection: HeadSelection | None,
-               gamma: float, targets: Mapping[str, GuidanceTarget] | None
-               ) -> tuple[Tensor, float, float]:
+               gamma: float, c: float) -> tuple[Tensor, float, float]:
     """Joint loss for one batch: mean per-utterance CE plus gamma times the
-    mean per-utterance guidance loss, which is one `ag_loss` node over the
-    whole batch. Returns (loss, ce_mean, ag_mean)."""
+    mean per-utterance guidance loss with soft label c, which is one
+    `ag_loss` node over the whole batch. Returns (loss, ce_mean, ag_mean)."""
     b = len(batch.uids)
     ce_sum, out = sequence_ce(model, batch)
     ce_mean = ce_sum * (1.0 / b)
@@ -252,7 +250,7 @@ def batch_loss(model: Seq2SeqModel, batch: Batch, selection: HeadSelection | Non
         return ce_mean, ce_mean.item(), 0.0
     if selection is None:
         raise ConfigError("guidance weight is positive but no head selection given")
-    ag_total = ag_loss(out.attention, selection, [targets[uid] for uid in batch.uids])
+    ag_total = ag_loss(out.attention, batch.sequences, selection, c)
     ag_mean = ag_total * (1.0 / b)
     loss = ce_mean + gamma * ag_mean
     return loss, ce_mean.item(), ag_mean.item()
@@ -347,12 +345,11 @@ def average_checkpoints(run: RunRecord, k: int) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def _train_step(model: Seq2SeqModel, batch: Batch, selection: HeadSelection | None,
-                gamma: float, targets: Mapping[str, GuidanceTarget] | None,
-                opt: OptimizerState, params: Mapping[str, Parameter]
-                ) -> tuple[float, float]:
+                gamma: float, c: float, opt: OptimizerState,
+                params: Mapping[str, Parameter]) -> tuple[float, float]:
     """One AdamW step on one batch; returns (ce_mean, ag_mean). The loss and
     its gradient store are local, so the step's tape is gone on return."""
-    loss, ce_mean, ag_mean = batch_loss(model, batch, selection, gamma, targets)
+    loss, ce_mean, ag_mean = batch_loss(model, batch, selection, gamma, c)
     grads = backward(loss, params.values())
     adamw_step(opt, params, grads)
     return ce_mean, ag_mean
@@ -372,9 +369,6 @@ def _run_training(model: Seq2SeqModel, train_utts: Sequence[Utterance],
     valid_batches = make_batches(valid_utts, model.vocab, cfg.batch_size)
     if not batches:
         raise DataError("training set is empty")
-    targets = None
-    if gamma > 0.0:
-        targets = {u.uid: guidance_target(u.reference, cfg.c) for u in train_utts}
     shuffle_rng = np.random.default_rng([cfg.seed, 977, stage_tag])
     record = RunRecord(stage=stage)
     for epoch in range(epochs):
@@ -385,7 +379,7 @@ def _run_training(model: Seq2SeqModel, train_utts: Sequence[Utterance],
         n_utts = 0
         for bi in order:
             batch = batches[bi]
-            ce_mean, ag_mean = _train_step(model, batch, selection, gamma, targets,
+            ce_mean, ag_mean = _train_step(model, batch, selection, gamma, cfg.c,
                                            opt, params)
             b = len(batch.uids)
             ce_acc += ce_mean * b
@@ -416,6 +410,18 @@ def run_stage1(model: Seq2SeqModel, train_utts: Sequence[Utterance],
                          gamma=0.0, epochs=cfg.epochs)
 
 
+def _check_guided(selection: HeadSelection | None) -> None:
+    """Raise ConfigError unless `selection` names at least one head and only
+    heads that guidance can move."""
+    if selection is None:
+        raise ConfigError("guided training requires a head selection")
+    selection.require_nonempty()
+    unguidable = [h for h in selection.selected if h[0] < FIRST_GUIDABLE_LAYER]
+    if unguidable:
+        raise ConfigError(f"heads {unguidable} cannot be guided: no adapter feeds "
+                          f"decoder layers below {FIRST_GUIDABLE_LAYER}")
+
+
 def run_stage2(model: Seq2SeqModel, train_utts: Sequence[Utterance],
                valid_utts: Sequence[Utterance], cfg: TrainConfig,
                selection: HeadSelection | None,
@@ -425,9 +431,7 @@ def run_stage2(model: Seq2SeqModel, train_utts: Sequence[Utterance],
         raise ConfigError("stage 2 requires initialised adapters")
     gamma = cfg.gamma if gamma is None else gamma
     if gamma > 0.0:
-        if selection is None:
-            raise ConfigError("guided training requires a head selection")
-        selection.require_nonempty()
+        _check_guided(selection)
     names = sorted(model.adapter_params())
     return _run_training(model, train_utts, valid_utts, cfg, stage="stage2",
                          stage_tag=2, param_names=names, selection=selection,
@@ -443,6 +447,8 @@ def run_adaptation(model: Seq2SeqModel, train_utts: Sequence[Utterance],
     if cfg.mode == "one-stage-ag":
         return [run_stage2(model, train_utts, valid_utts, cfg, selection)]
     if cfg.mode == "two-stage-ag":
+        if cfg.gamma > 0.0:
+            _check_guided(selection)  # before stage 1, not after it
         first = run_stage1(model, train_utts, valid_utts, cfg)
         second = run_stage2(model, train_utts, valid_utts, cfg, selection)
         return [first, second]
@@ -500,18 +506,11 @@ def pretrain_backbone(model: Seq2SeqModel, pretrain_utts: Sequence[Utterance],
 # Head selection over the frozen backbone
 # ---------------------------------------------------------------------------
 
-OMEGA = (1, 2)  # LID positions in the bilingual prompt
-
-
-def _backbone_maps(model: Seq2SeqModel, utts: Sequence[Utterance], batch_size: int):
-    """(attention, lengths) of each teacher-forced batch of the
-    bilingual-prompt utterances, with adapters disabled: selection runs on
-    the backbone alone. Batches are computed as they are consumed, and each
-    decoder pass stops at the last layer's self-attention maps, the deepest
-    thing a count reads."""
-    seqs = [u for u in utts if len(u.reference.lid_positions) == 2]
-    if not seqs:
-        raise DataError("head selection needs bilingual-prompt utterances")
+def _backbone_maps(model: Seq2SeqModel, utts: Sequence[Utterance]):
+    """(attention, sequences) of each teacher-forced batch of 32 utterances,
+    with adapters disabled: selection runs on the backbone alone. Batches
+    are computed as they are consumed, and each decoder pass stops at the
+    last layer's self-attention maps, the deepest thing a count reads."""
 
     def maps(batch: Batch):
         with no_grad():
@@ -520,22 +519,16 @@ def _backbone_maps(model: Seq2SeqModel, utts: Sequence[Utterance], batch_size: i
             _, attention = model._decode_rows(batch.tokens, memory, col_mask,
                                               dec_adapters=False,
                                               depth=model.config.dec_layers)
-        return attention, batch.lengths
+        return attention, batch.sequences
 
-    return (maps(batch) for batch in make_batches(seqs, model.vocab, batch_size))
-
-
-def head_counts(model: Seq2SeqModel, utts: Sequence[Utterance]) -> HeadSelection:
-    """Indicator counts of every backbone head, with nothing selected."""
-    return count_heads(_backbone_maps(model, utts, 32), OMEGA)
+    return (maps(batch) for batch in make_batches(utts, model.vocab, 32))
 
 
 def select_heads(model: Seq2SeqModel, utts: Sequence[Utterance],
-                 fraction: float | None = None, top_k: int | None = None,
-                 batch_size: int = 32) -> HeadSelection:
-    """Count every backbone head and pick the top ones (see `count_and_select`)."""
-    return count_and_select(_backbone_maps(model, utts, batch_size), OMEGA,
-                            top_k=top_k, fraction=fraction)
+                 fraction: float) -> HeadSelection:
+    """Count every backbone head over the bilingual-prompt `utts` and select
+    the top candidates (see `count_and_select`)."""
+    return count_and_select(_backbone_maps(model, utts), fraction)
 
 
 # ---------------------------------------------------------------------------

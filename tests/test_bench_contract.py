@@ -1,7 +1,9 @@
 """The benchmark's view of the program: `perfbench/run.py --trace 1` wraps
 functions by (owner, attribute) name and reads some of their positional
 arguments. A rename or a reordered signature here would silently break a
-traced run, so these tests load its `trace_targets()` and check each one."""
+traced run, so these tests load its `trace_targets()` and check each one.
+`perfbench/workloads.py` drives the program's public API, so each of its
+workloads is also set up and run once at 8 utterances per split."""
 
 import importlib.util
 import inspect
@@ -25,6 +27,17 @@ def targets():
         mp.setitem(sys.modules, spec.name, run)  # its dataclasses look it up
         spec.loader.exec_module(run)
         return run.trace_targets()
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    with pytest.MonkeyPatch.context() as mp:
+        spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                      PERFBENCH / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        mp.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+        spec.loader.exec_module(module)
+        return module
 
 
 def positional(function) -> list[str]:
@@ -59,3 +72,16 @@ def test_decode_annotator_counts_emitted_tokens(targets):
     # a hypothesis shorter than the limit also emitted its <eot>
     want = sum(len(h) + (len(h) < 3) for h in hyps)
     assert annotate(args, {}, hyps) == {"emitted": want}
+
+
+@pytest.mark.parametrize("name", ["pretrain", "adapt-ag", "eval-decode"])
+def test_workload_unit_runs_clean(workloads, name, tmp_path, monkeypatch):
+    monkeypatch.setattr(workloads, "SIZES", {workload: dict.fromkeys(splits, 8)
+                                             for workload, splits in workloads.SIZES.items()})
+    inputs = workloads.setup(name, 0, tmp_path, workloads.load_prepared())
+    unit = workloads.UNITS[name](inputs, 0)
+    result = unit.run(unit.fresh())
+    assert result.failures == []
+    assert result.utterances > 0
+    if name == "adapt-ag":  # layer-0 counts are 0 on the prepared backbone
+        assert result.quality["heads"] == "[(1, 0), (1, 1)]"

@@ -23,7 +23,7 @@ def micro_files(workdir):
         "n_test_mono_b = 6\nn_test_cs = 6\n")
     train = workdir / "train.cfg"
     train.write_text(
-        "enc_layers = 1\ndec_layers = 1\nheads = 2\nwidth = 12\n"
+        "enc_layers = 1\ndec_layers = 2\nheads = 2\nwidth = 12\n"
         "ffn_width = 24\nbottleneck = 3\nfeat_dim = 6\n"
         "epochs = 1\npretrain_epochs = 1\nbatch_size = 16\navg_count = 1\n"
         "anchored_heads = 0\n")
@@ -63,7 +63,8 @@ def backbone(micro_files, data):
 
 @pytest.fixture(scope="module")
 def heads(micro_files, data, backbone):
-    # the shared heads file for downstream tests selects every head
+    # the shared heads file for downstream tests selects every candidate
+    # head, the two of decoder layer 1
     rc = main(["select-heads", "--backbone", str(backbone), "--data", str(data),
                "--strategy", "all", "--out", str(micro_files["heads"])])
     assert rc == 0
@@ -186,11 +187,13 @@ def test_select_heads_random_strategy(data, backbone, workdir, capsys):
                "--out", str(out)])
     assert rc == 0
     sel = load_head_selection(out)
-    assert len(sel.selected) == 1  # half of 2 heads
+    assert len(sel.selected) == 1  # half of the 2 candidate heads of layer 1
     # every head's count is printed, and the drawn head is marked
     lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("head (")]
-    assert [ln.split(":")[0] for ln in lines] == ["head (0, 0)", "head (0, 1)"]
+    assert [ln.split(":")[0] for ln in lines] == [
+        "head (0, 0)", "head (0, 1)", "head (1, 0)", "head (1, 1)"]
     layer, head = sel.selected[0]
+    assert layer == 1
     marked = [ln for ln in lines if ln.endswith(" selected")]
     assert marked == [f"head ({layer}, {head}): count {sel.counts[(layer, head)]} selected"]
 
@@ -204,6 +207,58 @@ def test_adapt_guided_without_heads_fails(micro_files, data, backbone, workdir):
                "--data", str(data), "--config", str(micro_files["train"]),
                "--out", str(workdir / "x.ckpt")])
     assert rc == 2
+
+
+def test_adapt_model_key_must_match_backbone(micro_files, data, backbone, workdir,
+                                             capsys):
+    cfg = workdir / "bottleneck.cfg"
+    cfg.write_text(micro_files["train"].read_text().replace("bottleneck = 3",
+                                                            "bottleneck = 16"))
+    out = workdir / "bottleneck.ckpt"
+    rc = main(["adapt", "--mode", "one-stage", "--backbone", str(backbone),
+               "--data", str(data), "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    assert "bottleneck = 16, but the backbone has bottleneck = 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_adapt_bad_soft_label_fails_before_training(micro_files, data, backbone, heads,
+                                                    workdir, capsys, monkeypatch):
+    from agadapt import training
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(training, "_run_training", no_training)
+    cfg = workdir / "c.cfg"
+    cfg.write_text(micro_files["train"].read_text() + "c = 0.3\n")
+    out = workdir / "c.ckpt"
+    rc = main(["adapt", "--mode", "two-stage-ag", "--backbone", str(backbone),
+               "--data", str(data), "--heads", str(heads), "--config", str(cfg),
+               "--out", str(out)])
+    assert rc == 2
+    assert "soft label" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["one-stage-ag", "two-stage-ag"])
+def test_adapt_unguidable_head_fails_before_training(micro_files, data, backbone, workdir,
+                                                     capsys, monkeypatch, mode):
+    from agadapt import training
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(training, "_run_training", no_training)
+    layer0 = workdir / "layer0.tsv"
+    layer0.write_text("# dataset_size=32\tthreshold=16.0\n0\t1\t20\n")
+    out = workdir / "layer0.ckpt"
+    rc = main(["adapt", "--mode", mode, "--backbone", str(backbone),
+               "--data", str(data), "--heads", str(layer0),
+               "--config", str(micro_files["train"]), "--out", str(out)])
+    assert rc == 2
+    assert "[(0, 1)] cannot be guided" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_adapt_two_stage_guided(micro_files, data, backbone, heads, workdir):

@@ -1,31 +1,40 @@
-"""Head statistics over batched attention maps: the language indicator and
-head counts, selection, guidance targets, the AG loss and LID attribution.
-The batched functions are checked against per-utterance oracles, the loops
-they replaced, kept here."""
+"""Head statistics over batched attention maps and token sequences: the
+language indicator and head counts, selection, the guidance goal, the AG
+loss and LID attribution. The batched functions are checked against
+per-utterance oracles, the loops they replaced, kept here."""
+
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
 from agadapt.errors import ConfigError, DataError, NumericError
 from agadapt.guidance import (
-    GuidanceTarget,
     HeadSelection,
     ag_loss,
+    candidate_heads,
     count_and_select,
     count_heads,
-    guidance_target,
     lid_attribution,
     lid_counts,
     load_head_selection,
-    rank_heads,
+    random_heads,
     save_head_selection,
-    select_random_heads,
 )
-from agadapt.model import LANG_A, TokenSequence, Vocabulary
+from agadapt.model import LANG_A, LANG_B, LID_COLUMNS, TokenSequence, Vocabulary
 from agadapt.numerics import Parameter, Tensor, backward, finite_diff_grad
+from agadapt.training import TrainConfig
 
 RNG = np.random.default_rng(77)
-OMEGA = (1, 2)
+
+
+def sequence(n, tags=None):
+    """A length-n sequence with the bilingual prompt's LID positions and the
+    per-row language `tags` (default: no word rows). The statistics read a
+    sequence's length, tags and LID positions only, so its ids are
+    placeholders."""
+    return TokenSequence(ids=[0] * n, lang_tags=list(tags or [None] * n),
+                         lid_positions=LID_COLUMNS)
 
 
 def random_stochastic(n, rng):
@@ -49,7 +58,7 @@ def brute_force_indicator(a, omega):
 
 def pad_batch(maps_per_utterance, rng=RNG):
     """Per-utterance {(layer, head): (n, n) map} dicts as per-layer
-    (B, H, N, N) maps plus lengths. Padding rows hold junk that is not even
+    (B, H, N, N) maps plus one length-n sequence each. Padding rows hold junk that is not even
     stochastic, so a batched statistic that reads them fails its oracle;
     padding columns of valid rows are 0, as the causal mask leaves them."""
     heads = sorted(maps_per_utterance[0])
@@ -62,7 +71,7 @@ def pad_batch(maps_per_utterance, rng=RNG):
         for (layer, head), a in maps.items():
             attention[layer][i, head, :lengths[i], :] = 0.0
             attention[layer][i, head, :lengths[i], :lengths[i]] = a
-    return attention, lengths
+    return attention, [sequence(n) for n in lengths]
 
 
 def as_batches(maps_per_utterance, size=3):
@@ -70,9 +79,9 @@ def as_batches(maps_per_utterance, size=3):
             for i in range(0, len(maps_per_utterance), size)]
 
 
-def indicator(a, omega):
+def indicator(a):
     """`lid_counts` on a batch holding the single map `a`."""
-    return int(lid_counts([np.asarray(a)[None, None]], [len(a)], omega)[0, 0])
+    return int(lid_counts([np.asarray(a)[None, None]], [sequence(len(a))])[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +96,22 @@ def oracle_counts(maps_per_utterance, omega):
             lid_mass = a[:, list(omega)].sum()
             counts[head] += int(lid_mass > a.sum() - lid_mass)
     return counts
+
+
+Target = namedtuple("Target", "n omega matrix")
+
+
+def oracle_target(seq, c=0.6):
+    """The per-utterance guidance target that the batched goal replaced:
+    row i holds the (zh-column, en-column) targets, c on a word row's own
+    language's column and 0 elsewhere."""
+    matrix = np.zeros((seq.n, 2))
+    for i, tag in enumerate(seq.lang_tags):
+        if tag == LANG_A:
+            matrix[i, 0] = c
+        elif tag == LANG_B:
+            matrix[i, 1] = c
+    return Target(n=seq.n, omega=tuple(seq.lid_positions), matrix=matrix)
 
 
 def oracle_ag_loss(maps, selection, target):
@@ -125,7 +150,7 @@ def random_dataset(rng, lengths, layers=2, heads=3):
         for head in [(l, h) for l in range(layers) for h in range(heads)]:
             a = random_stochastic(n, rng)
             if rng.random() < 0.5:
-                a[:, list(OMEGA)] += rng.random() * 4
+                a[:, list(LID_COLUMNS)] += rng.random() * 4
                 a /= a.sum(axis=1, keepdims=True)
             maps[head] = a
         data.append(maps)
@@ -135,12 +160,12 @@ def random_dataset(rng, lengths, layers=2, heads=3):
 class TestLidIndicator:
     def test_uniform_map_is_zero(self):
         a = np.full((6, 6), 1 / 6)
-        assert indicator(a, OMEGA) == 0
+        assert indicator(a) == 0
 
     def test_onehot_lid_column_is_one(self):
         a = np.zeros((5, 5))
         a[:, 1] = 1.0
-        assert indicator(a, OMEGA) == 1
+        assert indicator(a) == 1
 
     def test_against_brute_force(self):
         rng = np.random.default_rng(5)
@@ -150,40 +175,42 @@ class TestLidIndicator:
             if rng.random() < 0.5:
                 a[:, [1, 2]] += rng.random() * 4
                 a = a / a.sum(axis=1, keepdims=True)
-            assert indicator(a, (1, 2)) == brute_force_indicator(a, (1, 2))
+            assert indicator(a) == brute_force_indicator(a, (1, 2))
 
     def test_rejects_non_stochastic(self):
         a = np.full((3, 3), 0.5)
         with pytest.raises(NumericError):
-            indicator(a, OMEGA)
+            indicator(a)
 
-    def test_rejects_bad_omega(self):
-        a = np.full((3, 3), 1 / 3)
-        with pytest.raises(DataError):
-            indicator(a, (1,))
-        with pytest.raises(DataError):
-            indicator(a, (1, 7))
+    def test_rejects_sequence_without_bilingual_prompt(self):
+        vocab = Vocabulary.build(4, 4)
+        mono = TokenSequence.from_words(vocab, [vocab.word_ids("A")[0]], "A")
+        a = np.full((mono.n, mono.n), 1 / mono.n)
+        with pytest.raises(DataError, match="bilingual prompt"):
+            lid_counts([a[None, None]], [mono])
+        with pytest.raises(DataError):  # two sequences for a batch of one
+            lid_counts([a[None, None]], [sequence(mono.n)] * 2)
 
     def test_invariant_under_non_lid_permutation(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
             a = random_stochastic(7, rng)
-            non_lid = [j for j in range(7) if j not in OMEGA]
+            non_lid = [j for j in range(7) if j not in LID_COLUMNS]
             perm = list(rng.permutation(non_lid))
             cols = list(range(7))
             for src, dst in zip(non_lid, perm):
                 cols[src] = dst
-            assert indicator(a, OMEGA) == indicator(a[:, cols], OMEGA)
+            assert indicator(a) == indicator(a[:, cols])
 
     def test_non_stochastic_padding_row_is_ignored(self):
         # the junk rows of a shorter sequence are not checked, but its
         # valid rows are
-        attention, lengths = pad_batch([{(0, 0): np.full((4, 4), 0.25)},
-                                        {(0, 0): np.full((2, 2), 0.5)}])
-        assert lid_counts(attention, lengths, OMEGA).tolist() == [[0]]
+        attention, seqs = pad_batch([{(0, 0): np.full((4, 4), 0.25)},
+                                     {(0, 0): np.full((2, 2), 0.5)}])
+        assert lid_counts(attention, seqs).tolist() == [[0]]
         attention[0][1, 0, 1, 0] = 0.9
         with pytest.raises(NumericError):
-            lid_counts(attention, lengths, OMEGA)
+            lid_counts(attention, seqs)
 
 
 class TestCountAndSelect:
@@ -206,88 +233,111 @@ class TestCountAndSelect:
         return as_batches(data)
 
     def test_example_counts(self):
+        # layer 0 holds the top count, but only layers 1 and up are candidates
         plan = {
-            (0, 0): [1] * 5 + [0] * 5,
-            (0, 1): [1] * 9 + [0] * 1,
+            (0, 0): [1] * 9 + [0] * 1,
+            (0, 1): [1] * 5 + [0] * 5,
             (1, 0): [1] * 7 + [0] * 3,
             (1, 1): [1] * 1 + [0] * 9,
+            (2, 0): [1] * 8 + [0] * 2,
+            (2, 1): [1] * 6 + [0] * 4,
         }
-        sel = count_and_select(self._dataset(plan), OMEGA, top_k=2)
-        assert sel.counts == {(0, 0): 5, (0, 1): 9, (1, 0): 7, (1, 1): 1}
+        sel = count_and_select(self._dataset(plan), fraction=1.0)
+        assert sel.counts == {(0, 0): 9, (0, 1): 5, (1, 0): 7, (1, 1): 1,
+                              (2, 0): 8, (2, 1): 6}
         assert sel.dataset_size == 10
-        assert sel.selected == [(0, 1), (1, 0)]
+        assert sel.selected == [(2, 0), (1, 0), (2, 1)]
+        assert count_and_select(self._dataset(plan), fraction=0.6).selected == [(2, 0), (1, 0)]
 
     def test_tie_break_layer_head_order(self):
-        plan = {h: [1, 0] for h in ((0, 0), (0, 1), (1, 0), (1, 1))}
-        sel = count_and_select(self._dataset(plan), OMEGA, top_k=3)
-        assert sel.selected == [(0, 0), (0, 1), (1, 0)]
-
-    def test_k_equal_total_returns_all(self):
-        plan = {h: [1] for h in ((0, 0), (0, 1), (1, 0), (1, 1))}
-        sel = count_and_select(self._dataset(plan), OMEGA, top_k=4)
-        assert set(sel.selected) == set(plan)
+        plan = {(l, h): [1, 1, 0] for l in range(3) for h in range(2)}
+        sel = count_and_select(self._dataset(plan), fraction=0.5)
+        assert sel.selected == [(1, 0), (1, 1)]
+        assert candidate_heads(sel.counts) == [(1, 0), (1, 1), (2, 0), (2, 1)]
 
     def test_fraction_uses_qualifying_majority(self):
-        # 10 utterances; counts 9, 7, 5, 1 -> qualifying (count > 5): two heads
+        # 10 utterances; candidate counts 9, 7, 5, 1 -> qualifying (count > 5):
+        # two heads; layer 0 clears the bar but is no candidate
         plan = {
             (0, 0): [1] * 9 + [0],
-            (0, 1): [1] * 7 + [0] * 3,
-            (1, 0): [1] * 5 + [0] * 5,
-            (1, 1): [1] + [0] * 9,
+            (0, 1): [1] * 8 + [0] * 2,
+            (1, 0): [1] * 9 + [0],
+            (1, 1): [1] * 7 + [0] * 3,
+            (2, 0): [1] * 5 + [0] * 5,
+            (2, 1): [1] + [0] * 9,
         }
-        sel = count_and_select(self._dataset(plan), OMEGA, fraction=0.5)
-        assert sel.qualifying == [(0, 0), (0, 1)]
-        assert sel.selected == [(0, 0)]
+        sel = count_and_select(self._dataset(plan), fraction=0.5)
+        assert sel.qualifying == [(1, 0), (1, 1)]
+        assert sel.selected == [(1, 0)]
+
+    def test_layer_zero_heads_never_selected(self):
+        # every strategy draws from the candidates, whatever layer 0 counts
+        plan = {(0, 0): [1] * 4, (0, 1): [1] * 4, (1, 0): [1] * 3 + [0],
+                (1, 1): [0] * 4}
+        sel = count_and_select(self._dataset(plan), fraction=1.0)
+        assert sel.counts[(0, 0)] == 4 and sel.qualifying == [(1, 0)]
+        assert sel.selected == [(1, 0)]
+        assert candidate_heads(sel.counts) == [(1, 0), (1, 1)]
+        for seed in range(5):
+            assert random_heads(sel.counts, 1.0, seed) == [(1, 0), (1, 1)]
+            assert random_heads(sel.counts, 0.5, seed)[0][0] == 1
 
     def test_empty_dataset_errors(self):
         with pytest.raises(DataError):
-            count_and_select(iter(()), OMEGA, top_k=1)
+            count_and_select(iter(()), fraction=1.0)
 
-    def test_requires_exactly_one_mode(self):
-        data = self._dataset({(0, 0): [1]})
-        with pytest.raises(ConfigError):
-            count_and_select(data, OMEGA)
-        with pytest.raises(ConfigError):
-            count_and_select(data, OMEGA, top_k=1, fraction=0.5)
+    @pytest.mark.parametrize("fraction", [-0.1, 1.5])
+    def test_rejects_fraction_out_of_range(self, fraction):
+        data = self._dataset({(0, 0): [1], (1, 0): [1]})
+        with pytest.raises(ConfigError, match="fraction"):
+            count_and_select(data, fraction=fraction)
+        with pytest.raises(ConfigError, match="fraction"):
+            random_heads({(1, 0): 1}, fraction, seed=0)
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)
         data = as_batches([{(l, h): random_stochastic(6, rng) for l in range(2)
                             for h in range(3)} for _ in range(12)])
-        a = count_and_select(data, OMEGA, fraction=1.0)
-        b = count_and_select(data, OMEGA, fraction=1.0)
+        a = count_and_select(data, fraction=1.0)
+        b = count_and_select(data, fraction=1.0)
         assert a.counts == b.counts and a.selected == b.selected
 
     def test_counts_match_oracle_on_padded_batches(self):
         rng = np.random.default_rng(10)
         data = random_dataset(rng, rng.integers(5, 10, size=23))
         batches = as_batches(data, size=8)
-        assert any(len(set(lengths)) > 1 for _, lengths in batches)  # padded rows
-        want = oracle_counts(data, OMEGA)
+        assert any(len({s.n for s in seqs}) > 1 for _, seqs in batches)  # padded rows
+        want = oracle_counts(data, LID_COLUMNS)
         assert len(set(want.values())) > 1
-        counted = count_heads(batches, OMEGA)
+        counted = count_heads(batches)
         assert counted.counts == want
         assert counted.dataset_size == len(data) and counted.selected == []
-        for kwargs in ({"top_k": 4}, {"fraction": 1.0}, {"fraction": 0.5}):
-            sel = count_and_select(batches, OMEGA, **kwargs)
-            top_k = kwargs.get("top_k")
-            if top_k is None:
-                top_k = round(kwargs["fraction"] * len(counted.qualifying))
+        for fraction in (1.0, 0.5, 0.0):
+            sel = count_and_select(batches, fraction=fraction)
+            top = round(fraction * len(counted.qualifying))
             assert sel.counts == want
-            assert sel.selected == rank_heads(want)[:top_k]
+            assert sel.selected == candidate_heads(want)[:top]
 
     def test_inconsistent_head_sets_error(self):
         batches = [pad_batch([{(0, 0): np.eye(3)}]),
                    pad_batch([{(0, 0): np.eye(3), (0, 1): np.eye(3)}])]
         with pytest.raises(DataError, match="inconsistent"):
-            count_heads(batches, OMEGA)
+            count_heads(batches)
 
     def test_random_selection_seeded(self):
         counts = {(l, h): 0 for l in range(2) for h in range(4)}
-        a = select_random_heads(counts, 10, 0.5, seed=3)
-        b = select_random_heads(counts, 10, 0.5, seed=3)
-        assert a.selected == b.selected
-        assert len(a.selected) == 4
+        a = random_heads(counts, 0.5, seed=3)
+        assert a == random_heads(counts, 0.5, seed=3)
+        assert len(a) == 2  # half of the 4 candidates of layer 1
+        assert all(layer == 1 for layer, _ in a)
+
+
+def goal_of(seq, c):
+    """The (n, 2) goal that `ag_loss` sets on the LID columns of `seq`'s rows:
+    at an all-zero map, its gradient there is 2 (0 - goal)."""
+    a = Parameter("a", np.zeros((1, 1, seq.n, seq.n)))
+    grad = backward(ag_loss([a], [seq], make_selection([(0, 0)]), c), [a])["a"][0, 0]
+    return grad[:, list(LID_COLUMNS)] / -2.0
 
 
 class TestGuidanceTarget:
@@ -299,26 +349,26 @@ class TestGuidanceTarget:
         word_b = self.vocab.word_ids("B")[0]
         y = TokenSequence.from_words(self.vocab, [word_a, word_b])
         # ids: <sot> <zh> <en> <trans> <nots> wordA wordB <eot>
-        target = guidance_target(y, 0.6)
+        assert y.lid_positions == LID_COLUMNS
         g = np.zeros((y.n, y.n))
-        g[:, [1, 2]] = target.matrix
+        g[:, [1, 2]] = goal_of(y, 0.6)
         assert g[5, 1] == 0.6 and g[5, 2] == 0.0
         assert g[6, 1] == 0.0 and g[6, 2] == 0.6
         assert np.all(g[0:5] == 0.0)
         assert np.all(g[7] == 0.0)  # end marker row
+        assert np.array_equal(goal_of(y, 0.6), oracle_target(y).matrix)
 
     def test_all_language_a(self):
         words = self.vocab.word_ids("A")[:3]
         y = TokenSequence.from_words(self.vocab, words)
-        target = guidance_target(y, 0.7)
-        word_rows = target.matrix[5:5 + 3]
+        word_rows = goal_of(y, 0.7)[5:5 + 3]
         assert np.all(word_rows[:, 0] == 0.7) and np.all(word_rows[:, 1] == 0.0)
 
     @pytest.mark.parametrize("c", [0.5, 1.0, 0.0, 1.3])
     def test_soft_label_open_interval(self, c):
-        y = TokenSequence.from_words(self.vocab, [self.vocab.word_ids("A")[0]])
-        with pytest.raises(ConfigError, match="soft label out of range"):
-            guidance_target(y, c)
+        # c is checked once, where a run's config is read
+        with pytest.raises(ConfigError, match="soft label"):
+            TrainConfig(c=c)
 
 
 def make_selection(selected, n_heads=(2, 2)):
@@ -331,16 +381,14 @@ def one_map(a):
     return [a[None, None] if isinstance(a, np.ndarray) else a.reshape(1, 1, *a.shape)]
 
 
-def random_targets(rng, lengths, c=0.6):
-    """Guidance targets of random word rows for sequences of `lengths`."""
-    targets = []
+def random_sequences(rng, lengths):
+    """Sequences of `lengths` whose rows past the five prompt rows are word
+    rows of random language."""
+    seqs = []
     for n in lengths:
-        matrix = np.zeros((n, 2))
         words = rng.integers(0, 2, size=n)
-        matrix[np.arange(n), words] = c
-        matrix[:5] = 0.0  # prompt rows carry no target
-        targets.append(GuidanceTarget(n=n, omega=OMEGA, c=c, matrix=matrix))
-    return targets
+        seqs.append(sequence(n, [None] * 5 + [(LANG_A, LANG_B)[w] for w in words[5:]]))
+    return seqs
 
 
 class TestAgLoss:
@@ -348,7 +396,7 @@ class TestAgLoss:
         self.vocab = Vocabulary.build(4, 4)
         word_a = self.vocab.word_ids("A")[0]
         self.y = TokenSequence.from_words(self.vocab, [word_a])
-        self.target = guidance_target(self.y, 0.6)
+        self.target = oracle_target(self.y, 0.6)
 
     def _matching_map(self):
         n = self.y.n
@@ -358,43 +406,43 @@ class TestAgLoss:
         a[:, 0] = 1.0 - a[:, 1] - a[:, 2]
         return a
 
+    def _loss(self, maps, selected):
+        return ag_loss(maps, [self.y], make_selection(selected), 0.6)
+
     def test_exact_match_is_zero(self):
-        sel = make_selection([(0, 0)])
-        assert ag_loss(one_map(self._matching_map()), sel, [self.target]).item() == 0.0
+        assert self._loss(one_map(self._matching_map()), [(0, 0)]).item() == 0.0
 
     def test_direct_summation_example(self):
         # one head, N=3, one guided column with targets [0, .6, .6] vs [.2, .7, .1]
-        target = GuidanceTarget(n=3, omega=(1, 2), c=0.6,
-                                matrix=np.array([[0.0, 0.0], [0.6, 0.0], [0.6, 0.0]]))
+        seq = sequence(3, [None, LANG_A, LANG_A])
         a = np.zeros((3, 3))
         a[:, 1] = [0.2, 0.7, 0.1]
         sel = make_selection([(0, 0)], n_heads=(1, 1))
-        loss = ag_loss(one_map(a), sel, [target])
+        loss = ag_loss(one_map(a), [seq], sel, 0.6)
         assert loss.item() == pytest.approx(0.04 + 0.01 + 0.25, abs=1e-12)
 
     def test_duplicate_head_doubles(self):
         rng = np.random.default_rng(4)
         a = one_map(random_stochastic(self.y.n, rng))
-        once = ag_loss(a, make_selection([(0, 0)]), [self.target]).item()
-        twice = ag_loss(a, make_selection([(0, 0), (0, 0)]), [self.target]).item()
+        once = self._loss(a, [(0, 0)]).item()
+        twice = self._loss(a, [(0, 0), (0, 0)]).item()
         assert twice == pytest.approx(2 * once, rel=1e-12)
 
     def test_missing_head_errors(self):
         with pytest.raises(DataError):
-            ag_loss(one_map(self._matching_map()), make_selection([(0, 1)]), [self.target])
+            self._loss(one_map(self._matching_map()), [(0, 1)])
         with pytest.raises(DataError):
-            ag_loss(one_map(self._matching_map()), make_selection([(1, 0)]), [self.target])
+            self._loss(one_map(self._matching_map()), [(1, 0)])
 
     def test_empty_selection_errors(self):
         with pytest.raises(ConfigError):
-            ag_loss(one_map(self._matching_map()), make_selection([]), [self.target])
+            self._loss(one_map(self._matching_map()), [])
 
     def test_non_lid_columns_get_zero_gradient(self):
         n = self.y.n
         rng = np.random.default_rng(8)
         a = Parameter("a", random_stochastic(n, rng)[None, None])
-        sel = make_selection([(0, 0)])
-        loss = ag_loss([a], sel, [self.target])
+        loss = self._loss([a], [(0, 0)])
         grad = backward(loss, [a])["a"][0, 0]
         non_lid = [j for j in range(n) if j not in (1, 2)]
         assert np.all(grad[:, non_lid] == 0.0)
@@ -405,22 +453,24 @@ class TestAgLoss:
         maps = one_map(random_stochastic(8, rng))
         sel = make_selection([(0, 0)])
         with pytest.raises(DataError):  # longer than the map
-            ag_loss(maps, sel, random_targets(rng, [9]))
-        with pytest.raises(DataError):  # one target for a batch of two
-            ag_loss([np.concatenate([maps[0], maps[0]])], sel, random_targets(rng, [8]))
-        other = GuidanceTarget(n=8, omega=(2, 3), c=0.6, matrix=np.zeros((8, 2)))
-        with pytest.raises(DataError):
-            ag_loss([np.concatenate([maps[0], maps[0]])], sel,
-                    random_targets(rng, [8]) + [other])
+            ag_loss(maps, random_sequences(rng, [9]), sel, 0.6)
+        with pytest.raises(DataError):  # one sequence for a batch of two
+            ag_loss([np.concatenate([maps[0], maps[0]])], random_sequences(rng, [8]), sel, 0.6)
+        mono = TokenSequence.from_words(self.vocab, [self.vocab.word_ids("A")[0]] * 3, "A")
+        assert mono.n == 8
+        with pytest.raises(DataError, match="bilingual prompt"):
+            ag_loss([np.concatenate([maps[0], maps[0]])],
+                    random_sequences(rng, [8]) + [mono], sel, 0.6)
 
     def test_batch_matches_per_utterance_sum(self):
         rng = np.random.default_rng(11)
         lengths = [9, 6, 11, 7]
         data = random_dataset(rng, lengths, layers=2, heads=2)
         attention, _ = pad_batch(data, rng)
-        targets = random_targets(rng, lengths)
+        seqs = random_sequences(rng, lengths)
+        targets = [oracle_target(seq) for seq in seqs]
         sel = make_selection([(1, 0), (0, 1), (1, 1)])
-        batched = ag_loss(attention, sel, targets).item()
+        batched = ag_loss(attention, seqs, sel, 0.6).item()
         singles = sum(oracle_ag_loss({h: Tensor(a) for h, a in maps.items()}, sel, t).item()
                       for maps, t in zip(data, targets))
         assert batched == pytest.approx(singles, rel=1e-12, abs=0.0)
@@ -431,12 +481,13 @@ class TestAgLoss:
         lengths = [7, 5]
         data = random_dataset(rng, lengths, layers=2, heads=2)
         attention, _ = pad_batch(data, rng)
-        targets = random_targets(rng, lengths)
+        seqs = random_sequences(rng, lengths)
+        targets = [oracle_target(seq) for seq in seqs]
         sel = make_selection([(1, 0), (0, 1), (1, 0)])
         fixed = Tensor(attention[0])
 
         def loss(maps):
-            return ag_loss([fixed, maps], sel, targets) * 0.37
+            return ag_loss([fixed, maps], seqs, sel, 0.6) * 0.37
 
         p = Parameter("p", attention[1])
         ana = backward(loss(p), [p])["p"]
@@ -444,8 +495,8 @@ class TestAgLoss:
         np.testing.assert_allclose(ana, num, rtol=0.0, atol=1e-9)
         assert np.all(ana[1, :, 5:] == 0.0)          # padded rows
         assert np.all(ana[:, 1] == 0.0)              # head (1, 1) is not selected
-        assert np.all(np.delete(ana, list(OMEGA), axis=-1) == 0.0)
-        assert np.any(ana[:, 0][..., list(OMEGA)] != 0.0)
+        assert np.all(np.delete(ana, list(LID_COLUMNS), axis=-1) == 0.0)
+        assert np.any(ana[:, 0][..., list(LID_COLUMNS)] != 0.0)
 
     def test_gradient_equals_per_utterance_graph_bitwise(self):
         # the per-utterance graph of slice nodes that the batched node
@@ -455,11 +506,12 @@ class TestAgLoss:
         lengths = [8, 6, 10]
         data = random_dataset(rng, lengths, layers=2, heads=2)
         attention, _ = pad_batch(data, rng)
-        targets = random_targets(rng, lengths)
+        seqs = random_sequences(rng, lengths)
+        targets = [oracle_target(seq) for seq in seqs]
         sel = make_selection([(1, 0), (1, 1), (0, 1)])
         scale = 0.01 * (1.0 / len(lengths))
         params = [Parameter(f"l{i}", a) for i, a in enumerate(attention)]
-        batched = backward(ag_loss(params, sel, targets) * scale, params)
+        batched = backward(ag_loss(params, seqs, sel, 0.6) * scale, params)
         total = None
         for i, (n, t) in enumerate(zip(lengths, targets)):
             maps = {(l, h): params[l][i, h, :n, :n] for l, h in sel.selected}
@@ -512,7 +564,7 @@ class TestHeadSelectionFile:
     def test_round_trip_bit_exact(self, tmp_path):
         counts = {(0, 0): 5, (0, 1): 9, (1, 0): 7, (1, 1): 1}
         sel = HeadSelection(counts=counts, dataset_size=10,
-                            selected=rank_heads(counts)[:3])
+                            selected=candidate_heads(counts)[:3])
         path = tmp_path / "heads.tsv"
         save_head_selection(path, sel)
         loaded = load_head_selection(path)

@@ -8,7 +8,7 @@ import pytest
 
 from agadapt import training
 from agadapt.errors import ConfigError, DataError
-from agadapt.guidance import HeadSelection, ag_loss, guidance_target, rank_heads
+from agadapt.guidance import HeadSelection, ag_loss, candidate_heads
 from agadapt.model import (
     ModelConfig,
     Seq2SeqModel,
@@ -36,7 +36,6 @@ from agadapt.training import (
     build_model_config,
     build_train_config,
     evaluate_model,
-    head_counts,
     keep_best,
     make_batches,
     parse_config_file,
@@ -49,6 +48,8 @@ from agadapt.training import (
 
 MICRO_CONFIG = ModelConfig(enc_layers=1, dec_layers=1, heads=2, width=12,
                            ffn_width=24, bottleneck=3, feat_dim=6, max_len=32)
+# Guidance needs a second decoder layer: no adapter feeds layer 0's maps.
+GUIDED_CONFIG = ModelConfig(**{**MICRO_CONFIG.__dict__, "dec_layers": 2})
 MICRO_SPEC = SynthSpec(words_per_language=6, feat_dim=6, words_min=2,
                        words_max=4, seed=5)
 MICRO_SIZES = {"pretrain": 24, "adapt": 24, "valid": 12, "test-mono-a": 6,
@@ -67,15 +68,15 @@ def corpus(vocab):
 
 @pytest.fixture()
 def adapted_model(vocab):
-    model = Seq2SeqModel(MICRO_CONFIG, vocab, seed=1)
+    model = Seq2SeqModel(GUIDED_CONFIG, vocab, seed=1)
     model.freeze_backbone()
     model.init_adapters(seed=2)
     return model
 
 
-def micro_selection():
-    counts = {(0, h): 0 for h in range(2)}
-    return HeadSelection(counts=counts, dataset_size=1, selected=[(0, 0), (0, 1)])
+def micro_selection(layer=1):
+    counts = {(l, h): 0 for l in range(2) for h in range(2)}
+    return HeadSelection(counts=counts, dataset_size=1, selected=[(layer, 0), (layer, 1)])
 
 
 class TestConfig:
@@ -115,6 +116,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             TrainConfig(gamma=-1.0)
 
+    def test_soft_label_checked_when_config_is_read(self):
+        with pytest.raises(ConfigError, match="soft label"):
+            build_train_config({"c": "0.3"})
+        assert build_train_config({"c": "0.9"}).c == 0.9
+
     def test_model_config_keys(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("width = 24\nheads = 3\nepochs = 2\n")
@@ -153,9 +159,8 @@ class TestConfig:
 
 def utterance_loss(model, utt, vocab, selection, gamma):
     """`batch_loss` on a batch holding the one utterance `utt`."""
-    targets = {utt.uid: guidance_target(utt.reference, 0.6)}
     batch = make_batches([utt], vocab, 1)[0]
-    return batch_loss(model, batch, selection, gamma, targets)[0]
+    return batch_loss(model, batch, selection, gamma, 0.6)[0]
 
 
 def count_ag_calls(monkeypatch):
@@ -220,12 +225,28 @@ class TestJointLoss:
         assert len(batches) == 1
         assert len(set(len(u.reference.ids) for u in utts)) > 1  # padded rows
         sel = micro_selection()
-        targets = {u.uid: guidance_target(u.reference, 0.6) for u in utts}
-        loss, ce_mean, ag_mean = batch_loss(adapted_model, batches[0], sel, 0.01,
-                                            targets)
+        loss, ce_mean, ag_mean = batch_loss(adapted_model, batches[0], sel, 0.01, 0.6)
         singles = [utterance_loss(adapted_model, u, vocab, sel, 0.01).item()
                    for u in utts]
         assert loss.item() == pytest.approx(np.mean(singles), rel=1e-9)
+
+    def test_guidance_reaches_decoder_adapters_from_layer_one_only(self, adapted_model,
+                                                                   vocab, corpus):
+        # an AG-only loss: a layer-1 head's maps depend on the layer-0
+        # decoder adapters; a layer-0 head's maps depend on no adapter
+        randomise_adapters(adapted_model)
+        batch = make_batches(corpus["adapt"], vocab, 8)[0]
+        params = adapted_model.adapter_params("dec")
+        grads = {}
+        for layer in (0, 1):
+            out = adapted_model.forward(batch.frames, batch.tokens, batch.frame_mask)
+            loss = ag_loss(out.attention, batch.sequences, micro_selection(layer), 0.6)
+            grads[layer] = backward(loss, params.values())
+        assert all(np.all(g == 0.0) for g in grads[0].values())
+        assert all(np.any(g != 0.0) for name, g in grads[1].items()
+                   if name.startswith("dec.0."))
+        assert all(np.all(g == 0.0) for name, g in grads[1].items()
+                   if name.startswith("dec.1."))
 
 
 class TestAverageCheckpoints:
@@ -298,6 +319,12 @@ class TestStages:
             run_stage2(adapted_model, corpus["adapt"], corpus["valid"],
                        self._cfg(), None)
 
+    def test_stage2_rejects_unguidable_head(self, adapted_model, corpus):
+        sel = HeadSelection(counts=micro_selection().counts, dataset_size=1,
+                            selected=[(1, 0), (0, 1)])
+        with pytest.raises(ConfigError, match=r"\[\(0, 1\)\] cannot be guided"):
+            run_stage2(adapted_model, corpus["adapt"], corpus["valid"], self._cfg(), sel)
+
     def test_stage2_gamma_zero_plain_finetuning(self, adapted_model, corpus,
                                                 monkeypatch):
         ag_calls = count_ag_calls(monkeypatch)
@@ -331,7 +358,7 @@ class TestStages:
 
     def test_loss_trace_deterministic(self, vocab, corpus):
         def run():
-            model = Seq2SeqModel(MICRO_CONFIG, vocab, seed=1)
+            model = Seq2SeqModel(GUIDED_CONFIG, vocab, seed=1)
             model.freeze_backbone()
             model.init_adapters(seed=2)
             record = run_stage2(model, corpus["adapt"], corpus["valid"],
@@ -381,11 +408,11 @@ def live_graph_tensors():
 
 
 class TestTapeLifetime:
-    def _assert_matches_retained_sweep(self, model, batch, selection, gamma, targets):
+    def _assert_matches_retained_sweep(self, model, batch, selection, gamma):
         params = [p for p in model.params.values() if p.trainable]
         want = retained_backward(
-            batch_loss(model, batch, selection, gamma, targets)[0], params)
-        got = backward(batch_loss(model, batch, selection, gamma, targets)[0], params)
+            batch_loss(model, batch, selection, gamma, 0.6)[0], params)
+        got = backward(batch_loss(model, batch, selection, gamma, 0.6)[0], params)
         assert got.keys() == want.keys()
         for name in want:
             assert np.array_equal(got[name], want[name]), name
@@ -393,16 +420,13 @@ class TestTapeLifetime:
     def test_pretrain_gradients_bit_identical_to_retained_sweep(self, vocab, corpus):
         model = Seq2SeqModel(MICRO_CONFIG, vocab, seed=1)
         batch = make_batches(corpus["pretrain"], vocab, 8)[0]
-        self._assert_matches_retained_sweep(model, batch, None, 0.0, None)
+        self._assert_matches_retained_sweep(model, batch, None, 0.0)
 
     def test_adapter_ag_gradients_bit_identical_to_retained_sweep(self, adapted_model,
                                                                   vocab, corpus):
         randomise_adapters(adapted_model)
-        utts = corpus["adapt"]
-        targets = {u.uid: guidance_target(u.reference, 0.6) for u in utts}
-        batch = make_batches(utts, vocab, 8)[0]
-        self._assert_matches_retained_sweep(adapted_model, batch, micro_selection(),
-                                            0.5, targets)
+        batch = make_batches(corpus["adapt"], vocab, 8)[0]
+        self._assert_matches_retained_sweep(adapted_model, batch, micro_selection(), 0.5)
 
     def test_no_tape_alive_at_forward_entry(self, adapted_model, corpus, monkeypatch):
         cfg = TrainConfig(epochs=1, batch_size=6, avg_count=1, seed=3)
@@ -442,33 +466,32 @@ def oracle_head_counts(model, utts):
 
 class TestSelectHeadsIntegration:
     def test_runs_on_frozen_backbone(self, vocab, corpus):
-        model = Seq2SeqModel(MICRO_CONFIG, vocab, seed=1)
+        model = Seq2SeqModel(GUIDED_CONFIG, vocab, seed=1)
         model.freeze_backbone()
         sel = select_heads(model, corpus["adapt"], fraction=1.0)
         assert sel.dataset_size == len(corpus["adapt"])
-        assert set(sel.counts) == {(0, 0), (0, 1)}
-        sel_k = select_heads(model, corpus["adapt"], top_k=2)
-        assert len(sel_k.selected) == 2
+        assert set(sel.counts) == {(l, h) for l in range(2) for h in range(2)}
+        assert sel.selected
+        assert sel.selected == candidate_heads(sel.counts)[:len(sel.qualifying)]
+        assert all(layer == 1 for layer, _ in sel.selected)
 
     def test_counts_match_per_utterance_oracle(self, vocab, corpus):
-        # two decoder layers with anchored heads, so counts differ by head
-        config = ModelConfig(**{**MICRO_CONFIG.__dict__, "dec_layers": 2})
-        model = Seq2SeqModel(config, vocab, seed=1)
+        # two decoder layers with anchored heads, so counts differ by head;
+        # 36 utterances make a batch of 32 and a padded batch of 4
+        model = Seq2SeqModel(GUIDED_CONFIG, vocab, seed=1)
         model.freeze_backbone()
         utts = corpus["adapt"] + corpus["valid"]
         want = oracle_head_counts(model, utts)
         assert len(set(want.values())) > 1
-        counted = head_counts(model, utts)
-        assert counted.counts == want and counted.selected == []
-        for batch_size in (5, 32):
-            sel = select_heads(model, utts, top_k=3, batch_size=batch_size)
+        for fraction in (1.0, 0.5):
+            sel = select_heads(model, utts, fraction)
+            top = round(fraction * len(sel.qualifying))
             assert sel.counts == want
-            assert sel.selected == rank_heads(want)[:3]
+            assert sel.selected == candidate_heads(want)[:top]
 
     def test_never_runs_forward(self, vocab, corpus, monkeypatch):
         # the decoder pass stops at the last layer's self-attention maps
-        config = ModelConfig(**{**MICRO_CONFIG.__dict__, "dec_layers": 2})
-        model = Seq2SeqModel(config, vocab, seed=1)
+        model = Seq2SeqModel(GUIDED_CONFIG, vocab, seed=1)
         model.freeze_backbone()
         utts = corpus["adapt"]
         want = oracle_head_counts(model, utts)
@@ -477,8 +500,7 @@ class TestSelectHeadsIntegration:
             raise AssertionError("head selection ran the full forward")
 
         monkeypatch.setattr(Seq2SeqModel, "forward", no_forward)
-        assert head_counts(model, utts).counts == want
-        assert select_heads(model, utts, top_k=2).counts == want
+        assert select_heads(model, utts, 1.0).counts == want
 
     def test_needs_bilingual_utterances(self, vocab, corpus):
         model = Seq2SeqModel(MICRO_CONFIG, vocab, seed=1)
@@ -513,7 +535,7 @@ def randomise_adapters(model, seed=4):
         p.data = rng.normal(0, 0.05, p.data.shape)
 
 
-def oracle_loss(model, batch, selection, gamma, targets):
+def oracle_loss(model, batch, selection, gamma):
     """`batch_loss` with the next-token alignment spelled out in the loss:
     the logits of rows 0..N-2 score tokens[:, 1:]."""
     b = len(batch.uids)
@@ -524,15 +546,15 @@ def oracle_loss(model, batch, selection, gamma, targets):
     loss = cross_entropy(out.logits[:, :-1], batch.tokens[:, 1:], row_mask=mask) * (1.0 / b)
     if gamma == 0.0:
         return loss
-    ag = ag_loss(out.attention, selection, [targets[uid] for uid in batch.uids])
+    ag = ag_loss(out.attention, batch.sequences, selection, 0.6)
     return loss + gamma * (ag * (1.0 / b))
 
 
 class TestNextTokenAlignment:
-    def _assert_matches_oracle(self, model, batch, selection, gamma, targets):
+    def _assert_matches_oracle(self, model, batch, selection, gamma):
         params = [p for p in model.params.values() if p.trainable]
-        want = backward(oracle_loss(model, batch, selection, gamma, targets), params)
-        got = backward(batch_loss(model, batch, selection, gamma, targets)[0], params)
+        want = backward(oracle_loss(model, batch, selection, gamma), params)
+        got = backward(batch_loss(model, batch, selection, gamma, 0.6)[0], params)
         assert got.keys() == want.keys()
         for name in want:  # bytes, so the sign of a zero counts too
             assert got[name].tobytes() == want[name].tobytes(), name
@@ -547,15 +569,13 @@ class TestNextTokenAlignment:
     def test_pretrain_gradients_bit_identical_to_oracle(self, vocab, corpus):
         model = Seq2SeqModel(MICRO_CONFIG, vocab, seed=1)
         batch = make_batches(corpus["pretrain"], vocab, 8)[0]
-        self._assert_matches_oracle(model, batch, None, 0.0, None)
+        self._assert_matches_oracle(model, batch, None, 0.0)
 
     def test_adapter_ag_gradients_bit_identical_to_oracle(self, adapted_model, vocab,
                                                           corpus):
         randomise_adapters(adapted_model)
-        utts = corpus["adapt"]
-        targets = {u.uid: guidance_target(u.reference, 0.6) for u in utts}
-        batch = make_batches(utts, vocab, 8)[0]
-        self._assert_matches_oracle(adapted_model, batch, micro_selection(), 0.5, targets)
+        batch = make_batches(corpus["adapt"], vocab, 8)[0]
+        self._assert_matches_oracle(adapted_model, batch, micro_selection(), 0.5)
 
 
 class TestEvaluation:
