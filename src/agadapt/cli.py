@@ -16,7 +16,7 @@ import numpy as np
 from . import analysis, checkpoint, guidance, synthtask, training
 from .atomicio import atomic_write
 from .errors import ConfigError, DataError, NumericError
-from .model import FIRST_GUIDABLE_LAYER, Seq2SeqModel, Vocabulary, extract_attention
+from .model import FIRST_GUIDABLE_LAYER, Seq2SeqModel, Vocabulary
 from .numerics import no_grad
 
 EXIT_OK = 0
@@ -167,9 +167,8 @@ def cmd_inspect_attention(args) -> int:
         raise ConfigError(f"head {args.head} out of range")
     with no_grad():
         out = model.forward(found.frames[None], np.asarray(found.reference.ids)[None])
-    maps = extract_attention(out)
     tokens = [model.vocab.string(t) for t in found.reference.ids]
-    analysis.export_heatmap(maps[(args.layer, args.head)], args.out,
+    analysis.export_heatmap(out.attention[args.layer].data[0, args.head], args.out,
                             args.format, tokens)
     print(f"wrote {args.format} heatmap to {args.out}")
     return EXIT_OK

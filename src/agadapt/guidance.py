@@ -4,8 +4,8 @@ Every head statistic of the method reads the same two inputs: each decoder
 layer's (B, H, N, N) self-attention maps and the batch's B `TokenSequence`s.
 A sequence's length marks its valid rows (rows past it are padding), and its
 language tags mark its language-A and language-B word rows. Each sequence
-must carry the bilingual prompt, whose LID tokens sit at the map columns
-`model.LID_COLUMNS`; one without it raises DataError.
+must carry the bilingual prompt, whose ids <zh> and <en> sit at the map
+columns `model.LID_COLUMNS`; one without them there raises DataError.
 
 - `lid_counts` gives, for each head, how many sequences of a batch put more
   mass on the LID columns than on all other columns combined, over their
@@ -35,7 +35,7 @@ import numpy as np
 
 from .atomicio import atomic_write
 from .errors import ConfigError, DataError, NumericError
-from .model import FIRST_GUIDABLE_LAYER, LANG_A, LANG_B, LID_COLUMNS, TokenSequence
+from .model import EN, FIRST_GUIDABLE_LAYER, LANG_A, LANG_B, LID_COLUMNS, ZH, TokenSequence
 from .numerics import Tensor, as_tensor, column_squared_error
 
 HeadIndex = tuple[int, int]
@@ -59,7 +59,7 @@ def _row_masks(sequences: Sequence[TokenSequence], b: int,
     lang_a = np.zeros((b, n), dtype=bool)
     lang_b = np.zeros((b, n), dtype=bool)
     for i, seq in enumerate(sequences):
-        if tuple(seq.lid_positions) != LID_COLUMNS:
+        if [seq.ids[c] for c in LID_COLUMNS if c < seq.n] != [ZH, EN]:
             raise DataError("head statistics need sequences with the bilingual prompt")
         if seq.n > n:
             raise DataError(f"sequence of length {seq.n} exceeds the map width {n}")

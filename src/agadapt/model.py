@@ -24,6 +24,14 @@ Bottleneck adapters (down-project, GELU, up-project, residual) sit after the
 attention sub-block and after the feed-forward sub-block of every layer; with
 zero-initialised up-projections they are exact identities, so inserting them
 does not change the backbone function.
+
+Token layout: ids 0-6 are `SOT, ZH, EN, TRANS, NOTS, EOT, BLNK` (<zh> and
+<en> are the language-ID tokens of languages A and B), then language A's
+words, then language B's. A sequence is one of the three `PROMPTS`
+(bilingual, or monolingual with one ID token), word tokens and <eot>;
+batches pad with <blnk>. The bilingual prompt puts <zh> and <en> at
+`LID_COLUMNS`, the map columns every head statistic reads. A position's
+language follows from its id, so `TokenSequence.from_ids` derives the tags.
 """
 
 from __future__ import annotations
@@ -50,6 +58,18 @@ SPECIAL_STRINGS = ("<sot>", "<zh>", "<en>", "<trans>", "<nots>", "<eot>", "<blnk
 
 LANG_A = "A"
 LANG_B = "B"
+
+# Decoder prompt by language: the bilingual form (key None), and the
+# monolingual form of each language.
+PROMPTS = {
+    None: (SOT, ZH, EN, TRANS, NOTS),
+    LANG_A: (SOT, ZH, TRANS, NOTS),
+    LANG_B: (SOT, EN, TRANS, NOTS),
+}
+
+# Positions of <zh> and <en> in the bilingual prompt: the two LID columns of
+# every decoder self-attention map that head statistics read.
+LID_COLUMNS = (1, 2)
 
 
 @dataclass(frozen=True)
@@ -107,20 +127,17 @@ class Vocabulary:
     """Token inventory: seven special tokens followed by the two word sets.
 
     Word tokens are partitioned into language A and language B; each carries
-    exactly one language tag. The two language-ID tokens are <zh> (language A)
-    and <en> (language B).
+    exactly one language tag.
     """
 
-    def __init__(self, words_a: list[str], words_b: list[str],
-                 specials: tuple[str, ...] = SPECIAL_STRINGS):
-        tokens = list(specials) + list(words_a) + list(words_b)
+    def __init__(self, words_a: list[str], words_b: list[str]):
+        tokens = list(SPECIAL_STRINGS) + list(words_a) + list(words_b)
         if len(set(tokens)) != len(tokens):
             raise DataError("vocabulary tokens must be unique")
         self._strings = tokens
-        self._ids = {s: i for i, s in enumerate(tokens)}
         self.n_words_a = len(words_a)
         self.n_words_b = len(words_b)
-        n_special = len(specials)
+        n_special = len(SPECIAL_STRINGS)
         self._a_range = range(n_special, n_special + len(words_a))
         self._b_range = range(n_special + len(words_a), len(tokens))
 
@@ -132,11 +149,6 @@ class Vocabulary:
     @property
     def size(self) -> int:
         return len(self._strings)
-
-    def id(self, token: str) -> int:
-        if token not in self._ids:
-            raise DataError(f"vocabulary is missing token {token!r}")
-        return self._ids[token]
 
     def string(self, token_id: int) -> str:
         return self._strings[token_id]
@@ -151,55 +163,42 @@ class Vocabulary:
     def word_ids(self, lang: str) -> list[int]:
         return list(self._a_range if lang == LANG_A else self._b_range)
 
-    @property
-    def omega_ids(self) -> tuple[int, int]:
-        """Token ids of the two language-ID tokens."""
-        return (self.id("<zh>"), self.id("<en>"))
-
 
 def build_prompt(vocab: Vocabulary, lang: str | None = None) -> list[int]:
-    """Decoder prompt: bilingual form by default, monolingual when `lang` given."""
-    sot = vocab.id("<sot>")
-    zh = vocab.id("<zh>")
-    en = vocab.id("<en>")
-    trans = vocab.id("<trans>")
-    nots = vocab.id("<nots>")
-    if lang is None:
-        return [sot, zh, en, trans, nots]
-    if lang == LANG_A:
-        return [sot, zh, trans, nots]
-    if lang == LANG_B:
-        return [sot, en, trans, nots]
-    raise DataError(f"unknown language {lang!r}")
-
-
-# Positions of <zh> and <en> in the bilingual prompt: the two LID columns of
-# every decoder self-attention map that head statistics read.
-LID_COLUMNS = (1, 2)
+    """Decoder prompt: bilingual form by default, monolingual when `lang`
+    given. Every vocabulary shares the special ids, so `vocab` is not read."""
+    if lang not in PROMPTS:
+        raise DataError(f"unknown language {lang!r}")
+    return list(PROMPTS[lang])
 
 
 @dataclass
 class TokenSequence:
-    """Prompt tokens plus word tokens and the end marker, with language tags."""
+    """Prompt tokens plus word tokens and the end marker, with the language
+    tag of each position (None for every special token)."""
 
     ids: list[int]
     lang_tags: list[str | None]
-    lid_positions: tuple[int, ...]
+
+    @classmethod
+    def from_ids(cls, vocab: Vocabulary, ids: list[int]) -> "TokenSequence":
+        """The sequence `ids`, which must be one of `PROMPTS`, then word
+        tokens of `vocab`, then <eot>; any other ids raise DataError."""
+        prompt = next((p for p in PROMPTS.values() if tuple(ids[:len(p)]) == p), None)
+        if prompt is None:
+            raise DataError("token sequence does not open with a prompt")
+        if ids[-1] != EOT:
+            raise DataError("token sequence does not end with <eot>")
+        words = ids[len(prompt):-1]
+        tags = [vocab.lang(w) for w in words]
+        if None in tags:
+            raise DataError(f"token {words[tags.index(None)]} is not a word token")
+        return cls(ids=ids, lang_tags=[None] * len(prompt) + tags + [None])
 
     @classmethod
     def from_words(cls, vocab: Vocabulary, word_ids: list[int],
                    lang: str | None = None) -> "TokenSequence":
-        prompt = build_prompt(vocab, lang)
-        tags: list[str | None] = [None] * len(prompt)
-        for w in word_ids:
-            tag = vocab.lang(w)
-            if tag is None:
-                raise DataError(f"token {w} is not a word token")
-            tags.append(tag)
-        ids = prompt + list(word_ids) + [vocab.id("<eot>")]
-        tags.append(None)
-        lid_positions = LID_COLUMNS if lang is None else (1,)
-        return cls(ids=ids, lang_tags=tags, lid_positions=lid_positions)
+        return cls.from_ids(vocab, build_prompt(vocab, lang) + list(word_ids) + [EOT])
 
     @property
     def n(self) -> int:
@@ -380,8 +379,7 @@ class Seq2SeqModel:
         c = self.config
         if layer == 0 or not c.anchored_heads:
             return None
-        zh, en = self.vocab.omega_ids
-        is_lid = (tokens == zh) | (tokens == en)
+        is_lid = (tokens == ZH) | (tokens == EN)
         if not is_lid.any():
             return None
         batch, n_len = tokens.shape
@@ -493,8 +491,7 @@ class Seq2SeqModel:
         out = self._linear(self._merge_heads(maps @ v), prefix + ".out_proj")
         return out, maps
 
-    def encode(self, frames, frame_mask=None,
-               enc_adapters: bool = True) -> tuple[Tensor, np.ndarray | None]:
+    def encode(self, frames, frame_mask=None) -> tuple[Tensor, np.ndarray | None]:
         """Encoder pass over a batch of frames.
 
         frames: (B, T, feat_dim) float array, zero-padded; `frame_mask` (B, T)
@@ -521,7 +518,6 @@ class Seq2SeqModel:
                 raise DataError(f"frame mask shape {fm.shape} does not match frames {(batch, t_len)}")
             col_mask = np.where(fm, 0.0, -np.inf).reshape(batch, 1, 1, t_len)
 
-        use_ad = enc_adapters and self.has_adapters
         windowed = _stack_frame_window(frames)
         x = self._linear(windowed, "enc.in_proj")
         x = x + embedding(self._p("enc.pos.weight"), np.arange(t_len))
@@ -532,17 +528,17 @@ class Seq2SeqModel:
             attn_out, _ = self._attend(h, k, v, p + "attn", causal=False,
                                        extra_mask=col_mask)
             x = x + attn_out
-            if use_ad:
+            if self.has_adapters:
                 x = self._adapter(x, p + "attn_adapter.")
             h = layer_norm(x, self._p(p + "ln2.gain"), self._p(p + "ln2.bias"))
             f = gelu(self._linear(h, p + "ffn.fc1"))
             x = x + self._linear(f, p + "ffn.fc2")
-            if use_ad:
+            if self.has_adapters:
                 x = self._adapter(x, p + "ffn_adapter.")
         memory = layer_norm(x, self._p("enc.ln_out.gain"), self._p("enc.ln_out.bias"))
         return memory, col_mask
 
-    def _decode_rows(self, tokens, memory: Tensor, col_mask, dec_adapters: bool = True,
+    def _decode_rows(self, tokens, memory: Tensor, col_mask,
                      cache: DecoderCache | None = None,
                      depth: int | None = None) -> tuple[Tensor | None, list[Tensor]]:
         """Decoder pass over rows `tokens[:, start:]`, where `start` is the
@@ -568,7 +564,6 @@ class Seq2SeqModel:
         if batch != memory.shape[0]:
             raise DataError("frames and tokens disagree on batch size")
         start = 0 if cache is None else cache.length
-        use_ad = dec_adapters and self.has_adapters
 
         y = embedding(self._p("dec.embed.weight"), tokens[:, start:])
         y = y + embedding(self._p("dec.pos.weight"), np.arange(start, n_len))
@@ -593,12 +588,12 @@ class Seq2SeqModel:
             cross_out, _ = self._attend(h, k, v, p + "cross_attn", causal=False,
                                         extra_mask=col_mask)
             y = y + cross_out
-            if use_ad:
+            if self.has_adapters:
                 y = self._adapter(y, p + "attn_adapter.")
             h = layer_norm(y, self._p(p + "ln3.gain"), self._p(p + "ln3.bias"))
             f = gelu(self._linear(h, p + "ffn.fc1"))
             y = y + self._linear(f, p + "ffn.fc2")
-            if use_ad:
+            if self.has_adapters:
                 y = self._adapter(y, p + "ffn_adapter.")
         if cache is not None:
             cache.length = n_len
@@ -606,16 +601,15 @@ class Seq2SeqModel:
         proj = self._linear(y, "dec.out_proj")
         return proj, attn_maps
 
-    def forward(self, frames, tokens, frame_mask=None,
-                enc_adapters: bool = True, dec_adapters: bool = True) -> ForwardOut:
+    def forward(self, frames, tokens, frame_mask=None) -> ForwardOut:
         """Teacher-forced pass over a batch: `encode`, then every decoder row
         at once.
 
         frames: (B, T, feat_dim) float array, zero-padded; `frame_mask` (B, T)
         marks real frames. tokens: (B, N) int array, <blnk>-padded.
         """
-        memory, col_mask = self.encode(frames, frame_mask, enc_adapters)
-        proj, attn_maps = self._decode_rows(tokens, memory, col_mask, dec_adapters)
+        memory, col_mask = self.encode(frames, frame_mask)
+        proj, attn_maps = self._decode_rows(tokens, memory, col_mask)
         return ForwardOut(logits=proj, attention=attn_maps)
 
     # -- decoding -----------------------------------------------------------------
@@ -640,7 +634,6 @@ class Seq2SeqModel:
         if memory.ndim != 3 or memory.shape[-1] != c.width:
             raise DataError(f"memory must have shape (B, T, {c.width}), got "
                             f"{memory.shape}; decode the output of encode")
-        eot = self.vocab.id("<eot>")
         prompt_len = len(prompt_ids)
         limit = c.max_len - prompt_len
         if max_new is not None:
@@ -655,16 +648,16 @@ class Seq2SeqModel:
             for _ in range(limit):
                 proj, _ = self._decode_rows(toks, memory, col_mask, cache=cache)
                 nxt = proj.data[:, -1].argmax(axis=-1)
-                nxt = np.where(done, eot, nxt)
+                nxt = np.where(done, EOT, nxt)
                 toks = np.concatenate([toks, nxt[:, None]], axis=1)
-                done |= nxt == eot
+                done |= nxt == EOT
                 if done.all():
                     break
         results = []
         for row in toks:
             content = []
             for tok in row[prompt_len:]:
-                if tok == eot:
+                if tok == EOT:
                     break
                 content.append(int(tok))
             results.append(content)
@@ -709,16 +702,3 @@ def _stack_frame_window(frames: np.ndarray) -> np.ndarray:
     out[:, :-1, 2 * f:] = frames[:, 1:]
     return out
 
-
-def extract_attention(out: ForwardOut, batch_index: int = 0,
-                      n: int | None = None) -> dict[tuple[int, int], np.ndarray]:
-    """Per-(layer, head) decoder self-attention maps for one sequence,
-    trimmed to its true length and detached from the graph."""
-    maps: dict[tuple[int, int], np.ndarray] = {}
-    for layer, tensor in enumerate(out.attention):
-        data = tensor.data[batch_index]
-        heads = data.shape[0]
-        length = data.shape[1] if n is None else n
-        for h in range(heads):
-            maps[(layer, h)] = data[h, :length, :length].copy()
-    return maps

@@ -5,6 +5,14 @@ reference. Language A words live in clusters offset +2 along the first half
 of the feature space, language B words offset -2, so the languages are
 linearly separable while individual words stay confusable under noise.
 
+A split is two files: `<split>.frames` holds each utterance's frame record
+(T and F as little-endian u32, then T x F little-endian float32), and
+`<split>.manifest` a JSON header line (`format` 2, `split`, `count`, `spec`)
+and then one line per utterance, `uid kind ids offset length` separated by
+tabs, the ids separated by spaces and the offset and length (bytes) locating
+the frame record. A word's language follows from its id (see `model`), so
+the ids are the whole reference.
+
 Also home to the edit-distance scorer and the per-language error-rate report
 used for evaluation.
 """
@@ -38,6 +46,8 @@ SPLIT_SIZES = {
 }
 
 _CS_RESAMPLE_LIMIT = 64
+
+MANIFEST_FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -245,12 +255,10 @@ def write_corpus(out_dir, spec: SynthSpec, vocab: Vocabulary,
                 payload += utt.frames.astype("<f4").tobytes()
                 offset = fh.tell()
                 fh.write(payload)
-                tags = " ".join(t if t is not None else "-"
-                                for t in utt.reference.lang_tags)
                 ids = " ".join(str(i) for i in utt.reference.ids)
-                records.append(f"{utt.uid}\t{utt.kind}\t{ids}\t{tags}\t{offset}\t{len(payload)}")
+                records.append(f"{utt.uid}\t{utt.kind}\t{ids}\t{offset}\t{len(payload)}")
         header = json.dumps({
-            "format": 1,
+            "format": MANIFEST_FORMAT,
             "split": split,
             "count": len(utts),
             "spec": asdict(spec),
@@ -272,27 +280,30 @@ def read_split(data_dir, split: str) -> tuple[SynthSpec, Vocabulary, list[Uttera
         raise DataError(f"empty manifest: {manifest_path}")
     try:
         header = json.loads(lines[0])
+        version = header["format"]
         spec = SynthSpec(**header["spec"])
         count = int(header["count"])
     except (ValueError, KeyError, TypeError, ConfigError) as exc:
         raise DataError(f"malformed manifest header in {manifest_path}: {exc}") from exc
+    if version != MANIFEST_FORMAT:
+        raise DataError(f"{manifest_path} has manifest format {version!r}, not "
+                        f"{MANIFEST_FORMAT}; generate the corpus again with gen-data")
     vocab = Vocabulary.build(spec.words_per_language, spec.words_per_language)
-    omega = vocab.omega_ids
     blob = frames_path.read_bytes()
     utts: list[Utterance] = []
     for lineno, line in enumerate(lines[1:], 2):
         try:
-            uid, kind, ids_s, tags_s, offset_s, length_s = line.split("\t")
+            uid, kind, ids_s, offset_s, length_s = line.split("\t")
             ids = [int(x) for x in ids_s.split()]
             offset, length = int(offset_s), int(length_s)
         except ValueError as exc:
             raise DataError(f"{manifest_path}:{lineno}: malformed manifest line") from exc
-        tags = [None if t == "-" else t for t in tags_s.split()]
         if kind not in KINDS:
             raise DataError(f"{manifest_path}:{lineno}: unknown utterance kind {kind!r}")
-        if len(tags) != len(ids):
-            raise DataError(f"{manifest_path}:{lineno}: {len(tags)} language tags "
-                            f"for {len(ids)} token ids")
+        try:
+            ref = TokenSequence.from_ids(vocab, ids)
+        except DataError as exc:
+            raise DataError(f"{manifest_path}:{lineno}: {exc}") from exc
         if offset < 0 or offset + length > len(blob) or length < 8:
             raise DataError(f"frame record for {uid} lies outside {frames_path}")
         t, feat = struct.unpack_from("<II", blob, offset)
@@ -301,9 +312,9 @@ def read_split(data_dir, split: str) -> tuple[SynthSpec, Vocabulary, list[Uttera
             raise DataError(f"frame record length mismatch for {uid}")
         frames = np.frombuffer(blob, dtype="<f4", count=t * feat,
                                offset=offset + 8).astype(np.float64).reshape(t, feat)
-        lid_positions = tuple(i for i, tok in enumerate(ids) if tok in omega)
-        ref = TokenSequence(ids=ids, lang_tags=tags, lid_positions=lid_positions)
-        utts.append(Utterance(uid=uid, frames=frames, reference=ref, kind=kind))
+        utt = Utterance(uid=uid, frames=frames, reference=ref, kind=kind)
+        utt.validate()
+        utts.append(utt)
     if len(utts) != count:
         raise DataError(f"manifest count mismatch in {manifest_path}")
     return spec, vocab, utts

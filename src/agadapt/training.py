@@ -37,12 +37,12 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericError
 from .guidance import HeadSelection, ag_loss, count_and_select, lid_attribution
 from .model import (
+    BLNK,
     FIRST_GUIDABLE_LAYER,
     ModelConfig,
     Seq2SeqModel,
+    PROMPTS,
     TokenSequence,
-    Vocabulary,
-    build_prompt,
 )
 from .numerics import (
     OptimizerState,
@@ -188,13 +188,11 @@ class Batch:
     sequences: list[TokenSequence]
 
 
-def make_batches(utts: Sequence[Utterance], vocab: Vocabulary,
-                 batch_size: int) -> list[Batch]:
+def make_batches(utts: Sequence[Utterance], batch_size: int) -> list[Batch]:
     """Length-bucketed batches: sort by token length (then id), chunk, pad.
 
     Padded token positions use <blnk> and are excluded from the loss masks.
     """
-    blnk = vocab.id("<blnk>")
     ordered = sorted(utts, key=lambda u: (u.reference.n, u.uid))
     batches = []
     for start in range(0, len(ordered), batch_size):
@@ -205,8 +203,8 @@ def make_batches(utts: Sequence[Utterance], vocab: Vocabulary,
         feat = chunk[0].frames.shape[1]
         frames = np.zeros((b, t_max, feat))
         frame_mask = np.zeros((b, t_max), dtype=bool)
-        tokens = np.full((b, n_max), blnk, dtype=np.int64)
-        targets = np.full((b, n_max), blnk, dtype=np.int64)
+        tokens = np.full((b, n_max), BLNK, dtype=np.int64)
+        targets = np.full((b, n_max), BLNK, dtype=np.int64)
         ce_mask = np.zeros((b, n_max))
         for i, utt in enumerate(chunk):
             t = utt.frames.shape[0]
@@ -228,13 +226,11 @@ def make_batches(utts: Sequence[Utterance], vocab: Vocabulary,
 # Losses
 # ---------------------------------------------------------------------------
 
-def sequence_ce(model: Seq2SeqModel, batch: Batch,
-                enc_adapters: bool = True, dec_adapters: bool = True):
+def sequence_ce(model: Seq2SeqModel, batch: Batch):
     """Summed cross-entropy of the logits against the batch's next-token
     targets over the rows `ce_mask` marks; returns (ce_sum, forward_out) so
     callers can reuse the attention maps."""
-    out = model.forward(batch.frames, batch.tokens, batch.frame_mask,
-                        enc_adapters=enc_adapters, dec_adapters=dec_adapters)
+    out = model.forward(batch.frames, batch.tokens, batch.frame_mask)
     return cross_entropy(out.logits, batch.targets, row_mask=batch.ce_mask), out
 
 
@@ -365,8 +361,8 @@ def _run_training(model: Seq2SeqModel, train_utts: Sequence[Utterance],
         if not p.trainable:
             raise ConfigError(f"parameter {name!r} is frozen and cannot be trained")
     opt = OptimizerState(lr=cfg.lr, weight_decay=cfg.weight_decay)
-    batches = make_batches(train_utts, model.vocab, cfg.batch_size)
-    valid_batches = make_batches(valid_utts, model.vocab, cfg.batch_size)
+    batches = make_batches(train_utts, cfg.batch_size)
+    valid_batches = make_batches(valid_utts, cfg.batch_size)
     if not batches:
         raise DataError("training set is empty")
     shuffle_rng = np.random.default_rng([cfg.seed, 977, stage_tag])
@@ -410,9 +406,10 @@ def run_stage1(model: Seq2SeqModel, train_utts: Sequence[Utterance],
                          gamma=0.0, epochs=cfg.epochs)
 
 
-def _check_guided(selection: HeadSelection | None) -> None:
+def _check_guided(selection: HeadSelection | None, config: ModelConfig) -> None:
     """Raise ConfigError unless `selection` names at least one head and only
-    heads that guidance can move."""
+    heads that guidance can move, and DataError if it names a head the model
+    of `config` lacks."""
     if selection is None:
         raise ConfigError("guided training requires a head selection")
     selection.require_nonempty()
@@ -420,6 +417,11 @@ def _check_guided(selection: HeadSelection | None) -> None:
     if unguidable:
         raise ConfigError(f"heads {unguidable} cannot be guided: no adapter feeds "
                           f"decoder layers below {FIRST_GUIDABLE_LAYER}")
+    for layer, head in selection.selected:
+        if layer >= config.dec_layers or not 0 <= head < config.heads:
+            raise DataError(f"selected head {(layer, head)} missing from the model, "
+                            f"which has {config.dec_layers} decoder layers of "
+                            f"{config.heads} heads")
 
 
 def run_stage2(model: Seq2SeqModel, train_utts: Sequence[Utterance],
@@ -431,7 +433,7 @@ def run_stage2(model: Seq2SeqModel, train_utts: Sequence[Utterance],
         raise ConfigError("stage 2 requires initialised adapters")
     gamma = cfg.gamma if gamma is None else gamma
     if gamma > 0.0:
-        _check_guided(selection)
+        _check_guided(selection, model.config)
     names = sorted(model.adapter_params())
     return _run_training(model, train_utts, valid_utts, cfg, stage="stage2",
                          stage_tag=2, param_names=names, selection=selection,
@@ -448,7 +450,7 @@ def run_adaptation(model: Seq2SeqModel, train_utts: Sequence[Utterance],
         return [run_stage2(model, train_utts, valid_utts, cfg, selection)]
     if cfg.mode == "two-stage-ag":
         if cfg.gamma > 0.0:
-            _check_guided(selection)  # before stage 1, not after it
+            _check_guided(selection, model.config)  # before stage 1, not after it
         first = run_stage1(model, train_utts, valid_utts, cfg)
         second = run_stage2(model, train_utts, valid_utts, cfg, selection)
         return [first, second]
@@ -507,27 +509,27 @@ def pretrain_backbone(model: Seq2SeqModel, pretrain_utts: Sequence[Utterance],
 # ---------------------------------------------------------------------------
 
 def _backbone_maps(model: Seq2SeqModel, utts: Sequence[Utterance]):
-    """(attention, sequences) of each teacher-forced batch of 32 utterances,
-    with adapters disabled: selection runs on the backbone alone. Batches
-    are computed as they are consumed, and each decoder pass stops at the
-    last layer's self-attention maps, the deepest thing a count reads."""
+    """(attention, sequences) of each teacher-forced batch of 32 utterances.
+    Batches are computed as they are consumed, and each decoder pass stops
+    at the last layer's self-attention maps, the deepest thing a count reads."""
 
     def maps(batch: Batch):
         with no_grad():
-            memory, col_mask = model.encode(batch.frames, batch.frame_mask,
-                                            enc_adapters=False)
+            memory, col_mask = model.encode(batch.frames, batch.frame_mask)
             _, attention = model._decode_rows(batch.tokens, memory, col_mask,
-                                              dec_adapters=False,
                                               depth=model.config.dec_layers)
         return attention, batch.sequences
 
-    return (maps(batch) for batch in make_batches(utts, model.vocab, 32))
+    return (maps(batch) for batch in make_batches(utts, 32))
 
 
 def select_heads(model: Seq2SeqModel, utts: Sequence[Utterance],
                  fraction: float) -> HeadSelection:
-    """Count every backbone head over the bilingual-prompt `utts` and select
-    the top candidates (see `count_and_select`)."""
+    """Count every head of the backbone `model` over the bilingual-prompt
+    `utts` and select the top candidates (see `count_and_select`). Selection
+    reads the backbone alone, so a model with adapters raises DataError."""
+    if model.has_adapters:
+        raise DataError("head selection runs on a backbone; this model has adapters")
     return count_and_select(_backbone_maps(model, utts), fraction)
 
 
@@ -557,6 +559,8 @@ class EvalReport:
 # calls, 342 ms at 32, 293 ms at 16 and 306 ms at 8, and the
 # (64, T, ffn_width) FFN activations set evaluation's peak memory. Blocking is the tiling of FlashAttention (arXiv:2205.14135).
 ENCODE_ROWS = 16
+# Utterances per greedy decode, for the per-call cost above.
+DECODE_ROWS = 64
 
 
 def _encode_blocked(model: Seq2SeqModel, frames: np.ndarray,
@@ -570,13 +574,14 @@ def _encode_blocked(model: Seq2SeqModel, frames: np.ndarray,
 
 
 def _decode_set(model: Seq2SeqModel, utts: Sequence[Utterance], prompt: list[int],
-                selection: HeadSelection | None = None,
-                chunk: int = 64) -> tuple[dict[str, list[int]], tuple[int, int]]:
-    """Greedy hypotheses by utterance id, decoded in chunks of similar frame
-    length. With a selection, also the LID attribution (correct, total) of
-    the code-switched utterances: a teacher-forced decoder pass over their
-    references, on the memory their chunk was decoded from and through the
-    deepest selected layer, supplies the maps.
+                selection: HeadSelection | None = None
+                ) -> tuple[dict[str, list[int]], tuple[int, int]]:
+    """Greedy hypotheses by utterance id, decoded in chunks of `DECODE_ROWS`
+    utterances of similar frame length. With a selection, also the LID
+    attribution (correct, total) of the code-switched utterances: a
+    teacher-forced decoder pass over their references, on the memory their
+    chunk was decoded from and through the deepest selected layer, supplies
+    the maps.
 
     Each utterance is encoded once, `ENCODE_ROWS` rows at a time at its
     chunk's padded length, and the blocks' memory is concatenated into the
@@ -590,10 +595,9 @@ def _decode_set(model: Seq2SeqModel, utts: Sequence[Utterance], prompt: list[int
     """
     hyps: dict[str, list[int]] = {}
     correct = total = 0
-    blnk = model.vocab.id("<blnk>")
     ordered = sorted(utts, key=lambda u: u.frames.shape[0])
-    for start in range(0, len(ordered), chunk):
-        group = ordered[start:start + chunk]
+    for start in range(0, len(ordered), DECODE_ROWS):
+        group = ordered[start:start + DECODE_ROWS]
         t_max = max(u.frames.shape[0] for u in group)
         feat = group[0].frames.shape[1]
         frames = np.zeros((len(group), t_max, feat))
@@ -608,7 +612,7 @@ def _decode_set(model: Seq2SeqModel, utts: Sequence[Utterance], prompt: list[int
             rows = [i for i, utt in enumerate(group) if utt.kind == KIND_CS]
             if selection is not None and rows:
                 seqs = [group[i].reference for i in rows]
-                tokens = np.full((len(rows), max(s.n for s in seqs)), blnk, dtype=np.int64)
+                tokens = np.full((len(rows), max(s.n for s in seqs)), BLNK, dtype=np.int64)
                 for i, seq in enumerate(seqs):
                     tokens[i, :seq.n] = seq.ids
                 selection.require_nonempty()
@@ -630,13 +634,9 @@ def token_accuracy(model: Seq2SeqModel, utts: Sequence[Utterance],
         raise DataError("cannot compute accuracy on an empty set")
     groups: dict[tuple, list[Utterance]] = {}
     for utt in utts:
-        if bilingual_prompt:
-            prompt = tuple(build_prompt(model.vocab))
-        else:
-            if utt.lang is None:
-                raise DataError("monolingual prompt requires a monolingual utterance")
-            prompt = tuple(build_prompt(model.vocab, utt.lang))
-        groups.setdefault(prompt, []).append(utt)
+        if not bilingual_prompt and utt.lang is None:
+            raise DataError("monolingual prompt requires a monolingual utterance")
+        groups.setdefault(PROMPTS[None if bilingual_prompt else utt.lang], []).append(utt)
     total_err = 0
     total_ref = 0
     for prompt, group in sorted(groups.items()):
@@ -662,7 +662,7 @@ def evaluate_model(model: Seq2SeqModel, test_sets: Mapping[str, Sequence[Utteran
     hyps: dict[str, list[int]] = {}
     kinds: dict[str, str] = {}
     correct = total = 0
-    prompt = build_prompt(model.vocab)
+    prompt = list(PROMPTS[None])
     for name in sorted(test_sets):
         utts = test_sets[name]
         set_hyps, (right, words) = _decode_set(model, utts, prompt, selection)

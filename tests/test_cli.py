@@ -138,19 +138,56 @@ def test_pretrain_missing_data(workdir, micro_files):
     assert rc == 3
 
 
-def test_pretrain_malformed_manifest(micro_files, data, workdir, capsys):
-    bad = workdir / "bad-data"
-    bad.mkdir()
+def corrupt_copy(data, target, split, edit):
+    """A copy of the corpus `data` at `target` whose `split` manifest lines
+    pass through `edit`."""
+    target.mkdir()
     for path in data.iterdir():
-        (bad / path.name).write_bytes(path.read_bytes())
-    manifest = bad / "pretrain.manifest"
-    lines = manifest.read_text().splitlines()
-    lines[1] = lines[1].rsplit("\t", 1)[0]  # drop the length field
-    manifest.write_text("\n".join(lines) + "\n")
+        (target / path.name).write_bytes(path.read_bytes())
+    manifest = target / f"{split}.manifest"
+    manifest.write_text("\n".join(edit(manifest.read_text().splitlines())) + "\n")
+    return target
+
+
+def edit_ids(change):
+    """A manifest edit that passes the first utterance's ids through `change`."""
+    def edit(lines):
+        fields = lines[1].split("\t")
+        fields[2] = " ".join(str(i) for i in change([int(x) for x in fields[2].split()]))
+        return [lines[0], "\t".join(fields)] + lines[2:]
+    return edit
+
+
+def test_pretrain_malformed_manifest(micro_files, data, workdir, capsys):
+    # drop the length field
+    bad = corrupt_copy(data, workdir / "bad-data", "pretrain",
+                       lambda lines: [lines[0], lines[1].rsplit("\t", 1)[0]] + lines[2:])
     rc = main(["pretrain", "--data", str(bad), "--out", str(workdir / "b.ckpt"),
                "--config", str(micro_files["train"])])
     assert rc == 3
     assert "malformed manifest line" in capsys.readouterr().err
+
+
+# The micro corpus has 6 words per language: ids 7-12 are language A's and
+# 13-18 language B's. Test utterances carry the 5-id bilingual prompt.
+@pytest.mark.parametrize("split, edit, message", [
+    ("test-cs", edit_ids(lambda ids: ids[:5] + [999] + ids[6:]), "token 999 is not a word"),
+    ("test-cs", edit_ids(lambda ids: ids[:5] + [-3] + ids[6:]), "token -3 is not a word"),
+    ("test-mono-a", edit_ids(lambda ids: ids[:5] + [13] + ids[6:]),
+     "mono-a utterance carries tags"),
+    ("test-cs", edit_ids(lambda ids: ids[5:]), "does not open with a prompt"),
+    ("test-cs", edit_ids(lambda ids: ids[:-1]), "does not end with <eot>"),
+    ("test-mono-b", lambda lines: [json.dumps({**json.loads(lines[0]), "format": 1})] + lines[1:],
+     "manifest format 1, not 2"),
+], ids=["id-past-vocabulary", "negative-id", "mono-a-holding-b-word", "no-prompt",
+        "no-eot", "format-1"])
+def test_eval_malformed_manifest(data, adapted, tmp_path, capsys, split, edit, message):
+    bad = corrupt_copy(data, tmp_path / "data", split, edit)
+    report = tmp_path / "report.csv"
+    rc = main(["eval", "--model", str(adapted), "--data", str(bad), "--report", str(report)])
+    assert rc == 3
+    assert message in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_pretrain_accuracy_gate_failure(micro_files, data, workdir, capsys):
@@ -171,6 +208,15 @@ def test_select_heads_empty_selection_fails(data, backbone, workdir, capsys):
                "--fraction", "1.0", "--out", str(out)])
     assert rc == 2
     assert "no heads selected" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_select_heads_on_adapted_model_fails(data, adapted, workdir, capsys):
+    out = workdir / "adapted-heads.tsv"
+    rc = main(["select-heads", "--backbone", str(adapted), "--data", str(data),
+               "--out", str(out)])
+    assert rc == 3
+    assert "this model has adapters" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -258,6 +304,28 @@ def test_adapt_unguidable_head_fails_before_training(micro_files, data, backbone
                "--config", str(micro_files["train"]), "--out", str(out)])
     assert rc == 2
     assert "[(0, 1)] cannot be guided" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("head", [(5, 0), (1, 7)])
+@pytest.mark.parametrize("mode", ["one-stage-ag", "two-stage-ag"])
+def test_adapt_missing_head_fails_before_training(micro_files, data, backbone, workdir,
+                                                  capsys, monkeypatch, mode, head):
+    from agadapt import training
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(training, "_run_training", no_training)
+    missing = workdir / "missing.tsv"
+    missing.write_text(f"# dataset_size=32\tthreshold=16.0\n{head[0]}\t{head[1]}\t20\n")
+    out = workdir / "missing.ckpt"
+    rc = main(["adapt", "--mode", mode, "--backbone", str(backbone),
+               "--data", str(data), "--heads", str(missing),
+               "--config", str(micro_files["train"]), "--out", str(out)])
+    assert rc == 3
+    assert (f"selected head {head} missing from the model, which has 2 decoder "
+            f"layers of 2 heads") in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -21,7 +21,17 @@ from agadapt.guidance import (
     random_heads,
     save_head_selection,
 )
-from agadapt.model import LANG_A, LANG_B, LID_COLUMNS, TokenSequence, Vocabulary
+from agadapt.model import (
+    EN,
+    EOT,
+    LANG_A,
+    LANG_B,
+    LID_COLUMNS,
+    PROMPTS,
+    ZH,
+    TokenSequence,
+    Vocabulary,
+)
 from agadapt.numerics import Parameter, Tensor, backward, finite_diff_grad
 from agadapt.training import TrainConfig
 
@@ -29,12 +39,17 @@ RNG = np.random.default_rng(77)
 
 
 def sequence(n, tags=None):
-    """A length-n sequence with the bilingual prompt's LID positions and the
-    per-row language `tags` (default: no word rows). The statistics read a
-    sequence's length, tags and LID positions only, so its ids are
-    placeholders."""
-    return TokenSequence(ids=[0] * n, lang_tags=list(tags or [None] * n),
-                         lid_positions=LID_COLUMNS)
+    """A length-n sequence that opens with the bilingual prompt (cut short
+    when n < 5), with the per-row language `tags` (default: no word rows).
+    The statistics read a sequence's length, tags and LID-column ids only, so
+    its ids past the prompt are placeholders."""
+    return TokenSequence(ids=(list(PROMPTS[None]) + [EOT] * n)[:n],
+                         lang_tags=list(tags or [None] * n))
+
+
+def lid_positions(seq):
+    """The positions of <zh> and <en> in `seq`."""
+    return seq.ids.index(ZH), seq.ids.index(EN)
 
 
 def random_stochastic(n, rng):
@@ -111,7 +126,7 @@ def oracle_target(seq, c=0.6):
             matrix[i, 0] = c
         elif tag == LANG_B:
             matrix[i, 1] = c
-    return Target(n=seq.n, omega=tuple(seq.lid_positions), matrix=matrix)
+    return Target(n=seq.n, omega=lid_positions(seq), matrix=matrix)
 
 
 def oracle_ag_loss(maps, selection, target):
@@ -133,7 +148,7 @@ def oracle_attribution(maps_per_utterance, sequences, selection):
         for head in selection.selected:
             acc += maps[head]
         acc /= len(selection.selected)
-        zh_col, en_col = seq.lid_positions
+        zh_col, en_col = lid_positions(seq)
         for pos in seq.word_positions:
             predicted = "A" if acc[pos, zh_col] >= acc[pos, en_col] else "B"
             correct += int(predicted == seq.lang_tags[pos])
@@ -206,7 +221,7 @@ class TestLidIndicator:
         # the junk rows of a shorter sequence are not checked, but its
         # valid rows are
         attention, seqs = pad_batch([{(0, 0): np.full((4, 4), 0.25)},
-                                     {(0, 0): np.full((2, 2), 0.5)}])
+                                     {(0, 0): np.eye(3)[[0, 0, 0]]}])
         assert lid_counts(attention, seqs).tolist() == [[0]]
         attention[0][1, 0, 1, 0] = 0.9
         with pytest.raises(NumericError):
@@ -349,7 +364,7 @@ class TestGuidanceTarget:
         word_b = self.vocab.word_ids("B")[0]
         y = TokenSequence.from_words(self.vocab, [word_a, word_b])
         # ids: <sot> <zh> <en> <trans> <nots> wordA wordB <eot>
-        assert y.lid_positions == LID_COLUMNS
+        assert [y.ids[c] for c in LID_COLUMNS] == [ZH, EN]
         g = np.zeros((y.n, y.n))
         g[:, [1, 2]] = goal_of(y, 0.6)
         assert g[5, 1] == 0.6 and g[5, 2] == 0.0

@@ -5,14 +5,16 @@ import pytest
 
 from agadapt.errors import DataError
 from agadapt.model import (
+    EN,
     EOT,
+    LID_COLUMNS,
+    ZH,
     ModelConfig,
     Seq2SeqModel,
     TokenSequence,
     Vocabulary,
     adapter_apply,
     build_prompt,
-    extract_attention,
     is_adapter_param,
 )
 from agadapt.numerics import (
@@ -47,7 +49,7 @@ class TestVocabulary:
     def test_layout(self, vocab):
         assert vocab.size == 7 + 20
         assert vocab.string(0) == "<sot>"
-        assert vocab.omega_ids == (1, 2)
+        assert (vocab.string(ZH), vocab.string(EN)) == ("<zh>", "<en>")
         assert vocab.lang(7) == "A" and vocab.lang(17) == "B"
         assert vocab.lang(3) is None
 
@@ -69,25 +71,37 @@ class TestPrompt:
         assert build_prompt(vocab, "B") == [0, 2, 3, 4]
         assert len(build_prompt(vocab, "A")) == 4
 
-    def test_missing_special_errors(self):
-        crippled = Vocabulary(["A00"], ["B00"],
-                              specials=("<sot>", "<zh>", "<en>", "<nots>",
-                                        "<eot>", "<blnk>"))
-        with pytest.raises(DataError, match="<trans>"):
-            build_prompt(crippled)
-
 
 class TestTokenSequence:
     def test_bilingual_layout(self, vocab):
         y = TokenSequence.from_words(vocab, [7, 17])
         assert y.ids[:5] == build_prompt(vocab)
-        assert y.lid_positions == (1, 2)
+        assert [y.ids[c] for c in LID_COLUMNS] == [ZH, EN]
         assert y.lang_tags == [None] * 5 + ["A", "B"] + [None]
         assert y.ids[-1] == EOT
 
     def test_rejects_non_word(self, vocab):
         with pytest.raises(DataError):
             TokenSequence.from_words(vocab, [0])
+
+    @pytest.mark.parametrize("lang", [None, "A", "B"])
+    def test_from_ids_derives_the_tags(self, vocab, lang):
+        y = TokenSequence.from_ids(vocab, build_prompt(vocab, lang) + [17, 18, 7, EOT])
+        assert y.lang_tags == [None] * (y.n - 4) + ["B", "B", "A", None]
+        assert TokenSequence.from_words(vocab, [17, 18, 7], lang) == y
+
+    @pytest.mark.parametrize("ids, message", [
+        ([7, 17, 5], "prompt"),                    # no prompt
+        ([0, 1, 3, 4, 7, 17], "<eot>"),            # no end marker
+        ([0, 1, 2, 3, 4], "<eot>"),                # the prompt alone
+        ([0, 1, 2, 3, 4, 27, 5], "token 27"),      # past the vocabulary
+        ([0, 1, 2, 3, 4, -3, 5], "token -3"),      # negative
+        ([0, 1, 2, 3, 4, 7, 1, 5], "token 1"),     # a special token among the words
+        ([0, 2, 1, 3, 4, 7, 5], "prompt"),         # LID tokens out of order
+    ])
+    def test_from_ids_rejects_other_layouts(self, vocab, ids, message):
+        with pytest.raises(DataError, match=message):
+            TokenSequence.from_ids(vocab, ids)
 
     def test_too_long_rejected(self, model, vocab):
         y = TokenSequence.from_words(vocab, [7] * (model.config.max_len - 5))
@@ -148,14 +162,6 @@ class TestAttentionContracts:
         with pytest.raises(DataError, match="too long"):
             model.forward(frames, np.array([y.ids]))
 
-    def test_extract_attention_trims(self, model, vocab):
-        frames = RNG.normal(size=(1, 5, 8))
-        y = TokenSequence.from_words(vocab, [7, 17])
-        out = model.forward(frames, np.array([y.ids]))
-        maps = extract_attention(out, 0, n=4)
-        assert maps[(0, 0)].shape == (4, 4)
-        assert len(maps) == model.config.dec_layers * model.config.heads
-
 
 class TestAdapters:
     def test_adapter_apply_zero_up_is_identity(self):
@@ -196,16 +202,6 @@ class TestAdapters:
         model.init_adapters(seed=3)
         after = model.forward(frames, toks).logits.data
         assert np.array_equal(before, after)
-
-    def test_disabled_equals_zero_init(self, model, vocab):
-        model.init_adapters(seed=3)
-        frames = RNG.normal(size=(1, 4, 8))
-        y = TokenSequence.from_words(vocab, [7])
-        toks = np.array([y.ids])
-        on = model.forward(frames, toks).logits.data
-        off = model.forward(frames, toks, enc_adapters=False,
-                            dec_adapters=False).logits.data
-        assert np.array_equal(on, off)
 
     def test_trainable_fraction_matches_enumeration(self, model):
         model.init_adapters(seed=3)
@@ -250,11 +246,11 @@ class TestAdapters:
             model.init_adapters(seed=4)
 
 
-def next_logits(model, frames, toks, frame_mask=None, adapters=True):
+def next_logits(model, frames, toks, frame_mask=None):
     """Scores of the token after the whole of `toks`: the last row of a full
     teacher-forced decoder pass's output projection."""
-    memory, col_mask = model.encode(frames, frame_mask, adapters)
-    proj, _ = model._decode_rows(toks, memory, col_mask, adapters)
+    memory, col_mask = model.encode(frames, frame_mask)
+    proj, _ = model._decode_rows(toks, memory, col_mask)
     return proj.data[:, -1]
 
 
@@ -262,7 +258,6 @@ def full_forward_greedy(model, frames, frame_mask, prompt_ids, max_new=None):
     """Reference greedy loop: one full teacher-forced forward of the whole
     prefix per emitted token. Returns the content token lists and the
     next-token logits of every step."""
-    eot = model.vocab.id("<eot>")
     limit = model.config.max_len - len(prompt_ids)
     if max_new is not None:
         limit = min(limit, max_new)
@@ -273,14 +268,14 @@ def full_forward_greedy(model, frames, frame_mask, prompt_ids, max_new=None):
         for _ in range(limit):
             logits = next_logits(model, frames, toks, frame_mask)
             steps.append(logits)
-            nxt = np.where(done, eot, logits.argmax(axis=-1))
+            nxt = np.where(done, EOT, logits.argmax(axis=-1))
             toks = np.concatenate([toks, nxt[:, None]], axis=1)
-            done |= nxt == eot
+            done |= nxt == EOT
             if done.all():
                 break
     hyps = []
     for row in toks[:, len(prompt_ids):]:
-        ends = np.flatnonzero(row == eot)
+        ends = np.flatnonzero(row == EOT)
         hyps.append([int(t) for t in row[:ends[0] if ends.size else row.size]])
     return hyps, steps
 
@@ -331,16 +326,16 @@ class TestGreedyDecode:
         assert_decode_matches_oracle(model, frames, mask, build_prompt(vocab, lang))
 
     def test_matches_with_active_adapters(self, model, vocab):
+        frames = RNG.normal(size=(3, 6, 8))
+        prompt = build_prompt(vocab)
+        toks = np.tile(prompt, (3, 1))
+        off = next_logits(model, frames, toks)
         model.init_adapters(seed=3)
         rng = np.random.default_rng(4)
         for name, p in model.adapter_params().items():
             if ".up." in name:
                 p.data = rng.normal(0.0, 0.1, p.data.shape)
-        frames = RNG.normal(size=(3, 6, 8))
-        prompt = build_prompt(vocab)
-        toks = np.tile(prompt, (3, 1))
         on = next_logits(model, frames, toks)
-        off = next_logits(model, frames, toks, adapters=False)
         assert not np.array_equal(on, off)  # the adapters change the function
         assert_decode_matches_oracle(model, frames, None, prompt)
 

@@ -144,8 +144,8 @@ class TestManifest:
                 assert orig.uid == loaded.uid
                 assert orig.kind == loaded.kind
                 assert orig.reference.ids == loaded.reference.ids
+                # derived from the ids on reading, equal to the generated tags
                 assert orig.reference.lang_tags == loaded.reference.lang_tags
-                assert orig.reference.lid_positions == loaded.reference.lid_positions
                 # frames stored as f32
                 np.testing.assert_allclose(orig.frames, loaded.frames, atol=1e-6)
 
@@ -153,13 +153,13 @@ class TestManifest:
         with pytest.raises(DataError):
             read_split(tmp_path, "pretrain")
 
-    # fields: uid, kind, ids, tags, offset, length
+    # fields: uid, kind, ids, offset, length
     @pytest.mark.parametrize("corrupt", [
-        lambda f: f[:5],                                  # five fields
-        lambda f: f + ["extra"],                          # seven fields
+        lambda f: f[:4],                                  # four fields
+        lambda f: f + ["extra"],                          # six fields
         lambda f: f[:2] + ["0 x 2"] + f[3:],              # non-integer id
-        lambda f: f[:5] + ["long"],                       # non-integer length
-        lambda f: f[:4] + ["99999999", f[5]],             # offset past the end
+        lambda f: f[:4] + ["long"],                       # non-integer length
+        lambda f: f[:3] + ["99999999", f[4]],             # offset past the end
     ])
     def test_malformed_manifest_line(self, tmp_path, corrupt):
         write_corpus(tmp_path, SPEC, VOCAB, generate_corpus(SPEC, VOCAB, SIZES))
@@ -182,11 +182,13 @@ class TestManifest:
         with pytest.raises(DataError):
             read_split(tmp_path, "adapt")
 
-    # fields: uid, kind, ids, tags, offset, length
+    # fields: uid, kind, ids, offset, length; line 1 is mono-a, its ids
+    # the monolingual prompt (4 ids), words, <eot>
     @pytest.mark.parametrize("corrupt, message", [
         (lambda f: f[:1] + ["mono-z"] + f[2:], "unknown utterance kind"),
-        (lambda f: f[:3] + [f[3].rsplit(" ", 1)[0]] + f[4:], "language tags"),
-        (lambda f: f[:3] + [f[3] + " -"] + f[4:], "language tags"),
+        (lambda f: f[:1] + ["mono-b"] + f[2:], "mono-b utterance carries tags"),
+        (lambda f: f[:2] + [" ".join(f[2].split()[:4] + ["13"] + f[2].split()[5:])] + f[3:],
+         "mono-a utterance carries tags"),
     ])
     def test_bad_kind_or_tag_count(self, tmp_path, corrupt, message):
         write_corpus(tmp_path, SPEC, VOCAB, generate_corpus(SPEC, VOCAB, SIZES))

@@ -10,6 +10,9 @@ from agadapt import training
 from agadapt.errors import ConfigError, DataError
 from agadapt.guidance import HeadSelection, ag_loss, candidate_heads
 from agadapt.model import (
+    BLNK,
+    EN,
+    ZH,
     ModelConfig,
     Seq2SeqModel,
     TokenSequence,
@@ -157,9 +160,9 @@ class TestConfig:
             build_model_config(values)
 
 
-def utterance_loss(model, utt, vocab, selection, gamma):
+def utterance_loss(model, utt, selection, gamma):
     """`batch_loss` on a batch holding the one utterance `utt`."""
-    batch = make_batches([utt], vocab, 1)[0]
+    batch = make_batches([utt], 1)[0]
     return batch_loss(model, batch, selection, gamma, 0.6)[0]
 
 
@@ -180,14 +183,14 @@ def count_ag_calls(monkeypatch):
 class TestJointLoss:
     def test_gamma_zero_equals_ce_bitwise(self, adapted_model, vocab, corpus):
         utt = corpus["adapt"][0]
-        joint = utterance_loss(adapted_model, utt, vocab, micro_selection(), 0.0)
-        ce = utterance_loss(adapted_model, utt, vocab, None, 0.0)
+        joint = utterance_loss(adapted_model, utt, micro_selection(), 0.0)
+        ce = utterance_loss(adapted_model, utt, None, 0.0)
         assert joint.item() == ce.item()
 
     def test_affine_in_gamma(self, adapted_model, vocab, corpus):
         utt = corpus["adapt"][0]
         sel = micro_selection()
-        vals = {g: utterance_loss(adapted_model, utt, vocab, sel, g).item()
+        vals = {g: utterance_loss(adapted_model, utt, sel, g).item()
                 for g in (0.0, 0.01, 1.0)}
         ce, ag = vals[0.0], vals[1.0] - vals[0.0]
         assert vals[0.01] == pytest.approx(ce + 0.01 * ag, rel=1e-9)
@@ -195,7 +198,7 @@ class TestJointLoss:
     def test_missing_selection_errors(self, adapted_model, vocab, corpus):
         utt = corpus["adapt"][0]
         with pytest.raises(ConfigError):
-            utterance_loss(adapted_model, utt, vocab, None, 0.5)
+            utterance_loss(adapted_model, utt, None, 0.5)
 
     def test_gradient_vs_finite_difference(self, adapted_model, vocab, corpus):
         rng = np.random.default_rng(4)
@@ -203,7 +206,7 @@ class TestJointLoss:
             p.data = rng.normal(0, 0.05, p.data.shape)
         utt = corpus["adapt"][0]
         sel = micro_selection()
-        loss = utterance_loss(adapted_model, utt, vocab, sel, 0.01)
+        loss = utterance_loss(adapted_model, utt, sel, 0.01)
         store = backward(loss, adapted_model.adapter_params().values())
         name = "dec.0.ffn_adapter.up.weight"
         p = adapted_model.params[name]
@@ -211,7 +214,7 @@ class TestJointLoss:
         def f(arr):
             saved = p.data
             p.data = arr
-            val = utterance_loss(adapted_model, utt, vocab, sel, 0.01).item()
+            val = utterance_loss(adapted_model, utt, sel, 0.01).item()
             p.data = saved
             return val
 
@@ -221,12 +224,12 @@ class TestJointLoss:
 
     def test_batched_matches_per_utterance(self, adapted_model, vocab, corpus):
         utts = corpus["adapt"][:4]
-        batches = make_batches(utts, vocab, 4)
+        batches = make_batches(utts, 4)
         assert len(batches) == 1
         assert len(set(len(u.reference.ids) for u in utts)) > 1  # padded rows
         sel = micro_selection()
         loss, ce_mean, ag_mean = batch_loss(adapted_model, batches[0], sel, 0.01, 0.6)
-        singles = [utterance_loss(adapted_model, u, vocab, sel, 0.01).item()
+        singles = [utterance_loss(adapted_model, u, sel, 0.01).item()
                    for u in utts]
         assert loss.item() == pytest.approx(np.mean(singles), rel=1e-9)
 
@@ -235,7 +238,7 @@ class TestJointLoss:
         # an AG-only loss: a layer-1 head's maps depend on the layer-0
         # decoder adapters; a layer-0 head's maps depend on no adapter
         randomise_adapters(adapted_model)
-        batch = make_batches(corpus["adapt"], vocab, 8)[0]
+        batch = make_batches(corpus["adapt"], 8)[0]
         params = adapted_model.adapter_params("dec")
         grads = {}
         for layer in (0, 1):
@@ -345,7 +348,7 @@ class TestStages:
         record = run_stage2(model, corpus["adapt"], corpus["valid"], cfg,
                             micro_selection())
         # one guidance node per training batch per epoch
-        batches = make_batches(corpus["adapt"], vocab, cfg.batch_size)
+        batches = make_batches(corpus["adapt"], cfg.batch_size)
         assert len(batches) > 1
         assert len(ag_calls) == cfg.epochs * len(batches)
         assert any(e.train_ag > 0.0 for e in record.epochs)
@@ -419,13 +422,13 @@ class TestTapeLifetime:
 
     def test_pretrain_gradients_bit_identical_to_retained_sweep(self, vocab, corpus):
         model = Seq2SeqModel(MICRO_CONFIG, vocab, seed=1)
-        batch = make_batches(corpus["pretrain"], vocab, 8)[0]
+        batch = make_batches(corpus["pretrain"], 8)[0]
         self._assert_matches_retained_sweep(model, batch, None, 0.0)
 
     def test_adapter_ag_gradients_bit_identical_to_retained_sweep(self, adapted_model,
                                                                   vocab, corpus):
         randomise_adapters(adapted_model)
-        batch = make_batches(corpus["adapt"], vocab, 8)[0]
+        batch = make_batches(corpus["adapt"], 8)[0]
         self._assert_matches_retained_sweep(adapted_model, batch, micro_selection(), 0.5)
 
     def test_no_tape_alive_at_forward_entry(self, adapted_model, corpus, monkeypatch):
@@ -452,10 +455,9 @@ def oracle_head_counts(model, utts):
     counts = {}
     with no_grad():
         for utt in utts:
-            if len(utt.reference.lid_positions) != 2:
+            if utt.reference.ids[:5] != build_prompt(model.vocab):
                 continue
-            out = model.forward(utt.frames[None], np.array([utt.reference.ids]),
-                                enc_adapters=False, dec_adapters=False)
+            out = model.forward(utt.frames[None], np.array([utt.reference.ids]))
             for layer, maps in enumerate(out.attention):
                 for head, a in enumerate(maps.data[0]):
                     lid = a[:, [1, 2]].sum()
@@ -513,7 +515,7 @@ def oracle_lid_attribution(model, utts, selection):
     forward, encoder included, per batch, then a loop over word tokens."""
     correct = total = 0
     with no_grad():
-        for batch in make_batches(utts, model.vocab, 32):
+        for batch in make_batches(utts, 32):
             out = model.forward(batch.frames, batch.tokens, batch.frame_mask)
             for i, seq in enumerate(batch.sequences):
                 n = batch.lengths[i]
@@ -521,7 +523,7 @@ def oracle_lid_attribution(model, utts, selection):
                 for layer, head in selection.selected:
                     acc += out.attention[layer].data[i, head, :n, :n]
                 acc /= len(selection.selected)
-                zh_col, en_col = seq.lid_positions
+                zh_col, en_col = seq.ids.index(ZH), seq.ids.index(EN)
                 for pos in seq.word_positions:
                     predicted = "A" if acc[pos, zh_col] >= acc[pos, en_col] else "B"
                     correct += int(predicted == seq.lang_tags[pos])
@@ -560,21 +562,21 @@ class TestNextTokenAlignment:
             assert got[name].tobytes() == want[name].tobytes(), name
 
     def test_batch_targets_are_the_tokens_shifted_left(self, vocab, corpus):
-        batch = make_batches(corpus["adapt"], vocab, 8)[0]
+        batch = make_batches(corpus["adapt"], 8)[0]
         for i, n in enumerate(batch.lengths):
             assert np.array_equal(batch.targets[i, :n - 1], batch.tokens[i, 1:n])
-            assert np.all(batch.targets[i, n - 1:] == vocab.id("<blnk>"))
+            assert np.all(batch.targets[i, n - 1:] == BLNK)
             assert np.array_equal(batch.ce_mask[i], np.arange(batch.tokens.shape[1]) < n - 1)
 
     def test_pretrain_gradients_bit_identical_to_oracle(self, vocab, corpus):
         model = Seq2SeqModel(MICRO_CONFIG, vocab, seed=1)
-        batch = make_batches(corpus["pretrain"], vocab, 8)[0]
+        batch = make_batches(corpus["pretrain"], 8)[0]
         self._assert_matches_oracle(model, batch, None, 0.0)
 
     def test_adapter_ag_gradients_bit_identical_to_oracle(self, adapted_model, vocab,
                                                           corpus):
         randomise_adapters(adapted_model)
-        batch = make_batches(corpus["adapt"], vocab, 8)[0]
+        batch = make_batches(corpus["adapt"], 8)[0]
         self._assert_matches_oracle(adapted_model, batch, micro_selection(), 0.5)
 
 
@@ -700,6 +702,6 @@ class TestEvaluation:
         assert decode_peak < whole_peak
 
     def test_validation_ce_finite(self, adapted_model, vocab, corpus):
-        batches = make_batches(corpus["valid"], vocab, 8)
+        batches = make_batches(corpus["valid"], 8)
         v = validation_ce(adapted_model, batches)
         assert np.isfinite(v) and v > 0
