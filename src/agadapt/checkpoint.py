@@ -9,9 +9,9 @@ field), ``vocab`` (``n_words_a``, ``n_words_b``), ``adapters`` (a bool) and
 The bytes follow from the model alone: two saves of one model are equal, and
 so are a save and the save of what it loads as. `load_model` raises DataError
 for a missing file; another magic or version (a version-1 file is not read);
-a header that is not JSON, lacks a key or has an unknown one; a value not of
-its JSON type (an int field takes an integer, never a bool; a float field any
-number); a config `ModelConfig` rejects; a tensor index other than the
+a header that is not JSON, lacks a key or has an unknown one; a
+`model_config` or `vocab` value that breaks the per-type rule of `config`
+or a config `ModelConfig` rejects; a tensor index other than the
 described model's names and shapes; and a payload longer or shorter than the
 index.
 """
@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
+from . import config
 from .atomicio import atomic_write
 from .errors import DataError
 from .model import ModelConfig, Seq2SeqModel, Vocabulary
@@ -34,7 +35,7 @@ VERSION = 2
 PREFIX = struct.Struct("<4sII")  # magic, version, header length
 
 HEADER_KEYS = {"model_config", "vocab", "adapters", "tensors"}
-VOCAB_KEYS = {"n_words_a", "n_words_b"}
+VOCAB_KINDS = {"n_words_a": int, "n_words_b": int}
 
 
 def save_model(path, model: Seq2SeqModel) -> None:
@@ -52,41 +53,19 @@ def save_model(path, model: Seq2SeqModel) -> None:
             fh.write(np.ascontiguousarray(model.params[name].data, dtype="<f8").tobytes())
 
 
-def _object(value, keys: set[str], what: str) -> dict:
-    """`value` when it is a JSON object with exactly the keys `keys`."""
-    if not isinstance(value, dict):
-        raise DataError(f"checkpoint {what} must be a JSON object")
-    unknown, missing = sorted(set(value) - keys), sorted(keys - set(value))
-    if unknown or missing:
-        raise DataError(f"checkpoint {what} has unknown keys {unknown} and lacks {missing}")
-    return value
-
-
-def _typed(value, kind: type, what: str):
-    """`value` as a `kind` (int or float) when it is a JSON value of that
-    type: an int is an integer and never a bool, a float any number."""
-    allowed = int if kind is int else (int, float)
-    if isinstance(value, bool) or not isinstance(value, allowed):
-        raise DataError(f"checkpoint {what} must be a JSON {kind.__name__}, got {value!r}")
-    return kind(value)
-
-
 def _describe(header) -> Seq2SeqModel:
     """The freshly initialised model the header describes."""
-    header = _object(header, HEADER_KEYS, "header")
-    values = _object(header["model_config"], {f.name for f in fields(ModelConfig)},
-                     "model_config")
-    config = ModelConfig(**{f.name: _typed(values[f.name], type(f.default), f.name)
-                            for f in fields(ModelConfig)})
-    vocab = _object(header["vocab"], VOCAB_KEYS, "vocab")
-    n_a, n_b = (_typed(vocab[key], int, key) for key in sorted(VOCAB_KEYS))
+    header = config.exact_keys(header, HEADER_KEYS, "checkpoint header")
+    model_config = config.from_json(ModelConfig, header["model_config"],
+                                    "checkpoint model_config")
+    n_a, n_b = config.from_json(VOCAB_KINDS, header["vocab"], "checkpoint vocab").values()
     adapters = header["adapters"]
     if not isinstance(adapters, bool):
         raise DataError(f"checkpoint adapters flag must be a JSON bool, got {adapters!r}")
-    model = Seq2SeqModel(config, Vocabulary.build(n_a, n_b), seed=0)
+    model = Seq2SeqModel(model_config, Vocabulary.build(n_a, n_b), seed=0)
     if adapters:
         model.init_adapters(seed=0)
-    listed = _object(header["tensors"], set(model.params), "tensor index")
+    listed = config.exact_keys(header["tensors"], model.params, "checkpoint tensor index")
     for name, p in model.params.items():
         if listed[name] != list(p.data.shape):
             raise DataError(f"checkpoint tensor {name} has shape {listed[name]}, "

@@ -2,21 +2,21 @@
 
 Subcommands: gen-data, pretrain, select-heads, adapt, eval,
 inspect-attention. Exit codes: 0 success, 2 config error, 3 data error,
-4 numeric failure.
+4 numeric failure; `config` states which reader of a config value raises
+which.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 import numpy as np
 
-from . import analysis, checkpoint, guidance, synthtask, training
+from . import analysis, checkpoint, config, guidance, synthtask, training
 from .atomicio import atomic_write
 from .errors import ConfigError, DataError, NumericError
-from .model import FIRST_GUIDABLE_LAYER, Seq2SeqModel, Vocabulary
+from .model import FIRST_GUIDABLE_LAYER, ModelConfig, Seq2SeqModel, Vocabulary
 from .numerics import no_grad
 
 EXIT_OK = 0
@@ -25,28 +25,28 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def _load_config(path: str | None) -> dict[str, str]:
-    if path is None:
-        return {}
-    return training.parse_config_file(path)
-
-
 # gen-data spec keys that set a split's size, e.g. n_test_cs = 200
 SIZE_KEYS = {"n_" + split.replace("-", "_"): split for split in synthtask.SPLIT_SIZES}
 
 
-def _build_synth_spec(values: dict[str, str], seed: int | None) -> synthtask.SynthSpec:
-    return training.config_from_values(synthtask.SynthSpec, values, SIZE_KEYS,
-                                       {"seed": seed})
+def _check_vocab(model: Seq2SeqModel, vocab: Vocabulary, data) -> None:
+    """DataError unless the corpus under `data` has the checkpoint's word
+    counts: a model scores ids of its own vocabulary only."""
+    have = (model.vocab.n_words_a, model.vocab.n_words_b)
+    if (vocab.n_words_a, vocab.n_words_b) != have:
+        raise DataError(f"the checkpoint has {have[0]}+{have[1]} words per language, "
+                        f"the corpus under {data} {vocab.n_words_a}+{vocab.n_words_b}")
 
 
 def cmd_gen_data(args) -> int:
-    values = _load_config(args.spec)
-    spec = _build_synth_spec(values, args.seed)
+    values = config.parse_config_file(args.spec)
+    spec = config.from_text(synthtask.SynthSpec, values, SIZE_KEYS, {"seed": args.seed})
     sizes = dict(synthtask.SPLIT_SIZES)
-    for key, split in SIZE_KEYS.items():
-        if key in values:
-            sizes[split] = training.coerce_value(key, values[key], int)
+    for key, size in config.from_text(dict.fromkeys(SIZE_KEYS, int), values,
+                                      config.field_kinds(synthtask.SynthSpec)).items():
+        if size < 1:
+            raise ConfigError(f"{key} must be at least 1, got {size}")
+        sizes[SIZE_KEYS[key]] = size
     vocab = Vocabulary.build(spec.words_per_language, spec.words_per_language)
     corpus = synthtask.generate_corpus(spec, vocab, sizes)
     synthtask.write_corpus(args.out, spec, vocab, corpus)
@@ -56,7 +56,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    values = _load_config(args.config)
+    values = config.parse_config_file(args.config)
     cfg = training.build_train_config(values, {"seed": args.seed})
     model_cfg = training.build_model_config(values)
     _, vocab, pretrain_utts = synthtask.read_split(args.data, "pretrain")
@@ -72,7 +72,8 @@ def cmd_pretrain(args) -> int:
 
 def cmd_select_heads(args) -> int:
     model = checkpoint.load_model(args.backbone)
-    _, _, utts = synthtask.read_split(args.data, "adapt")
+    _, vocab, utts = synthtask.read_split(args.data, "adapt")
+    _check_vocab(model, vocab, args.data)
     selection = training.select_heads(model, utts, args.fraction)
     if args.strategy == "all":
         selection.selected = guidance.candidate_heads(selection.counts)
@@ -96,20 +97,20 @@ def cmd_select_heads(args) -> int:
 
 
 def cmd_adapt(args) -> int:
-    values = _load_config(args.config)
+    values = config.parse_config_file(args.config)
     cfg = training.build_train_config(values, {"mode": args.mode, "seed": args.seed})
     model = checkpoint.load_model(args.backbone)
     if model.has_adapters:
         raise DataError("backbone checkpoint already contains adapters")
-    for f in dataclasses.fields(model.config):
-        if f.name not in values:
-            continue
-        want = training.coerce_value(f.name, values[f.name], type(f.default))
-        have = getattr(model.config, f.name)
+    wanted = config.from_text(config.field_kinds(ModelConfig), values,
+                              config.field_kinds(training.TrainConfig))
+    for name, want in wanted.items():
+        have = getattr(model.config, name)
         if want != have:
-            raise ConfigError(f"config sets {f.name} = {want!r}, but the backbone "
-                              f"has {f.name} = {have!r}")
-    _, _, train_utts = synthtask.read_split(args.data, "adapt")
+            raise ConfigError(f"config sets {name} = {want!r}, but the backbone "
+                              f"has {name} = {have!r}")
+    _, vocab, train_utts = synthtask.read_split(args.data, "adapt")
+    _check_vocab(model, vocab, args.data)
     _, _, valid_utts = synthtask.read_split(args.data, "valid")
     selection = None
     if args.heads is not None:
@@ -129,8 +130,8 @@ def cmd_eval(args) -> int:
     model = checkpoint.load_model(args.model)
     sets = {}
     for split in ("test-mono-a", "test-mono-b", "test-cs"):
-        _, _, utts = synthtask.read_split(args.data, split)
-        sets[split] = utts
+        _, vocab, sets[split] = synthtask.read_split(args.data, split)
+        _check_vocab(model, vocab, args.data)
     selection = None
     if args.heads is not None:
         selection = guidance.load_head_selection(args.heads)
@@ -150,7 +151,7 @@ def cmd_inspect_attention(args) -> int:
     found = None
     for split in ("test-cs", "test-mono-a", "test-mono-b", "valid", "adapt", "pretrain"):
         try:
-            _, _, utts = synthtask.read_split(args.data, split)
+            _, vocab, utts = synthtask.read_split(args.data, split)
         except DataError:
             continue
         for utt in utts:
@@ -161,6 +162,7 @@ def cmd_inspect_attention(args) -> int:
             break
     if found is None:
         raise DataError(f"utterance {args.utterance!r} not found under {args.data}")
+    _check_vocab(model, vocab, args.data)
     if not (0 <= args.layer < model.config.dec_layers):
         raise ConfigError(f"layer {args.layer} out of range")
     if not (0 <= args.head < model.config.heads):

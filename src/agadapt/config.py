@@ -1,0 +1,105 @@
+"""The one reader of the config dataclasses (`ModelConfig`, `TrainConfig`,
+`SynthSpec`) from values that come from outside the program.
+
+Every field's default is an int, float or str, and each value is read by one
+rule: an int field takes an integer, never a bool; a float field takes a
+finite number; a str field takes a string. Config-file text is parsed with
+the field's type first, so ``heads = 3`` reads as 3; JSON header values are
+not parsed, so a header ``"heads": "3"`` is rejected.
+
+`from_text` reads config files (`pretrain` and `adapt --config`, `gen-data
+--spec`): an unknown key, a value against the rule and a value the dataclass
+rejects raise ConfigError, exit code 2. `from_json` reads checkpoint and
+manifest headers, whose objects hold exactly the expected keys: any mistake
+raises DataError, exit code 3.
+"""
+
+from __future__ import annotations
+
+import sys
+from dataclasses import fields, is_dataclass
+from pathlib import Path
+from typing import Iterable, Mapping
+
+from .errors import ConfigError, DataError
+
+
+def field_kinds(cls) -> dict[str, type]:
+    """Each field of dataclass `cls` with the type of its default."""
+    return {f.name: type(f.default) for f in fields(cls)}
+
+
+def _valid(kind: type, value) -> bool:
+    if isinstance(value, bool):
+        return False
+    if kind is float:  # finite: no nan or inf, and no int past float's range
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, kind)
+
+
+def parse_config_file(path) -> dict[str, str]:
+    """Flat ``key = value`` lines with ``#`` comments; no file (None) is empty."""
+    if path is None:
+        return {}
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"config file not found: {path}")
+    values: dict[str, str] = {}
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = line.split("=", 1)
+        values[key.strip()] = value.strip()
+    return values
+
+
+def from_text(kind, values: Mapping[str, str], known: Iterable[str] = (),
+              overrides: Mapping[str, object] | None = None):
+    """Config-file `values` read as `kind`, a config dataclass or a dict of
+    kinds by key. Other keys must be in `known`, the keys the file's other
+    sections claim. `overrides` (typed CLI flags; None skipped) win."""
+    kinds = kind if isinstance(kind, dict) else field_kinds(kind)
+    unknown = sorted(set(values) - set(kinds) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+    typed = {}
+    for key in sorted(set(values) & set(kinds)):
+        try:
+            typed[key] = kinds[key](values[key])
+        except ValueError:
+            typed[key] = None
+        if not _valid(kinds[key], typed[key]):
+            raise ConfigError(f"bad value for {key!r}: {values[key]!r}")
+    typed.update((k, v) for k, v in (overrides or {}).items() if v is not None)
+    return typed if isinstance(kind, dict) else kind(**typed)
+
+
+def exact_keys(value, keys: Iterable[str], what: str) -> dict:
+    """`value` when it is a JSON object with exactly the keys `keys`."""
+    if not isinstance(value, dict):
+        raise DataError(f"{what} must be a JSON object")
+    unknown, missing = sorted(set(value) - set(keys)), sorted(set(keys) - set(value))
+    if unknown or missing:
+        raise DataError(f"{what} has unknown keys {unknown} and lacks {missing}")
+    return value
+
+
+def from_json(kind, value, what: str):
+    """JSON `value` read as `kind`: an int, float or str, or a config
+    dataclass or dict of kinds by key from an object with exactly its keys."""
+    if not (isinstance(kind, dict) or is_dataclass(kind)):
+        if not _valid(kind, value):
+            raise DataError(f"{what} must be a JSON {kind.__name__}, got {value!r}")
+        return kind(value)
+    kinds = kind if isinstance(kind, dict) else field_kinds(kind)
+    exact_keys(value, kinds, what)
+    typed = {key: from_json(kinds[key], value[key], f"{what} {key}") for key in kinds}
+    if isinstance(kind, dict):
+        return typed
+    try:
+        return kind(**typed)
+    except ConfigError as exc:
+        raise DataError(f"{what}: {exc}") from exc

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .numerics import (
     Parameter,
     Tensor,
@@ -105,11 +105,11 @@ class ModelConfig:
         for name in ("enc_layers", "dec_layers", "heads", "width", "ffn_width",
                      "bottleneck", "feat_dim", "max_len"):
             if getattr(self, name) < 1:
-                raise DataError(f"model config field {name} must be positive")
+                raise ConfigError(f"model config field {name} must be positive")
         if self.width % self.heads != 0:
-            raise DataError("width must be divisible by the head count")
+            raise ConfigError("width must be divisible by the head count")
         if self.anchored_heads < 0:
-            raise DataError("anchored_heads must be non-negative")
+            raise ConfigError("anchored_heads must be non-negative")
 
     @property
     def head_dim(self) -> int:

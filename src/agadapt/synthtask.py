@@ -7,11 +7,12 @@ linearly separable while individual words stay confusable under noise.
 
 A split is two files: `<split>.frames` holds each utterance's frame record
 (T and F as little-endian u32, then T x F little-endian float32), and
-`<split>.manifest` a JSON header line (`format` 2, `split`, `count`, `spec`)
-and then one line per utterance, `uid kind ids offset length` separated by
-tabs, the ids separated by spaces and the offset and length (bytes) locating
-the frame record. A word's language follows from its id (see `model`), so
-the ids are the whole reference.
+`<split>.manifest` a JSON header line (`format` 2, `split`, `count`, `spec`;
+read by `config.from_json`, its `split` the split read) and then one line
+per utterance, `uid kind ids offset length` separated by tabs, the ids
+separated by spaces and the offset and length (bytes) locating the frame
+record. A word's language follows from its id (see `model`), so the ids are
+the whole reference.
 
 Also home to the edit-distance scorer and the per-language error-rate report
 used for evaluation.
@@ -27,9 +28,10 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
+from . import config
 from .atomicio import atomic_write
 from .errors import ConfigError, DataError
-from .model import LANG_A, LANG_B, TokenSequence, Vocabulary
+from .model import LANG_A, LANG_B, PROMPTS, TokenSequence, Vocabulary
 
 KIND_MONO_A = "mono-a"
 KIND_MONO_B = "mono-b"
@@ -135,6 +137,11 @@ class Utterance:
             raise DataError(f"{self.uid}: mono-b utterance carries tags {tags}")
         if self.kind == KIND_CS and tags != {LANG_A, LANG_B}:
             raise DataError(f"{self.uid}: code-switched utterance must mix languages")
+        # the bilingual prompt, or a monolingual utterance's own language's
+        if not any(tuple(self.reference.ids[:len(p)]) == p
+                   for p in (PROMPTS[None], PROMPTS[self.lang])):
+            raise DataError(f"{self.uid}: {self.kind} utterance opens with the "
+                            f"prompt of another language")
 
 
 def _language_pattern(spec: SynthSpec, kind: str, count: int, rng) -> list[str]:
@@ -280,14 +287,16 @@ def read_split(data_dir, split: str) -> tuple[SynthSpec, Vocabulary, list[Uttera
         raise DataError(f"empty manifest: {manifest_path}")
     try:
         header = json.loads(lines[0])
-        version = header["format"]
-        spec = SynthSpec(**header["spec"])
-        count = int(header["count"])
-    except (ValueError, KeyError, TypeError, ConfigError) as exc:
+    except ValueError as exc:
         raise DataError(f"malformed manifest header in {manifest_path}: {exc}") from exc
-    if version != MANIFEST_FORMAT:
-        raise DataError(f"{manifest_path} has manifest format {version!r}, not "
+    header = config.from_json({"format": int, "split": str, "count": int, "spec": SynthSpec},
+                              header, f"manifest header in {manifest_path}")
+    if header["format"] != MANIFEST_FORMAT:
+        raise DataError(f"{manifest_path} has manifest format {header['format']}, not "
                         f"{MANIFEST_FORMAT}; generate the corpus again with gen-data")
+    if header["split"] != split:
+        raise DataError(f"{manifest_path} names split {header['split']!r}, not {split!r}")
+    spec, count = header["spec"], header["count"]
     vocab = Vocabulary.build(spec.words_per_language, spec.words_per_language)
     blob = frames_path.read_bytes()
     utts: list[Utterance] = []

@@ -28,12 +28,12 @@ selected layer.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields as dc_fields
-from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import config
 from .errors import ConfigError, DataError, NumericError
 from .guidance import HeadSelection, ag_loss, count_and_select, lid_attribution
 from .model import (
@@ -94,82 +94,16 @@ class TrainConfig:
             raise ConfigError("checkpoint-average count must be positive")
 
 
-# ---------------------------------------------------------------------------
-# Config file: flat "key = value" lines, '#' comments, CLI overrides on top
-# ---------------------------------------------------------------------------
-
-def parse_config_file(path) -> dict[str, str]:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
-    return values
-
-
-def coerce_value(key: str, raw: str, kind: type):
-    """`raw` as a `kind` value, booleans spelled true/false, 1/0 or yes/no;
-    a value that does not parse is a ConfigError naming `key`."""
-    if kind is bool:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-    else:
-        try:
-            return kind(raw)
-        except ValueError:
-            pass
-    raise ConfigError(f"bad value for {key!r}: {raw!r}")
-
-
-def _field_names(cls) -> set[str]:
-    return {f.name for f in dc_fields(cls)}
-
-
-def config_from_values(cls, values: Mapping[str, str], known: Iterable[str] = (),
-                       overrides: Mapping[str, object] | None = None):
-    """An instance of dataclass `cls` from config-file `values`.
-
-    Entries that name a field of `cls` are coerced to the type of the field's
-    default. Every other key must be in `known`, the keys that the file's
-    other sections claim; any other key is a typo and raises ConfigError.
-    `overrides` (already typed, e.g. CLI flags) win over the file; None
-    entries are skipped. A value that `cls` rejects, such as a width the
-    head count does not divide, is a config mistake too and raises
-    ConfigError, whichever error `cls` itself raises.
-    """
-    kinds = {f.name: type(f.default) for f in dc_fields(cls)}
-    unknown = sorted(set(values) - set(kinds) - set(known))
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-    kwargs = {key: coerce_value(key, raw, kinds[key])
-              for key, raw in values.items() if key in kinds}
-    if overrides:
-        kwargs.update((k, v) for k, v in overrides.items() if v is not None)
-    try:
-        return cls(**kwargs)
-    except DataError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def build_train_config(values: Mapping[str, str],
                        overrides: Mapping[str, object] | None = None) -> TrainConfig:
     """The TrainConfig of a run config file; the file may also hold
     ModelConfig keys, as one file serves both pretrain and adapt."""
-    return config_from_values(TrainConfig, values, _field_names(ModelConfig), overrides)
+    return config.from_text(TrainConfig, values, config.field_kinds(ModelConfig), overrides)
 
 
 def build_model_config(values: Mapping[str, str]) -> ModelConfig:
     """The ModelConfig of a run config file that may also hold TrainConfig keys."""
-    return config_from_values(ModelConfig, values, _field_names(TrainConfig))
+    return config.from_text(ModelConfig, values, config.field_kinds(TrainConfig))
 
 
 # ---------------------------------------------------------------------------

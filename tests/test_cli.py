@@ -44,10 +44,10 @@ def data(micro_files):
 def backbone(micro_files, data):
     # produce a usable (if weak) frozen backbone by skipping the gate: train
     # one epoch, then save via the library path
-    from agadapt import checkpoint, synthtask, training
+    from agadapt import checkpoint, config, synthtask, training
     from agadapt.model import Seq2SeqModel
 
-    values = training.parse_config_file(micro_files["train"])
+    values = config.parse_config_file(micro_files["train"])
     cfg = training.build_train_config(values, {"seed": 0})
     model_cfg = training.build_model_config(values)
     _, vocab, pretrain = synthtask.read_split(data, "pretrain")
@@ -93,8 +93,14 @@ def test_gen_data_bad_spec(workdir):
     assert rc == 2
 
 
-@pytest.mark.parametrize("line", ["nosie = 0.1", "n_tests = 4", "n_adapt = many"],
-                         ids=["typo", "unknown-split", "bad-size"])
+# A size below 1 is refused too: every split has a consumer that refuses an
+# empty one.
+@pytest.mark.parametrize("line", ["nosie = 0.1", "n_tests = 4", "n_adapt = many",
+                                  "noise = nan", "switch_prob = inf", "n_pretrain = -3",
+                                  "n_test_cs = 0", "words_per_language = 6.0"],
+                         ids=["typo", "unknown-split", "bad-size", "nan-noise",
+                              "inf-switch-prob", "negative-size", "zero-size",
+                              "float-words"])
 def test_gen_data_unknown_or_bad_key(workdir, capsys, line):
     bad = workdir / "typo.cfg"
     bad.write_text(line + "\n")
@@ -179,8 +185,19 @@ def test_pretrain_malformed_manifest(micro_files, data, workdir, capsys):
     ("test-cs", edit_ids(lambda ids: ids[:-1]), "does not end with <eot>"),
     ("test-mono-b", lambda lines: [json.dumps({**json.loads(lines[0]), "format": 1})] + lines[1:],
      "manifest format 1, not 2"),
+    # prompts: 0 1 3 4 is language A's (<zh>), 0 2 3 4 language B's (<en>)
+    ("test-cs", edit_ids(lambda ids: [0, 1, 3, 4] + ids[5:]),
+     "cs utterance opens with the prompt of another language"),
+    ("test-mono-a", edit_ids(lambda ids: [0, 2, 3, 4] + ids[5:]),
+     "mono-a utterance opens with the prompt of another language"),
+    ("test-cs", lambda lines: [lines[0].replace('"words_per_language": 6',
+                                                '"words_per_language": 6.0')] + lines[1:],
+     "words_per_language must be a JSON int, got 6.0"),
+    ("test-mono-b", lambda lines: [lines[0].replace('"test-mono-b"', '"test-mono-a"')]
+     + lines[1:], "names split 'test-mono-a', not 'test-mono-b'"),
 ], ids=["id-past-vocabulary", "negative-id", "mono-a-holding-b-word", "no-prompt",
-        "no-eot", "format-1"])
+        "no-eot", "format-1", "cs-with-a-prompt", "mono-a-with-b-prompt",
+        "float-words-per-language", "other-split"])
 def test_eval_malformed_manifest(data, adapted, tmp_path, capsys, split, edit, message):
     bad = corrupt_copy(data, tmp_path / "data", split, edit)
     report = tmp_path / "report.csv"
@@ -423,3 +440,85 @@ def test_eval_checkpoint_with_tensors_the_model_lacks(data, adapted, workdir, ca
                "--report", str(workdir / "mislabelled.csv")])
     assert rc == 3
     assert "unknown keys ['dec.0.attn_adapter" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["pretrain", "adapt"])
+def test_run_config_non_finite_value(micro_files, data, backbone, workdir, capsys, command):
+    cfg = workdir / "nan-run.cfg"
+    cfg.write_text(micro_files["train"].read_text() + "gamma = nan\n")
+    out = workdir / f"nan-{command}.ckpt"
+    if command == "pretrain":
+        args = ["pretrain", "--data", str(data)]
+    else:
+        args = ["adapt", "--mode", "one-stage", "--backbone", str(backbone),
+                "--data", str(data)]
+    rc = main(args + ["--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    assert "bad value for 'gamma': 'nan'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_checkpoint_with_non_finite_config_value(data, adapted, workdir, capsys):
+    from agadapt.checkpoint import MAGIC, PREFIX, VERSION
+
+    blob = adapted.read_bytes()
+    _, _, length = PREFIX.unpack_from(blob)
+    header = json.loads(blob[PREFIX.size:PREFIX.size + length])
+    header["model_config"]["anchor_strength"] = float("nan")
+    encoded = json.dumps(header, sort_keys=True).encode("utf-8")
+    assert b'"anchor_strength": NaN' in encoded
+    path = workdir / "nan.ckpt"
+    path.write_bytes(PREFIX.pack(MAGIC, VERSION, len(encoded)) + encoded
+                     + blob[PREFIX.size + length:])
+    report = workdir / "nan.csv"
+    rc = main(["eval", "--model", str(path), "--data", str(data), "--report", str(report)])
+    assert rc == 3
+    assert "anchor_strength must be a JSON float, got nan" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_pretrain_prompt_of_another_language(micro_files, data, tmp_path, capsys):
+    # the first pretrain line is mono-a: put the <en> prompt before its words
+    bad = corrupt_copy(data, tmp_path / "data", "pretrain",
+                       edit_ids(lambda ids: [0, 2, 3, 4] + ids[4:]))
+    out = tmp_path / "b.ckpt"
+    rc = main(["pretrain", "--data", str(bad), "--out", str(out),
+               "--config", str(micro_files["train"])])
+    assert rc == 3
+    assert "mono-a utterance opens with the prompt of another language" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def data8(workdir):
+    """A corpus with 8 words per language, against the checkpoints' 6."""
+    spec = workdir / "gen8.cfg"
+    spec.write_text(
+        "words_per_language = 8\nfeat_dim = 6\nwords_min = 2\nwords_max = 4\n"
+        "n_pretrain = 4\nn_adapt = 4\nn_valid = 4\nn_test_mono_a = 4\n"
+        "n_test_mono_b = 4\nn_test_cs = 4\n")
+    assert main(["gen-data", "--spec", str(spec), "--out", str(workdir / "data8")]) == 0
+    return workdir / "data8"
+
+
+@pytest.mark.parametrize("command", ["select-heads", "adapt", "eval", "inspect-attention"])
+def test_checkpoint_and_corpus_vocabularies_must_agree(micro_files, data8, backbone, adapted,
+                                                       tmp_path, capsys, command):
+    out = tmp_path / "out"
+    args = {
+        "select-heads": ["--backbone", str(backbone), "--strategy", "all"],
+        "adapt": ["--mode", "one-stage", "--backbone", str(backbone),
+                  "--config", str(micro_files["train"])],
+        "eval": ["--model", str(adapted), "--report", str(out)],
+        "inspect-attention": ["--model", str(adapted), "--utterance", "u000000",
+                              "--layer", "0", "--head", "0", "--format", "csv"],
+    }[command]
+    if command != "eval":
+        args += ["--out", str(out)]
+    rc = main([command, "--data", str(data8)] + args)
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "the checkpoint has 6+6 words per language" in err
+    assert f"the corpus under {data8} 8+8" in err
+    assert not out.exists()

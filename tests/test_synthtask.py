@@ -1,6 +1,7 @@
 """Corpus generation, manifests, edit distance, and error rates."""
 
 import functools
+import json
 
 import numpy as np
 import pytest
@@ -8,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agadapt.errors import ConfigError, DataError
-from agadapt.model import LANG_A, LANG_B, Vocabulary
+from agadapt.model import LANG_A, LANG_B, TokenSequence, Vocabulary
 from agadapt.synthtask import (
     KIND_CS,
     KIND_MONO_A,
     KIND_MONO_B,
     SynthSpec,
+    Utterance,
     WordBank,
     edit_distance,
     generate_corpus,
@@ -86,6 +88,28 @@ class TestGeneration:
             SynthSpec(switch_prob=1.5)
         with pytest.raises(ConfigError):
             SynthSpec(words_min=5, words_max=3)
+
+
+class TestValidate:
+    # VOCAB: ids 7-12 are language A's words, 13-18 language B's
+    @pytest.mark.parametrize("kind, words, prompt", [
+        (KIND_MONO_A, [7, 8], None), (KIND_MONO_A, [7, 8], LANG_A),
+        (KIND_MONO_B, [13, 14], None), (KIND_MONO_B, [13, 14], LANG_B),
+        (KIND_CS, [7, 13], None),
+    ])
+    def test_prompt_of_the_kind_accepted(self, kind, words, prompt):
+        ref = TokenSequence.from_words(VOCAB, words, prompt)
+        Utterance(uid="u1", frames=np.zeros((2, 2)), reference=ref, kind=kind).validate()
+
+    @pytest.mark.parametrize("kind, words, prompt", [
+        (KIND_MONO_A, [7, 8], LANG_B), (KIND_MONO_B, [13, 14], LANG_A),
+        (KIND_CS, [7, 13], LANG_A), (KIND_CS, [7, 13], LANG_B),
+    ])
+    def test_prompt_of_another_language_rejected(self, kind, words, prompt):
+        ref = TokenSequence.from_words(VOCAB, words, prompt)
+        utt = Utterance(uid="u1", frames=np.zeros((2, 2)), reference=ref, kind=kind)
+        with pytest.raises(DataError, match=f"u1: {kind} utterance opens with the prompt"):
+            utt.validate()
 
 
 class TestFeatures:
@@ -182,6 +206,31 @@ class TestManifest:
         with pytest.raises(DataError):
             read_split(tmp_path, "adapt")
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda h: h["spec"].update(words_per_language=6.0),
+         "words_per_language must be a JSON int, got 6.0"),
+        (lambda h: h["spec"].update(words_per_language=True),
+         "words_per_language must be a JSON int, got True"),
+        (lambda h: h["spec"].update(words_per_language="6"),
+         "words_per_language must be a JSON int, got '6'"),
+        (lambda h: h["spec"].update(noise=float("nan")), "noise must be a JSON float"),
+        (lambda h: h.update(count=10.0), "count must be a JSON int"),
+        (lambda h: h.pop("split"), r"lacks \['split'\]"),
+        (lambda h: h.update(colour=1), r"unknown keys \['colour'\]"),
+        (lambda h: h["spec"].pop("seed"), r"spec has unknown keys \[\] and lacks \['seed'\]"),
+        (lambda h: h.update(split="valid"), "names split 'valid', not 'adapt'"),
+    ], ids=["float-words", "bool-words", "string-words", "nan-noise", "float-count",
+            "missing-key", "unknown-key", "missing-spec-key", "other-split"])
+    def test_header_value_checked(self, tmp_path, edit, message):
+        write_corpus(tmp_path, SPEC, VOCAB, generate_corpus(SPEC, VOCAB, SIZES))
+        path = tmp_path / "adapt.manifest"
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        edit(header)
+        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        with pytest.raises(DataError, match=message):
+            read_split(tmp_path, "adapt")
+
     # fields: uid, kind, ids, offset, length; line 1 is mono-a, its ids
     # the monolingual prompt (4 ids), words, <eot>
     @pytest.mark.parametrize("corrupt, message", [
@@ -189,6 +238,9 @@ class TestManifest:
         (lambda f: f[:1] + ["mono-b"] + f[2:], "mono-b utterance carries tags"),
         (lambda f: f[:2] + [" ".join(f[2].split()[:4] + ["13"] + f[2].split()[5:])] + f[3:],
          "mono-a utterance carries tags"),
+        # the <en> prompt before language-A words
+        (lambda f: f[:2] + [" ".join(["0", "2"] + f[2].split()[2:])] + f[3:],
+         "mono-a utterance opens with the prompt of another language"),
     ])
     def test_bad_kind_or_tag_count(self, tmp_path, corrupt, message):
         write_corpus(tmp_path, SPEC, VOCAB, generate_corpus(SPEC, VOCAB, SIZES))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from agadapt import training
+from agadapt.config import parse_config_file
 from agadapt.errors import ConfigError, DataError
 from agadapt.guidance import HeadSelection, ag_loss, candidate_heads
 from agadapt.model import (
@@ -41,7 +42,6 @@ from agadapt.training import (
     evaluate_model,
     keep_best,
     make_batches,
-    parse_config_file,
     pretrain_backbone,
     run_stage1,
     run_stage2,
