@@ -258,6 +258,10 @@ def load_head_selection(path) -> HeadSelection:
             layer, head, count = (int(p) for p in line.split("\t"))
         except ValueError as exc:
             raise DataError(f"malformed head-selection line: {line!r}") from exc
+        if (layer, head) in counts:
+            raise DataError(f"malformed head-selection line: {line!r} repeats a head")
+        if count < 0:
+            raise DataError(f"malformed head-selection line: {line!r} has a negative count")
         counts[(layer, head)] = count
         selected.append((layer, head))
     return HeadSelection(counts=counts, dataset_size=dataset_size, selected=selected)

@@ -9,8 +9,8 @@ it:
 - The teacher-forced `forward` encodes, then runs all rows at once under a
   square causal mask. Its per-head (B, H, N, N) self-attention maps are what
   head selection and the guidance loss consume. Its logits are the output
-  projection itself: row n sees tokens 0..n and scores token n + 1, which
-  `training.make_batches` places at row n of the batch's targets.
+  projection itself: row n sees tokens 0..n and scores token n + 1, the
+  target `training.sequence_ce` derives by shifting the tokens left.
 - `greedy_decode` takes the output of `encode`, computes each layer's
   cross-attention K/V once, runs the prompt as one block and then one query
   row per step, appending each step's self-attention K/V rows to a

@@ -12,6 +12,13 @@ when the step returns, so no activation of a step is alive during the next
 step, validation or the accuracy gate. Only the `avg_count` best checkpoints
 by validation loss are kept as an epoch ends, not one per epoch.
 
+Every model input is one `pad`ded `Batch`: zero frames under a frame mask
+and <blnk>-padded reference tokens. `make_batches` pads chunks sorted by
+token length for training, validation and head selection; evaluation pads
+chunks sorted by frame length, and its attribution pass reads the rows of
+that same token array. `sequence_ce` derives the next-token targets and the
+scored rows from the tokens alone.
+
 Every head statistic reads the batched maps of one teacher-forced decoder
 pass together with the batch's token sequences (see `guidance`):
 `select_heads` counts every head of each batch of backbone maps at once and
@@ -28,7 +35,7 @@ selected layer.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -57,7 +64,6 @@ from .synthtask import (
     KIND_CS,
     MerReport,
     Utterance,
-    edit_distance,
     mixed_error_rate,
 )
 
@@ -92,6 +98,10 @@ class TrainConfig:
             raise ConfigError("batch size must be positive")
         if self.avg_count < 1:
             raise ConfigError("checkpoint-average count must be positive")
+        if self.lr <= 0:
+            raise ConfigError("learning rate lr must be positive")
+        if self.weight_decay < 0:
+            raise ConfigError("weight_decay must be non-negative")
 
 
 def build_train_config(values: Mapping[str, str],
@@ -112,48 +122,33 @@ def build_model_config(values: Mapping[str, str]) -> ModelConfig:
 
 @dataclass
 class Batch:
-    uids: list[str]
-    frames: np.ndarray        # (B, T_max, feat)
-    frame_mask: np.ndarray    # (B, T_max) bool
+    frames: np.ndarray        # (B, T_max, feat), zero-padded
+    frame_mask: np.ndarray    # (B, T_max) bool, True on real frames
     tokens: np.ndarray        # (B, N_max) int64 decoder input, <blnk>-padded
-    targets: np.ndarray       # (B, N_max) int64, [:, j] = tokens[:, j + 1], <blnk>-padded
-    ce_mask: np.ndarray       # (B, N_max) float, 1 on rows j < length - 1 (a next token)
-    lengths: list[int]        # true token lengths
     sequences: list[TokenSequence]
 
 
-def make_batches(utts: Sequence[Utterance], batch_size: int) -> list[Batch]:
-    """Length-bucketed batches: sort by token length (then id), chunk, pad.
+def pad(utts: Sequence[Utterance]) -> Batch:
+    """`utts` as one batch, in the order given: frames zero-padded under a
+    mask of the real ones, reference tokens padded with <blnk>."""
+    t_max = max(u.frames.shape[0] for u in utts)
+    n_max = max(u.reference.n for u in utts)
+    frames = np.zeros((len(utts), t_max, utts[0].frames.shape[1]))
+    frame_mask = np.zeros((len(utts), t_max), dtype=bool)
+    tokens = np.full((len(utts), n_max), BLNK, dtype=np.int64)
+    for i, utt in enumerate(utts):
+        frames[i, :utt.frames.shape[0]] = utt.frames
+        frame_mask[i, :utt.frames.shape[0]] = True
+        tokens[i, :utt.reference.n] = utt.reference.ids
+    return Batch(frames=frames, frame_mask=frame_mask, tokens=tokens,
+                 sequences=[u.reference for u in utts])
 
-    Padded token positions use <blnk> and are excluded from the loss masks.
-    """
+
+def make_batches(utts: Sequence[Utterance], batch_size: int) -> list[Batch]:
+    """Length-bucketed batches: sort by token length (then id), chunk, pad."""
     ordered = sorted(utts, key=lambda u: (u.reference.n, u.uid))
-    batches = []
-    for start in range(0, len(ordered), batch_size):
-        chunk = ordered[start:start + batch_size]
-        b = len(chunk)
-        t_max = max(u.frames.shape[0] for u in chunk)
-        n_max = max(u.reference.n for u in chunk)
-        feat = chunk[0].frames.shape[1]
-        frames = np.zeros((b, t_max, feat))
-        frame_mask = np.zeros((b, t_max), dtype=bool)
-        tokens = np.full((b, n_max), BLNK, dtype=np.int64)
-        targets = np.full((b, n_max), BLNK, dtype=np.int64)
-        ce_mask = np.zeros((b, n_max))
-        for i, utt in enumerate(chunk):
-            t = utt.frames.shape[0]
-            n = utt.reference.n
-            frames[i, :t] = utt.frames
-            frame_mask[i, :t] = True
-            tokens[i, :n] = utt.reference.ids
-            targets[i, :n - 1] = utt.reference.ids[1:]
-            ce_mask[i, :n - 1] = 1.0
-        batches.append(Batch(uids=[u.uid for u in chunk], frames=frames,
-                             frame_mask=frame_mask, tokens=tokens,
-                             targets=targets, ce_mask=ce_mask,
-                             lengths=[u.reference.n for u in chunk],
-                             sequences=[u.reference for u in chunk]))
-    return batches
+    return [pad(ordered[start:start + batch_size])
+            for start in range(0, len(ordered), batch_size)]
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +156,15 @@ def make_batches(utts: Sequence[Utterance], batch_size: int) -> list[Batch]:
 # ---------------------------------------------------------------------------
 
 def sequence_ce(model: Seq2SeqModel, batch: Batch):
-    """Summed cross-entropy of the logits against the batch's next-token
-    targets over the rows `ce_mask` marks; returns (ce_sum, forward_out) so
-    callers can reuse the attention maps."""
+    """Summed cross-entropy of each row's logits against the next token, and
+    the forward output, whose attention maps callers reuse. The targets are
+    the tokens shifted left with a <blnk> column appended, and a row counts
+    when its target is not <blnk>: exactly rows 0..n-2 of an n-token
+    sequence, as `TokenSequence.from_ids` admits no <blnk> inside one."""
     out = model.forward(batch.frames, batch.tokens, batch.frame_mask)
-    return cross_entropy(out.logits, batch.targets, row_mask=batch.ce_mask), out
+    targets = np.full_like(batch.tokens, BLNK)
+    targets[:, :-1] = batch.tokens[:, 1:]
+    return cross_entropy(out.logits, targets, row_mask=targets != BLNK), out
 
 
 def batch_loss(model: Seq2SeqModel, batch: Batch, selection: HeadSelection | None,
@@ -173,7 +172,7 @@ def batch_loss(model: Seq2SeqModel, batch: Batch, selection: HeadSelection | Non
     """Joint loss for one batch: mean per-utterance CE plus gamma times the
     mean per-utterance guidance loss with soft label c, which is one
     `ag_loss` node over the whole batch. Returns (loss, ce_mean, ag_mean)."""
-    b = len(batch.uids)
+    b = len(batch.sequences)
     ce_sum, out = sequence_ce(model, batch)
     ce_mean = ce_sum * (1.0 / b)
     if gamma == 0.0:
@@ -194,7 +193,7 @@ def validation_ce(model: Seq2SeqModel, batches: Sequence[Batch]) -> float:
         for batch in batches:
             ce_sum, _ = sequence_ce(model, batch)
             total += ce_sum.item()
-            count += len(batch.uids)
+            count += len(batch.sequences)
     if count == 0:
         raise DataError("validation set is empty")
     return total / count
@@ -311,7 +310,7 @@ def _run_training(model: Seq2SeqModel, train_utts: Sequence[Utterance],
             batch = batches[bi]
             ce_mean, ag_mean = _train_step(model, batch, selection, gamma, cfg.c,
                                            opt, params)
-            b = len(batch.uids)
+            b = len(batch.sequences)
             ce_acc += ce_mean * b
             ag_acc += ag_mean * b
             n_utts += b
@@ -360,18 +359,16 @@ def _check_guided(selection: HeadSelection | None, config: ModelConfig) -> None:
 
 def run_stage2(model: Seq2SeqModel, train_utts: Sequence[Utterance],
                valid_utts: Sequence[Utterance], cfg: TrainConfig,
-               selection: HeadSelection | None,
-               gamma: float | None = None) -> RunRecord:
+               selection: HeadSelection | None) -> RunRecord:
     """Both adapter sets under the joint objective (or plain CE at gamma 0)."""
     if not model.has_adapters:
         raise ConfigError("stage 2 requires initialised adapters")
-    gamma = cfg.gamma if gamma is None else gamma
-    if gamma > 0.0:
+    if cfg.gamma > 0.0:
         _check_guided(selection, model.config)
     names = sorted(model.adapter_params())
     return _run_training(model, train_utts, valid_utts, cfg, stage="stage2",
                          stage_tag=2, param_names=names, selection=selection,
-                         gamma=gamma, epochs=cfg.epochs)
+                         gamma=cfg.gamma, epochs=cfg.epochs)
 
 
 def run_adaptation(model: Seq2SeqModel, train_utts: Sequence[Utterance],
@@ -379,7 +376,7 @@ def run_adaptation(model: Seq2SeqModel, train_utts: Sequence[Utterance],
                    selection: HeadSelection | None) -> list[RunRecord]:
     """Dispatch on the configured mode; returns one record per stage run."""
     if cfg.mode == "one-stage":
-        return [run_stage2(model, train_utts, valid_utts, cfg, None, gamma=0.0)]
+        return [run_stage2(model, train_utts, valid_utts, replace(cfg, gamma=0.0), None)]
     if cfg.mode == "one-stage-ag":
         return [run_stage2(model, train_utts, valid_utts, cfg, selection)]
     if cfg.mode == "two-stage-ag":
@@ -532,23 +529,14 @@ def _decode_set(model: Seq2SeqModel, utts: Sequence[Utterance], prompt: list[int
     ordered = sorted(utts, key=lambda u: u.frames.shape[0])
     for start in range(0, len(ordered), DECODE_ROWS):
         group = ordered[start:start + DECODE_ROWS]
-        t_max = max(u.frames.shape[0] for u in group)
-        feat = group[0].frames.shape[1]
-        frames = np.zeros((len(group), t_max, feat))
-        mask = np.zeros((len(group), t_max), dtype=bool)
-        for i, utt in enumerate(group):
-            t = utt.frames.shape[0]
-            frames[i, :t] = utt.frames
-            mask[i, :t] = True
+        batch = pad(group)
         with no_grad():
-            memory, col_mask = _encode_blocked(model, frames, mask)
+            memory, col_mask = _encode_blocked(model, batch.frames, batch.frame_mask)
             decoded = model.greedy_decode(memory, col_mask, prompt)
             rows = [i for i, utt in enumerate(group) if utt.kind == KIND_CS]
             if selection is not None and rows:
-                seqs = [group[i].reference for i in rows]
-                tokens = np.full((len(rows), max(s.n for s in seqs)), BLNK, dtype=np.int64)
-                for i, seq in enumerate(seqs):
-                    tokens[i, :seq.n] = seq.ids
+                seqs = [batch.sequences[i] for i in rows]
+                tokens = batch.tokens[rows, :max(s.n for s in seqs)]
                 selection.require_nonempty()
                 depth = 1 + max(layer for layer, _ in selection.selected)
                 _, maps = model._decode_rows(tokens, Tensor(memory.data[rows]),
@@ -571,14 +559,12 @@ def token_accuracy(model: Seq2SeqModel, utts: Sequence[Utterance],
         if not bilingual_prompt and utt.lang is None:
             raise DataError("monolingual prompt requires a monolingual utterance")
         groups.setdefault(PROMPTS[None if bilingual_prompt else utt.lang], []).append(utt)
-    total_err = 0
-    total_ref = 0
+    hyps: dict[str, list[int]] = {}
     for prompt, group in sorted(groups.items()):
-        hyps, _ = _decode_set(model, group, list(prompt))
-        for utt in group:
-            total_err += edit_distance(utt.words, hyps[utt.uid]).distance
-            total_ref += len(utt.words)
-    return max(0.0, 1.0 - total_err / total_ref)
+        hyps.update(_decode_set(model, group, list(prompt))[0])
+    refs = {u.uid: u.words for u in utts}
+    mer = mixed_error_rate(refs, hyps, {u.uid: u.kind for u in utts})
+    return max(0.0, 1.0 - sum(mer.errors.values()) / sum(mer.tokens.values()))
 
 
 def evaluate_model(model: Seq2SeqModel, test_sets: Mapping[str, Sequence[Utterance]],

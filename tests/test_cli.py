@@ -442,6 +442,32 @@ def test_eval_checkpoint_with_tensors_the_model_lacks(data, adapted, workdir, ca
     assert "unknown keys ['dec.0.attn_adapter" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows", ["1\t0\t5\n1\t0\t5\n", "1\t0\t5\n1\t1\t-4\n"],
+                         ids=["duplicate-head", "negative-count"])
+def test_heads_file_with_a_repeated_head_or_negative_count(micro_files, data, backbone,
+                                                           workdir, capsys, rows):
+    bad = workdir / "bad-count-heads.tsv"
+    bad.write_text("# dataset_size=32\tthreshold=16.0\n" + rows)
+    out = workdir / "bad-count-heads.ckpt"
+    rc = main(["adapt", "--mode", "two-stage-ag", "--backbone", str(backbone),
+               "--config", str(micro_files["train"]), "--data", str(data),
+               "--heads", str(bad), "--out", str(out)])
+    assert rc == 3
+    assert "malformed head-selection line" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["lr = 0", "weight_decay = -0.01"])
+def test_pretrain_invalid_train_value(micro_files, data, workdir, capsys, line):
+    cfg = workdir / "bad-train.cfg"
+    cfg.write_text(micro_files["train"].read_text() + line + "\n")
+    out = workdir / "bad-train.ckpt"
+    rc = main(["pretrain", "--data", str(data), "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    assert line.split(" = ")[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["pretrain", "adapt"])
 def test_run_config_non_finite_value(micro_files, data, backbone, workdir, capsys, command):
     cfg = workdir / "nan-run.cfg"

@@ -595,7 +595,9 @@ class TestHeadSelectionFile:
         with pytest.raises(DataError):
             load_head_selection(bad)
 
-    @pytest.mark.parametrize("line", ["1\tx\t3", "1\t0", "1\t0\t3\t4", "1.5\t0\t3"])
+    # the file's first line is head (0, 1): "0\t1\t7" lists it a second time
+    @pytest.mark.parametrize("line", ["1\tx\t3", "1\t0", "1\t0\t3\t4", "1.5\t0\t3",
+                                      "0\t1\t7", "1\t1\t-4"])
     def test_malformed_line_errors(self, tmp_path, line):
         bad = tmp_path / "bad.tsv"
         bad.write_text(f"# dataset_size=10\tthreshold=5.0\n0\t1\t5\n{line}\n")

@@ -118,6 +118,14 @@ class TestConfig:
             TrainConfig(mode="three-stage")
         with pytest.raises(ConfigError):
             TrainConfig(gamma=-1.0)
+        for values in ({"lr": -1.0}, {"lr": 0.0}, {"weight_decay": -5.0}):
+            with pytest.raises(ConfigError):
+                TrainConfig(**values)
+        for line in ("lr = 0", "lr = -0.001", "weight_decay = -0.01"):
+            path.write_text(line + "\n")
+            with pytest.raises(ConfigError):
+                build_train_config(parse_config_file(path))
+        assert TrainConfig(weight_decay=0.0).weight_decay == 0.0
 
     def test_soft_label_checked_when_config_is_read(self):
         with pytest.raises(ConfigError, match="soft label"):
@@ -178,6 +186,27 @@ def count_ag_calls(monkeypatch):
 
     monkeypatch.setattr(training, "ag_loss", counting)
     return calls
+
+
+class TestPad:
+    def test_pads_frames_mask_and_tokens_in_the_order_given(self, corpus):
+        utts = [corpus["adapt"][i] for i in (2, 0, 1)]
+        assert len({u.frames.shape[0] for u in utts}) > 1
+        assert len({u.reference.n for u in utts}) > 1
+        batch = training.pad(utts)
+        t_max = max(u.frames.shape[0] for u in utts)
+        n_max = max(u.reference.n for u in utts)
+        assert batch.frames.shape == (3, t_max, utts[0].frames.shape[1])
+        assert batch.frame_mask.shape == (3, t_max) and batch.frame_mask.dtype == bool
+        assert batch.tokens.shape == (3, n_max) and batch.tokens.dtype == np.int64
+        assert batch.sequences == [u.reference for u in utts]
+        for i, utt in enumerate(utts):
+            t, n = utt.frames.shape[0], utt.reference.n
+            assert np.array_equal(batch.frames[i, :t], utt.frames)
+            assert np.all(batch.frames[i, t:] == 0.0)
+            assert np.array_equal(batch.frame_mask[i], np.arange(t_max) < t)
+            assert batch.tokens[i, :n].tolist() == utt.reference.ids
+            assert np.all(batch.tokens[i, n:] == BLNK)
 
 
 class TestJointLoss:
@@ -332,7 +361,7 @@ class TestStages:
                                                 monkeypatch):
         ag_calls = count_ag_calls(monkeypatch)
         record = run_stage2(adapted_model, corpus["adapt"], corpus["valid"],
-                            self._cfg(), None, gamma=0.0)
+                            self._cfg(gamma=0.0), None)
         assert ag_calls == []
         assert all(e.train_ag == 0.0 for e in record.epochs)
 
@@ -372,7 +401,7 @@ class TestStages:
 
     def test_run_keeps_only_the_best_checkpoints(self, adapted_model, corpus):
         record = run_stage2(adapted_model, corpus["adapt"], corpus["valid"],
-                            self._cfg(epochs=4), None, gamma=0.0)
+                            self._cfg(epochs=4, gamma=0.0), None)
         best = sorted(record.epochs, key=lambda e: (e.val_ce, e.epoch))[:2]
         assert [cp.epoch for cp in record.checkpoints] == [e.epoch for e in best]
 
@@ -518,7 +547,7 @@ def oracle_lid_attribution(model, utts, selection):
         for batch in make_batches(utts, 32):
             out = model.forward(batch.frames, batch.tokens, batch.frame_mask)
             for i, seq in enumerate(batch.sequences):
-                n = batch.lengths[i]
+                n = seq.n
                 acc = np.zeros((n, n))
                 for layer, head in selection.selected:
                     acc += out.attention[layer].data[i, head, :n, :n]
@@ -540,10 +569,10 @@ def randomise_adapters(model, seed=4):
 def oracle_loss(model, batch, selection, gamma):
     """`batch_loss` with the next-token alignment spelled out in the loss:
     the logits of rows 0..N-2 score tokens[:, 1:]."""
-    b = len(batch.uids)
+    b = len(batch.sequences)
     out = model.forward(batch.frames, batch.tokens, batch.frame_mask)
     mask = np.zeros((b, batch.tokens.shape[1] - 1))
-    for i, n in enumerate(batch.lengths):
+    for i, n in enumerate(s.n for s in batch.sequences):
         mask[i, :n - 1] = 1.0
     loss = cross_entropy(out.logits[:, :-1], batch.tokens[:, 1:], row_mask=mask) * (1.0 / b)
     if gamma == 0.0:
@@ -561,12 +590,26 @@ class TestNextTokenAlignment:
         for name in want:  # bytes, so the sign of a zero counts too
             assert got[name].tobytes() == want[name].tobytes(), name
 
-    def test_batch_targets_are_the_tokens_shifted_left(self, vocab, corpus):
-        batch = make_batches(corpus["adapt"], 8)[0]
-        for i, n in enumerate(batch.lengths):
-            assert np.array_equal(batch.targets[i, :n - 1], batch.tokens[i, 1:n])
-            assert np.all(batch.targets[i, n - 1:] == BLNK)
-            assert np.array_equal(batch.ce_mask[i], np.arange(batch.tokens.shape[1]) < n - 1)
+    def test_batch_targets_are_the_tokens_shifted_left(self, vocab, corpus, monkeypatch):
+        # the targets and row mask `sequence_ce` derives and hands to the loss
+        seen = []
+
+        def recording(logits, targets, row_mask):
+            seen.append((targets, np.asarray(row_mask)))
+            return cross_entropy(logits, targets, row_mask=row_mask)
+
+        monkeypatch.setattr(training, "cross_entropy", recording)
+        model = Seq2SeqModel(MICRO_CONFIG, vocab, seed=1)
+        batch = training.pad(corpus["adapt"][:8])
+        assert len(set(s.n for s in batch.sequences)) > 1  # padded rows
+        training.sequence_ce(model, batch)
+        (targets, mask), = seen
+        assert targets.shape == mask.shape == batch.tokens.shape
+        for i, seq in enumerate(batch.sequences):
+            n = seq.n
+            assert np.array_equal(targets[i, :n - 1], batch.tokens[i, 1:n])
+            assert np.all(targets[i, n - 1:] == BLNK)
+            assert np.array_equal(mask[i], np.arange(batch.tokens.shape[1]) < n - 1)
 
     def test_pretrain_gradients_bit_identical_to_oracle(self, vocab, corpus):
         model = Seq2SeqModel(MICRO_CONFIG, vocab, seed=1)
