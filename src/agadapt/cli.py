@@ -17,7 +17,6 @@ from . import analysis, checkpoint, config, guidance, synthtask, training
 from .atomicio import atomic_write
 from .errors import ConfigError, DataError, NumericError
 from .model import FIRST_GUIDABLE_LAYER, ModelConfig, Seq2SeqModel, Vocabulary
-from .numerics import no_grad
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -115,7 +114,8 @@ def cmd_adapt(args) -> int:
     selection = None
     if args.heads is not None:
         selection = guidance.load_head_selection(args.heads)
-    model.init_adapters(seed=cfg.seed + 1)
+    summary = model.init_adapters(seed=cfg.seed + 1)
+    print(f"adapter parameters: {summary.format()}")
     records = training.run_adaptation(model, train_utts, valid_utts, cfg, selection)
     checkpoint.save_model(args.out, model)
     for record in records:
@@ -167,8 +167,7 @@ def cmd_inspect_attention(args) -> int:
         raise ConfigError(f"layer {args.layer} out of range")
     if not (0 <= args.head < model.config.heads):
         raise ConfigError(f"head {args.head} out of range")
-    with no_grad():
-        out = model.forward(found.frames[None], np.asarray(found.reference.ids)[None])
+    out = model.forward(found.frames[None], np.asarray(found.reference.ids)[None])
     tokens = [model.vocab.string(t) for t in found.reference.ids]
     analysis.export_heatmap(out.attention[args.layer].data[0, args.head], args.out,
                             args.format, tokens)

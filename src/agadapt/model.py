@@ -50,7 +50,6 @@ from .numerics import (
     gelu,
     layer_norm,
     linear,
-    no_grad,
 )
 
 SOT, ZH, EN, TRANS, NOTS, EOT, BLNK = range(7)
@@ -501,8 +500,6 @@ class Seq2SeqModel:
         """
         c = self.config
         frames = np.asarray(frames, dtype=np.float64)
-        if frames.ndim == 2:
-            frames = frames[None]
         if frames.ndim != 3:
             raise DataError(f"frames must have shape (B, T, feat_dim), got {frames.shape}")
         batch, t_len, feat = frames.shape
@@ -556,8 +553,6 @@ class Seq2SeqModel:
         """
         c = self.config
         tokens = np.asarray(tokens, dtype=np.int64)
-        if tokens.ndim == 1:
-            tokens = tokens[None]
         batch, n_len = tokens.shape
         if n_len > c.max_len:
             raise DataError("sequence too long for the configured maximum length")
@@ -638,21 +633,20 @@ class Seq2SeqModel:
         limit = c.max_len - prompt_len
         if max_new is not None:
             limit = min(limit, max_new)
-        with no_grad():
-            batch = memory.shape[0]
-            cache = DecoderCache(
-                [self._kv(memory, f"dec.{i}.cross_attn") for i in range(c.dec_layers)],
-                batch, c)
-            toks = np.tile(np.asarray(prompt_ids, dtype=np.int64), (batch, 1))
-            done = np.zeros(batch, dtype=bool)
-            for _ in range(limit):
-                proj, _ = self._decode_rows(toks, memory, col_mask, cache=cache)
-                nxt = proj.data[:, -1].argmax(axis=-1)
-                nxt = np.where(done, EOT, nxt)
-                toks = np.concatenate([toks, nxt[:, None]], axis=1)
-                done |= nxt == EOT
-                if done.all():
-                    break
+        batch = memory.shape[0]
+        cache = DecoderCache(
+            [self._kv(memory, f"dec.{i}.cross_attn") for i in range(c.dec_layers)],
+            batch, c)
+        toks = np.tile(np.asarray(prompt_ids, dtype=np.int64), (batch, 1))
+        done = np.zeros(batch, dtype=bool)
+        for _ in range(limit):
+            proj, _ = self._decode_rows(toks, memory, col_mask, cache=cache)
+            nxt = proj.data[:, -1].argmax(axis=-1)
+            nxt = np.where(done, EOT, nxt)
+            toks = np.concatenate([toks, nxt[:, None]], axis=1)
+            done |= nxt == EOT
+            if done.all():
+                break
         results = []
         for row in toks:
             content = []
@@ -685,7 +679,7 @@ class DecoderCache:
         """Store layer `layer`'s K/V heads for positions `length` onward and
         return the K/V heads of every position up to the new rows."""
         if k.requires_grad or v.requires_grad:
-            raise NumericError("the decoder cache records no gradients; decode under no_grad")
+            raise NumericError("the decoder cache records no gradients; decode outside recording")
         end = self.length + k.shape[2]
         self._keys[layer][:, :, self.length:end] = k.data
         self._values[layer][:, :, self.length:end] = v.data

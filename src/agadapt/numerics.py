@@ -16,16 +16,24 @@ Three fused nodes carry most of the work:
   integer target ids (softmax-minus-target backward), so no probability is
   ever clamped before a log.
 
+An op records a tape node exactly when one of its inputs requires a
+gradient, and a `Parameter` requires one only inside `recording(params)`. A
+training step builds its loss and runs its backward sweep in that block over
+the parameters it updates; everywhere else (inference, validation, the
+parameters a step leaves alone) nothing records and no activation is kept.
+
 A graph lives for one backward sweep. Recording holds every activation a
 node's backward needs; `Tensor.backward` frees each interior node as soon as
 it has pushed its gradient on, so after the sweep only the leaves, with their
 gradients, and whatever the caller still references remain. A graph is
-differentiated once: a second sweep over it raises NumericError.
+differentiated once: a second sweep over it raises NumericError, and so does
+a sweep from a loss that recorded no node.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -38,28 +46,6 @@ Array = np.ndarray
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-# ---------------------------------------------------------------------------
-# Graph recording
-# ---------------------------------------------------------------------------
-
-_grad_enabled = True
-
-
-class no_grad:
-    """Context manager that disables graph recording (fast inference paths)."""
-
-    def __enter__(self):
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
-        return self
-
-    def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._prev
-        return False
-
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     """Sum `grad` down to `shape`, undoing numpy broadcasting."""
@@ -161,15 +147,11 @@ class Tensor:
     # -- shape ops ----------------------------------------------------------
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         old = self.data.shape
         return _node(self.data.reshape(shape), (self,),
                      lambda g: (g.reshape(old),))
 
     def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
         inv = np.argsort(axes)
         return _node(self.data.transpose(axes), (self,),
                      lambda g: (g.transpose(inv),))
@@ -213,10 +195,13 @@ class Tensor:
         `_grad_fn` and `_parents` are cleared and the sweep lets go of it, so
         its activations and closure are freed while the sweep runs on. Leaves,
         `Parameter`s among them, keep their `grad`. A later sweep that reaches
-        a consumed node raises NumericError instead of returning zeros.
+        a consumed node raises NumericError instead of returning zeros, and
+        so does a sweep from a loss that recorded no node.
         """
         if self.data.size != 1:
             raise NumericError("backward requires a scalar loss node")
+        if not self.requires_grad:
+            raise NumericError("the loss recorded no node: build it inside recording")
         order = _topo_order(self)
         self.grad = np.ones_like(self.data)
         while order:
@@ -265,9 +250,12 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def _node(data: Array, parents: tuple, grad_fn) -> Tensor:
-    """Create an op node; drops tape bookkeeping when recording is off."""
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        return Tensor(data, requires_grad=True, parents=parents, grad_fn=grad_fn)
+    """Create an op node, which records only when a parent requires a
+    gradient. A plain loop: a generator `any()` costs ten times as much per
+    node, which shows in a decode that creates thousands of nodes."""
+    for p in parents:
+        if p.requires_grad:
+            return Tensor(data, requires_grad=True, parents=parents, grad_fn=grad_fn)
     return Tensor(data)
 
 
@@ -278,19 +266,19 @@ def as_tensor(x) -> Tensor:
 
 
 class Parameter(Tensor):
-    """Named leaf tensor. Frozen parameters never receive gradients and are
-    never touched by the optimizer."""
+    """Named leaf tensor. It requires a gradient only inside `recording`.
+    Frozen parameters are never recorded by training and never touched by
+    the optimizer."""
 
     __slots__ = ("name", "trainable")
 
     def __init__(self, name: str, data, trainable: bool = True):
-        super().__init__(data, requires_grad=trainable)
+        super().__init__(data)
         self.name = name
         self.trainable = trainable
 
     def freeze(self) -> None:
         self.trainable = False
-        self.requires_grad = False
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.data.shape}, trainable={self.trainable})"
@@ -298,6 +286,21 @@ class Parameter(Tensor):
 
 # Gradients keyed by parameter name; values match parameter shapes.
 GradientStore = dict[str, Array]
+
+
+@contextmanager
+def recording(params: Iterable[Parameter]):
+    """Within the block, ops on exactly `params` record tape nodes; on exit,
+    also by an exception, those parameters stop requiring a gradient. Blocks
+    do not nest over a shared parameter: the inner exit clears it."""
+    params = list(params)
+    for p in params:
+        p.requires_grad = True
+    try:
+        yield
+    finally:
+        for p in params:
+            p.requires_grad = False
 
 
 def zero_grads(params: Iterable[Parameter]) -> None:

@@ -6,13 +6,13 @@ of the feature space, language B words offset -2, so the languages are
 linearly separable while individual words stay confusable under noise.
 
 A split is two files: `<split>.frames` holds each utterance's frame record
-(T and F as little-endian u32, then T x F little-endian float32), and
-`<split>.manifest` a JSON header line (`format` 2, `split`, `count`, `spec`;
-read by `config.from_json`, its `split` the split read) and then one line
-per utterance, `uid kind ids offset length` separated by tabs, the ids
-separated by spaces and the offset and length (bytes) locating the frame
-record. A word's language follows from its id (see `model`), so the ids are
-the whole reference.
+(T >= 1 and F, the spec's `feat_dim`, as little-endian u32, then T x F
+little-endian float32), and `<split>.manifest` a JSON header line (`format`
+2, `split`, `count`, `spec`; read by `config.from_json`, its `split` the
+split read) and then one line per utterance, `uid kind ids offset length`
+separated by tabs, the ids separated by spaces and the offset and length
+(bytes) locating the frame record. A word's language follows from its id
+(see `model`), so the ids are the whole reference.
 
 Also home to the edit-distance scorer and the per-language error-rate report
 used for evaluation.
@@ -316,6 +316,9 @@ def read_split(data_dir, split: str) -> tuple[SynthSpec, Vocabulary, list[Uttera
         if offset < 0 or offset + length > len(blob) or length < 8:
             raise DataError(f"frame record for {uid} lies outside {frames_path}")
         t, feat = struct.unpack_from("<II", blob, offset)
+        if t == 0 or feat != spec.feat_dim:
+            raise DataError(f"frame record for {uid} holds {t} frames of {feat} features, "
+                            f"not at least 1 of the spec's {spec.feat_dim}")
         expected = 8 + 4 * t * feat
         if length != expected:
             raise DataError(f"frame record length mismatch for {uid}")
@@ -385,9 +388,6 @@ class MerReport:
     overall: float
     errors: dict[str, int]
     tokens: dict[str, int]
-
-    def rate(self, kind: str) -> float:
-        return self.per_kind[kind]
 
 
 def mixed_error_rate(refs: Mapping[str, list[int]], hyps: Mapping[str, list[int]],

@@ -6,11 +6,12 @@ both adapter sets with the joint objective (cross-entropy plus the weighted
 guidance loss). The backbone is frozen throughout adaptation, and each stage
 ends by averaging the best checkpoints by validation loss.
 
-A training step holds one tape: `_train_step` records the step's graph,
-`backward` consumes it, and the loss and the gradient store go out of scope
-when the step returns, so no activation of a step is alive during the next
-step, validation or the accuracy gate. Only the `avg_count` best checkpoints
-by validation loss are kept as an epoch ends, not one per epoch.
+A training step holds one tape: `_train_step` records the step's graph over
+the parameters it updates, inside `numerics.recording`, `backward` consumes
+it, and the loss and the gradient store go out of scope when the step
+returns, so no activation of a step is alive during the next step, and
+validation, selection and decoding record nothing. Only the `avg_count`
+best checkpoints by validation loss are kept as an epoch ends.
 
 Every model input is one `pad`ded `Batch`: zero frames under a frame mask
 and <blnk>-padded reference tokens. `make_batches` pads chunks sorted by
@@ -58,7 +59,7 @@ from .numerics import (
     adamw_step,
     backward,
     cross_entropy,
-    no_grad,
+    recording,
 )
 from .synthtask import (
     KIND_CS,
@@ -186,16 +187,14 @@ def batch_loss(model: Seq2SeqModel, batch: Batch, selection: HeadSelection | Non
 
 
 def validation_ce(model: Seq2SeqModel, batches: Sequence[Batch]) -> float:
-    """Mean per-utterance teacher-forced CE over a validation set."""
+    """Mean per-utterance teacher-forced CE over a non-empty validation set
+    (`_run_training` refuses an empty one before its first step)."""
     total = 0.0
     count = 0
-    with no_grad():
-        for batch in batches:
-            ce_sum, _ = sequence_ce(model, batch)
-            total += ce_sum.item()
-            count += len(batch.sequences)
-    if count == 0:
-        raise DataError("validation set is empty")
+    for batch in batches:
+        ce_sum, _ = sequence_ce(model, batch)
+        total += ce_sum.item()
+        count += len(batch.sequences)
     return total / count
 
 
@@ -276,10 +275,12 @@ def average_checkpoints(run: RunRecord, k: int) -> dict[str, np.ndarray]:
 def _train_step(model: Seq2SeqModel, batch: Batch, selection: HeadSelection | None,
                 gamma: float, c: float, opt: OptimizerState,
                 params: Mapping[str, Parameter]) -> tuple[float, float]:
-    """One AdamW step on one batch; returns (ce_mean, ag_mean). The loss and
-    its gradient store are local, so the step's tape is gone on return."""
-    loss, ce_mean, ag_mean = batch_loss(model, batch, selection, gamma, c)
-    grads = backward(loss, params.values())
+    """One AdamW step on one batch; returns (ce_mean, ag_mean). Only `params`
+    record, and only while the loss is built and swept; the loss and its
+    gradient store are local, so the step's tape is gone on return."""
+    with recording(params.values()):
+        loss, ce_mean, ag_mean = batch_loss(model, batch, selection, gamma, c)
+        grads = backward(loss, params.values())
     adamw_step(opt, params, grads)
     return ce_mean, ag_mean
 
@@ -298,6 +299,8 @@ def _run_training(model: Seq2SeqModel, train_utts: Sequence[Utterance],
     valid_batches = make_batches(valid_utts, cfg.batch_size)
     if not batches:
         raise DataError("training set is empty")
+    if not valid_batches:
+        raise DataError("validation set is empty")
     shuffle_rng = np.random.default_rng([cfg.seed, 977, stage_tag])
     record = RunRecord(stage=stage)
     for epoch in range(epochs):
@@ -445,10 +448,9 @@ def _backbone_maps(model: Seq2SeqModel, utts: Sequence[Utterance]):
     at the last layer's self-attention maps, the deepest thing a count reads."""
 
     def maps(batch: Batch):
-        with no_grad():
-            memory, col_mask = model.encode(batch.frames, batch.frame_mask)
-            _, attention = model._decode_rows(batch.tokens, memory, col_mask,
-                                              depth=model.config.dec_layers)
+        memory, col_mask = model.encode(batch.frames, batch.frame_mask)
+        _, attention = model._decode_rows(batch.tokens, memory, col_mask,
+                                          depth=model.config.dec_layers)
         return attention, batch.sequences
 
     return (maps(batch) for batch in make_batches(utts, 32))
@@ -530,20 +532,19 @@ def _decode_set(model: Seq2SeqModel, utts: Sequence[Utterance], prompt: list[int
     for start in range(0, len(ordered), DECODE_ROWS):
         group = ordered[start:start + DECODE_ROWS]
         batch = pad(group)
-        with no_grad():
-            memory, col_mask = _encode_blocked(model, batch.frames, batch.frame_mask)
-            decoded = model.greedy_decode(memory, col_mask, prompt)
-            rows = [i for i, utt in enumerate(group) if utt.kind == KIND_CS]
-            if selection is not None and rows:
-                seqs = [batch.sequences[i] for i in rows]
-                tokens = batch.tokens[rows, :max(s.n for s in seqs)]
-                selection.require_nonempty()
-                depth = 1 + max(layer for layer, _ in selection.selected)
-                _, maps = model._decode_rows(tokens, Tensor(memory.data[rows]),
-                                             col_mask[rows], depth=depth)
-                right, words = lid_attribution(maps, seqs, selection)
-                correct += right
-                total += words
+        memory, col_mask = _encode_blocked(model, batch.frames, batch.frame_mask)
+        decoded = model.greedy_decode(memory, col_mask, prompt)
+        rows = [i for i, utt in enumerate(group) if utt.kind == KIND_CS]
+        if selection is not None and rows:
+            seqs = [batch.sequences[i] for i in rows]
+            tokens = batch.tokens[rows, :max(s.n for s in seqs)]
+            selection.require_nonempty()
+            depth = 1 + max(layer for layer, _ in selection.selected)
+            _, maps = model._decode_rows(tokens, Tensor(memory.data[rows]),
+                                         col_mask[rows], depth=depth)
+            right, words = lid_attribution(maps, seqs, selection)
+            correct += right
+            total += words
         for utt, hyp in zip(group, decoded):
             hyps[utt.uid] = hyp
     return hyps, (correct, total)

@@ -2,11 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from agadapt.cli import main
 from agadapt.guidance import load_head_selection
-from agadapt.synthtask import read_split
+from agadapt.synthtask import read_split, write_corpus
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +208,23 @@ def test_eval_malformed_manifest(data, adapted, tmp_path, capsys, split, edit, m
     assert not report.exists()
 
 
+# A frame record the manifest's spec cannot feed to the model (6 features).
+@pytest.mark.parametrize("frames, message", [
+    (np.zeros((4, 3)), "4 frames of 3 features"),
+    (np.zeros((0, 6)), "0 frames of 6 features"),
+], ids=["narrow-frames", "no-frames"])
+def test_eval_malformed_frame_record(data, adapted, tmp_path, capsys, frames, message):
+    bad = corrupt_copy(data, tmp_path / "data", "test-cs", lambda lines: lines)
+    spec, vocab, utts = read_split(bad, "test-cs")
+    utts[0].frames = frames
+    write_corpus(bad, spec, vocab, {"test-cs": utts})
+    report = tmp_path / "report.csv"
+    rc = main(["eval", "--model", str(adapted), "--data", str(bad), "--report", str(report)])
+    assert rc == 3
+    assert message in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_pretrain_accuracy_gate_failure(micro_files, data, workdir, capsys):
     # one epoch on a micro model cannot hit the accuracy gate: exit code 4
     out = workdir / "gate.ckpt"
@@ -263,6 +281,18 @@ def test_select_heads_random_strategy(data, backbone, workdir, capsys):
 
 def test_adapt_one_stage(adapted):
     assert adapted.exists()
+
+
+def test_adapt_empty_valid_split_fails(micro_files, data, backbone, tmp_path, capsys):
+    bad = corrupt_copy(data, tmp_path / "data", "valid",
+                       lambda lines: [json.dumps({**json.loads(lines[0]), "count": 0})])
+    out = tmp_path / "x.ckpt"
+    rc = main(["adapt", "--mode", "one-stage", "--backbone", str(backbone),
+               "--data", str(bad), "--config", str(micro_files["train"]),
+               "--out", str(out)])
+    assert rc == 3
+    assert "validation set is empty" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_adapt_guided_without_heads_fails(micro_files, data, backbone, workdir):
@@ -346,12 +376,14 @@ def test_adapt_missing_head_fails_before_training(micro_files, data, backbone, w
     assert not out.exists()
 
 
-def test_adapt_two_stage_guided(micro_files, data, backbone, heads, workdir):
+def test_adapt_two_stage_guided(micro_files, data, backbone, heads, workdir, capsys):
     out = workdir / "two.ckpt"
     rc = main(["adapt", "--mode", "two-stage-ag", "--backbone", str(backbone),
                "--data", str(data), "--heads", str(heads),
                "--config", str(micro_files["train"]), "--out", str(out)])
     assert rc == 0
+    # the paper's headline figure: adapter parameters, and their share of all
+    assert "adapter parameters: 522 (6.6%)" in capsys.readouterr().out.splitlines()
 
 
 def test_eval(micro_files, data, heads, adapted):

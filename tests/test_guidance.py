@@ -32,7 +32,7 @@ from agadapt.model import (
     TokenSequence,
     Vocabulary,
 )
-from agadapt.numerics import Parameter, Tensor, backward, finite_diff_grad
+from agadapt.numerics import Parameter, Tensor, backward, finite_diff_grad, recording
 from agadapt.training import TrainConfig
 
 RNG = np.random.default_rng(77)
@@ -351,7 +351,8 @@ def goal_of(seq, c):
     """The (n, 2) goal that `ag_loss` sets on the LID columns of `seq`'s rows:
     at an all-zero map, its gradient there is 2 (0 - goal)."""
     a = Parameter("a", np.zeros((1, 1, seq.n, seq.n)))
-    grad = backward(ag_loss([a], [seq], make_selection([(0, 0)]), c), [a])["a"][0, 0]
+    with recording([a]):
+        grad = backward(ag_loss([a], [seq], make_selection([(0, 0)]), c), [a])["a"][0, 0]
     return grad[:, list(LID_COLUMNS)] / -2.0
 
 
@@ -457,8 +458,9 @@ class TestAgLoss:
         n = self.y.n
         rng = np.random.default_rng(8)
         a = Parameter("a", random_stochastic(n, rng)[None, None])
-        loss = self._loss([a], [(0, 0)])
-        grad = backward(loss, [a])["a"][0, 0]
+        with recording([a]):
+            loss = self._loss([a], [(0, 0)])
+            grad = backward(loss, [a])["a"][0, 0]
         non_lid = [j for j in range(n) if j not in (1, 2)]
         assert np.all(grad[:, non_lid] == 0.0)
         assert np.any(grad[:, [1, 2]] != 0.0)
@@ -505,7 +507,8 @@ class TestAgLoss:
             return ag_loss([fixed, maps], seqs, sel, 0.6) * 0.37
 
         p = Parameter("p", attention[1])
-        ana = backward(loss(p), [p])["p"]
+        with recording([p]):
+            ana = backward(loss(p), [p])["p"]
         num = finite_diff_grad(lambda arr: loss(Tensor(arr)).item(), attention[1], h=1e-5)
         np.testing.assert_allclose(ana, num, rtol=0.0, atol=1e-9)
         assert np.all(ana[1, :, 5:] == 0.0)          # padded rows
@@ -526,13 +529,14 @@ class TestAgLoss:
         sel = make_selection([(1, 0), (1, 1), (0, 1)])
         scale = 0.01 * (1.0 / len(lengths))
         params = [Parameter(f"l{i}", a) for i, a in enumerate(attention)]
-        batched = backward(ag_loss(params, seqs, sel, 0.6) * scale, params)
-        total = None
-        for i, (n, t) in enumerate(zip(lengths, targets)):
-            maps = {(l, h): params[l][i, h, :n, :n] for l, h in sel.selected}
-            term = oracle_ag_loss(maps, sel, t)
-            total = term if total is None else total + term
-        per_utterance = backward(total * scale, params)
+        with recording(params):
+            batched = backward(ag_loss(params, seqs, sel, 0.6) * scale, params)
+            total = None
+            for i, (n, t) in enumerate(zip(lengths, targets)):
+                maps = {(l, h): params[l][i, h, :n, :n] for l, h in sel.selected}
+                term = oracle_ag_loss(maps, sel, t)
+                total = term if total is None else total + term
+            per_utterance = backward(total * scale, params)
         for name in batched:
             assert np.array_equal(batched[name], per_utterance[name]), name
 

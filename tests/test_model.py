@@ -23,7 +23,7 @@ from agadapt.numerics import (
     adamw_step,
     backward,
     gelu,
-    no_grad,
+    recording,
 )
 
 RNG = np.random.default_rng(31)
@@ -231,9 +231,10 @@ class TestAdapters:
         adapters_before = {n: p.data.copy() for n, p in params.items()}
         state = OptimizerState(lr=1e-2, weight_decay=0.01)
         for _ in range(3):
-            out = model.forward(frames, toks)
-            loss = (out.logits * out.logits).sum()
-            grads = backward(loss, params.values())
+            with recording(params.values()):
+                out = model.forward(frames, toks)
+                loss = (out.logits * out.logits).sum()
+                grads = backward(loss, params.values())
             adamw_step(state, params, grads)
         for name, before in backbone_before.items():
             assert np.array_equal(model.params[name].data, before), name
@@ -264,15 +265,14 @@ def full_forward_greedy(model, frames, frame_mask, prompt_ids, max_new=None):
     toks = np.tile(np.asarray(prompt_ids, dtype=np.int64), (frames.shape[0], 1))
     done = np.zeros(frames.shape[0], dtype=bool)
     steps = []
-    with no_grad():
-        for _ in range(limit):
-            logits = next_logits(model, frames, toks, frame_mask)
-            steps.append(logits)
-            nxt = np.where(done, EOT, logits.argmax(axis=-1))
-            toks = np.concatenate([toks, nxt[:, None]], axis=1)
-            done |= nxt == EOT
-            if done.all():
-                break
+    for _ in range(limit):
+        logits = next_logits(model, frames, toks, frame_mask)
+        steps.append(logits)
+        nxt = np.where(done, EOT, logits.argmax(axis=-1))
+        toks = np.concatenate([toks, nxt[:, None]], axis=1)
+        done |= nxt == EOT
+        if done.all():
+            break
     hyps = []
     for row in toks[:, len(prompt_ids):]:
         ends = np.flatnonzero(row == EOT)

@@ -24,7 +24,7 @@ from agadapt.numerics import (
     gelu,
     layer_norm,
     linear,
-    no_grad,
+    recording,
 )
 from scipy.special import erf
 
@@ -39,7 +39,8 @@ def relerr(a, b):
 def gradcheck(build, x0, tol=1e-6, h=1e-5):
     """Analytic gradient of build(Parameter) vs central differences."""
     p = Parameter("p", np.array(x0, dtype=np.float64))
-    ana = backward(build(p), [p])["p"]
+    with recording([p]):
+        ana = backward(build(p), [p])["p"]
     num = finite_diff_grad(lambda arr: build(Parameter("p", arr)).item(), x0, h=h)
     return relerr(ana, num)
 
@@ -110,7 +111,8 @@ class TestSoftmax:
         x0 = RNG.normal(size=(2, 4))
         assert gradcheck(build, x0) < 1e-6
         p = Parameter("p", x0)
-        grad = backward(build(p), [p])["p"]
+        with recording([p]):
+            grad = backward(build(p), [p])["p"]
         assert grad[0, 1] == 0.0 and grad[1, 3] == 0.0
 
 
@@ -175,7 +177,8 @@ class TestCrossEntropy:
         build = lambda p: cross_entropy(p, ids, row_mask=mask) * 1.7
         assert gradcheck(build, x0) < 1e-6
         p = Parameter("p", x0)
-        grad = backward(build(p), [p])["p"]
+        with recording([p]):
+            grad = backward(build(p), [p])["p"]
         assert np.all(grad[mask == 0.0] == 0.0)
         assert np.all(np.abs(grad.sum(axis=-1)) < 1e-12)
 
@@ -329,45 +332,50 @@ class TestAdamW:
 class TestBackward:
     def test_sum_of_squares(self):
         w = Parameter("w", np.array([1.0, 2.0]))
-        store = backward((w * w).sum(), [w])
+        with recording([w]):
+            store = backward((w * w).sum(), [w])
         np.testing.assert_allclose(store["w"], [2.0, 4.0])
 
     def test_unreached_parameter_gets_zeros(self):
         w = Parameter("w", np.array([1.0, 2.0]))
         other = Parameter("other", np.array([5.0]))
-        store = backward((w * w).sum(), [w, other])
+        with recording([w, other]):
+            store = backward((w * w).sum(), [w, other])
         assert np.array_equal(store["other"], np.zeros(1))
 
     def test_non_scalar_loss_errors(self):
         w = Parameter("w", np.array([1.0, 2.0]))
-        with pytest.raises(NumericError, match="scalar"):
+        with recording([w]), pytest.raises(NumericError, match="scalar"):
             backward(w * w, [w])
 
     def test_deterministic(self):
         def run():
             w = Parameter("w", np.arange(6.0).reshape(2, 3))
-            loss = (row_softmax(w) * Tensor(np.arange(6.0).reshape(2, 3))).sum()
-            return backward(loss, [w])["w"]
+            with recording([w]):
+                loss = (row_softmax(w) * Tensor(np.arange(6.0).reshape(2, 3))).sum()
+                return backward(loss, [w])["w"]
 
         assert np.array_equal(run(), run())
 
     def test_reused_node_accumulates(self):
         w = Parameter("w", np.array([3.0]))
-        y = w * w  # two parent slots referencing w
-        store = backward(y.sum(), [w])
+        with recording([w]):
+            y = w * w  # two parent slots referencing w
+            store = backward(y.sum(), [w])
         np.testing.assert_allclose(store["w"], [6.0])
 
     def test_sweep_releases_interior_nodes_and_keeps_leaf_grads(self):
         w = Parameter("w", RNG.normal(size=(4, 3)))
         b = Parameter("b", RNG.normal(size=3))
         x = Tensor(RNG.normal(size=(2, 5, 4)), requires_grad=True)  # a plain leaf
-        h = linear(x, w, b)
-        a = gelu(h)
-        y = layer_norm(a + h, Tensor(np.ones(3)), Tensor(np.zeros(3)))
-        loss = cross_entropy(y, np.array([[0, 1, 2, 0, 1], [2, 2, 1, 0, 0]]))
-        interior = [h, a, y, loss]
-        assert all(t._grad_fn is not None and t._parents for t in interior)
-        store = backward(loss, [w, b])
+        with recording([w, b]):
+            h = linear(x, w, b)
+            a = gelu(h)
+            y = layer_norm(a + h, Tensor(np.ones(3)), Tensor(np.zeros(3)))
+            loss = cross_entropy(y, np.array([[0, 1, 2, 0, 1], [2, 2, 1, 0, 0]]))
+            interior = [h, a, y, loss]
+            assert all(t._grad_fn is not None and t._parents for t in interior)
+            store = backward(loss, [w, b])
         for t in interior:
             assert t.grad is None and t._grad_fn is None and t._parents is None
         assert x.grad is not None and x.grad.shape == x.shape
@@ -376,13 +384,21 @@ class TestBackward:
 
     def test_second_backward_over_consumed_graph_raises(self):
         w = Parameter("w", np.array([1.0, 2.0]))
-        y = w * w
-        loss = y.sum()
-        backward(loss, [w])
-        with pytest.raises(NumericError, match="consumed"):
-            loss.backward()
-        with pytest.raises(NumericError, match="consumed"):
-            backward((y * 2.0).sum(), [w])  # a new loss over a consumed node
+        with recording([w]):
+            y = w * w
+            loss = y.sum()
+            backward(loss, [w])
+            with pytest.raises(NumericError, match="consumed"):
+                loss.backward()
+            with pytest.raises(NumericError, match="consumed"):
+                backward((y * 2.0).sum(), [w])  # a new loss over a consumed node
+
+    def test_loss_that_recorded_no_node_raises(self):
+        w = Parameter("w", np.array([1.0, 2.0]))
+        loss = (w * w).sum()  # outside recording
+        with pytest.raises(NumericError, match="recorded no node"):
+            backward(loss, [w])
+        assert w.grad is None
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +422,8 @@ class TestOpGradients:
         x = RNG.normal(size=(5, 7)) * 3.0
         g = RNG.normal(size=(5, 7))
         p = Parameter("p", x)
-        out = gelu(p)
+        with recording([p]):
+            out = gelu(p)
         cdf = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
         assert np.array_equal(out.data, x * cdf)
         pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
@@ -430,7 +447,8 @@ class TestOpGradients:
         ids = RNG.integers(0, 9, (7, 11))
         g = RNG.normal(size=(7, 11, 5)) * 10.0 ** RNG.uniform(-6, 6, (7, 11, 1))
         w = Parameter("w", RNG.normal(size=(9, 5)))
-        (grad,) = embedding(w, ids)._grad_fn(g)
+        with recording([w]):
+            (grad,) = embedding(w, ids)._grad_fn(g)
         expected = np.zeros((9, 5))
         np.add.at(expected, ids, g)
         assert np.array_equal(grad, expected)
@@ -457,7 +475,8 @@ class TestOpGradients:
         x0 = RNG.normal(size=(2, 2, 4, 5))
         assert gradcheck(build, x0) < 1e-6
         p = Parameter("p", x0)
-        grad = backward(build(p), [p])["p"]
+        with recording([p]):
+            grad = backward(build(p), [p])["p"]
         keep = np.zeros(x0.shape, dtype=bool)
         keep[:, 1, :, [1, 3]] = True
         keep &= mask[:, None, :, None]
@@ -481,7 +500,8 @@ class TestOpGradients:
 
     def test_getitem_repeated_index_accumulates(self):
         p = Parameter("p", np.arange(4.0))
-        store = backward(p[np.array([2, 2, 0])].sum(), [p])
+        with recording([p]):
+            store = backward(p[np.array([2, 2, 0])].sum(), [p])
         assert np.array_equal(store["p"], [1.0, 0.0, 2.0, 0.0])
 
     def test_attention_map_both_inputs(self):
@@ -504,7 +524,8 @@ class TestOpGradients:
         assert gradcheck(build_q, q0, h=1e-4) < 1e-5
         assert gradcheck(build_k, k0, h=1e-4) < 1e-5
         k = Parameter("k", k0)
-        assert np.all(backward(build_k(k), [k])["k"][1, :, 2:] == 0.0)
+        with recording([k]):
+            assert np.all(backward(build_k(k), [k])["k"][1, :, 2:] == 0.0)
 
     def test_attention_map_per_head_prior(self):
         # causal self-attention with an additive prior on head 1's column 1,
@@ -559,10 +580,11 @@ class TestLinear:
         x = Tensor(RNG.normal(size=(2, 3, 4)))
         w = Parameter("w", RNG.normal(size=(4, 2)))
         b = Parameter("b", np.zeros(2), trainable=False)
-        out = linear(x, w, b)
-        gx, gw, gb = out._grad_fn(np.ones((2, 3, 2)))
-        assert gx is None and gb is None and gw.shape == (4, 2)
-        backward(out.sum(), [w, b])
+        with recording([w]):
+            out = linear(x, w, b)
+            gx, gw, gb = out._grad_fn(np.ones((2, 3, 2)))
+            assert gx is None and gb is None and gw.shape == (4, 2)
+            backward(out.sum(), [w, b])
         assert x.grad is None and b.grad is None
 
 
@@ -622,8 +644,15 @@ class TestTensorBasics:
         with pytest.raises(NumericError):
             attention_map(Tensor(np.zeros((2, 0))), Tensor(np.zeros((2, 0))))
 
-    def test_no_grad_blocks_recording(self):
+    def test_parameters_record_only_inside_recording(self):
         w = Parameter("w", np.ones(3))
-        with no_grad():
-            y = (w * w).sum()
+        y = (w * w).sum()
         assert y._grad_fn is None and not y.requires_grad
+        with recording([w]):
+            y = (w * w).sum()
+        assert y._grad_fn is not None and y.requires_grad
+        assert not w.requires_grad
+        with pytest.raises(RuntimeError), recording([w]):
+            assert w.requires_grad
+            raise RuntimeError("step failed")
+        assert not w.requires_grad and not (w * w).requires_grad

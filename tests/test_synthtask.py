@@ -251,6 +251,17 @@ class TestManifest:
         with pytest.raises(DataError, match=message):
             read_split(tmp_path, "pretrain")
 
+    @pytest.mark.parametrize("frames, message", [
+        (np.zeros((3, SPEC.feat_dim // 2)), "3 frames of 8 features"),
+        (np.zeros((0, SPEC.feat_dim)), "0 frames of 16 features"),
+    ], ids=["narrow-frames", "no-frames"])
+    def test_frame_record_must_fit_the_spec(self, tmp_path, frames, message):
+        corpus = generate_corpus(SPEC, VOCAB, SIZES)
+        corpus["test-cs"][1].frames = frames
+        write_corpus(tmp_path, SPEC, VOCAB, corpus)
+        with pytest.raises(DataError, match=message):
+            read_split(tmp_path, "test-cs")
+
     def test_failed_write_keeps_previous_corpus(self, tmp_path):
         corpus = generate_corpus(SPEC, VOCAB, SIZES)
         write_corpus(tmp_path, SPEC, VOCAB, corpus)

@@ -8,7 +8,7 @@ import pytest
 
 from agadapt import training
 from agadapt.config import parse_config_file
-from agadapt.errors import ConfigError, DataError
+from agadapt.errors import ConfigError, DataError, NumericError
 from agadapt.guidance import HeadSelection, ag_loss, candidate_heads
 from agadapt.model import (
     BLNK,
@@ -28,7 +28,7 @@ from agadapt.numerics import (
     backward,
     cross_entropy,
     finite_diff_grad,
-    no_grad,
+    recording,
 )
 from agadapt.synthtask import KIND_CS, SynthSpec, Utterance, generate_corpus
 from agadapt.training import (
@@ -235,8 +235,9 @@ class TestJointLoss:
             p.data = rng.normal(0, 0.05, p.data.shape)
         utt = corpus["adapt"][0]
         sel = micro_selection()
-        loss = utterance_loss(adapted_model, utt, sel, 0.01)
-        store = backward(loss, adapted_model.adapter_params().values())
+        with recording(adapted_model.adapter_params().values()):
+            loss = utterance_loss(adapted_model, utt, sel, 0.01)
+            store = backward(loss, adapted_model.adapter_params().values())
         name = "dec.0.ffn_adapter.up.weight"
         p = adapted_model.params[name]
 
@@ -271,10 +272,14 @@ class TestJointLoss:
         params = adapted_model.adapter_params("dec")
         grads = {}
         for layer in (0, 1):
-            out = adapted_model.forward(batch.frames, batch.tokens, batch.frame_mask)
-            loss = ag_loss(out.attention, batch.sequences, micro_selection(layer), 0.6)
-            grads[layer] = backward(loss, params.values())
-        assert all(np.all(g == 0.0) for g in grads[0].values())
+            with recording(params.values()):
+                out = adapted_model.forward(batch.frames, batch.tokens, batch.frame_mask)
+                loss = ag_loss(out.attention, batch.sequences, micro_selection(layer), 0.6)
+                if layer == 0:  # the loss reaches no adapter, so it recorded no node
+                    with pytest.raises(NumericError, match="recorded no node"):
+                        backward(loss, params.values())
+                else:
+                    grads[layer] = backward(loss, params.values())
         assert all(np.any(g != 0.0) for name, g in grads[1].items()
                    if name.startswith("dec.0."))
         assert all(np.all(g == 0.0) for name, g in grads[1].items()
@@ -345,6 +350,24 @@ class TestStages:
             assert np.array_equal(model.params[name].data, before), name
         assert any(not np.array_equal(model.params[n].data, enc_before[n])
                    for n in enc_before)
+
+    def test_stage1_records_no_decoder_adapter_gradient(self, adapted_model, corpus):
+        # stage 1 records only the encoder adapters, so the decoder adapters
+        # it does not update get no gradient, and nothing records afterwards
+        run_stage1(adapted_model, corpus["adapt"], corpus["valid"], self._cfg())
+        dec = adapted_model.adapter_params("dec").values()
+        assert len(dec) == 16 and all(p.grad is None for p in dec)
+        assert all(p.grad is not None for p in adapted_model.adapter_params("enc").values())
+        assert not any(p.requires_grad for p in adapted_model.params.values())
+
+    def test_empty_validation_split_fails_before_any_step(self, adapted_model, corpus,
+                                                         monkeypatch):
+        steps = []
+        monkeypatch.setattr(training, "adamw_step", lambda *args: steps.append(1))
+        with pytest.raises(DataError, match="validation set is empty"):
+            training.run_adaptation(adapted_model, corpus["adapt"], [], self._cfg(),
+                                    micro_selection())
+        assert steps == []
 
     def test_stage2_requires_selection_when_guided(self, adapted_model, corpus):
         with pytest.raises(ConfigError):
@@ -442,9 +465,10 @@ def live_graph_tensors():
 class TestTapeLifetime:
     def _assert_matches_retained_sweep(self, model, batch, selection, gamma):
         params = [p for p in model.params.values() if p.trainable]
-        want = retained_backward(
-            batch_loss(model, batch, selection, gamma, 0.6)[0], params)
-        got = backward(batch_loss(model, batch, selection, gamma, 0.6)[0], params)
+        with recording(params):
+            want = retained_backward(
+                batch_loss(model, batch, selection, gamma, 0.6)[0], params)
+            got = backward(batch_loss(model, batch, selection, gamma, 0.6)[0], params)
         assert got.keys() == want.keys()
         for name in want:
             assert np.array_equal(got[name], want[name]), name
@@ -482,16 +506,15 @@ def oracle_head_counts(model, utts):
     per utterance, each head's map trimmed to its length, one indicator
     per map."""
     counts = {}
-    with no_grad():
-        for utt in utts:
-            if utt.reference.ids[:5] != build_prompt(model.vocab):
-                continue
-            out = model.forward(utt.frames[None], np.array([utt.reference.ids]))
-            for layer, maps in enumerate(out.attention):
-                for head, a in enumerate(maps.data[0]):
-                    lid = a[:, [1, 2]].sum()
-                    counts[(layer, head)] = (counts.get((layer, head), 0)
-                                             + int(lid > a.sum() - lid))
+    for utt in utts:
+        if utt.reference.ids[:5] != build_prompt(model.vocab):
+            continue
+        out = model.forward(utt.frames[None], np.array([utt.reference.ids]))
+        for layer, maps in enumerate(out.attention):
+            for head, a in enumerate(maps.data[0]):
+                lid = a[:, [1, 2]].sum()
+                counts[(layer, head)] = (counts.get((layer, head), 0)
+                                         + int(lid > a.sum() - lid))
     return counts
 
 
@@ -543,20 +566,19 @@ def oracle_lid_attribution(model, utts, selection):
     """The attribution path that evaluation replaced: a full teacher-forced
     forward, encoder included, per batch, then a loop over word tokens."""
     correct = total = 0
-    with no_grad():
-        for batch in make_batches(utts, 32):
-            out = model.forward(batch.frames, batch.tokens, batch.frame_mask)
-            for i, seq in enumerate(batch.sequences):
-                n = seq.n
-                acc = np.zeros((n, n))
-                for layer, head in selection.selected:
-                    acc += out.attention[layer].data[i, head, :n, :n]
-                acc /= len(selection.selected)
-                zh_col, en_col = seq.ids.index(ZH), seq.ids.index(EN)
-                for pos in seq.word_positions:
-                    predicted = "A" if acc[pos, zh_col] >= acc[pos, en_col] else "B"
-                    correct += int(predicted == seq.lang_tags[pos])
-                    total += 1
+    for batch in make_batches(utts, 32):
+        out = model.forward(batch.frames, batch.tokens, batch.frame_mask)
+        for i, seq in enumerate(batch.sequences):
+            n = seq.n
+            acc = np.zeros((n, n))
+            for layer, head in selection.selected:
+                acc += out.attention[layer].data[i, head, :n, :n]
+            acc /= len(selection.selected)
+            zh_col, en_col = seq.ids.index(ZH), seq.ids.index(EN)
+            for pos in seq.word_positions:
+                predicted = "A" if acc[pos, zh_col] >= acc[pos, en_col] else "B"
+                correct += int(predicted == seq.lang_tags[pos])
+                total += 1
     return correct / total
 
 
@@ -584,8 +606,9 @@ def oracle_loss(model, batch, selection, gamma):
 class TestNextTokenAlignment:
     def _assert_matches_oracle(self, model, batch, selection, gamma):
         params = [p for p in model.params.values() if p.trainable]
-        want = backward(oracle_loss(model, batch, selection, gamma), params)
-        got = backward(batch_loss(model, batch, selection, gamma, 0.6)[0], params)
+        with recording(params):
+            want = backward(oracle_loss(model, batch, selection, gamma), params)
+            got = backward(batch_loss(model, batch, selection, gamma, 0.6)[0], params)
         assert got.keys() == want.keys()
         for name in want:  # bytes, so the sign of a zero counts too
             assert got[name].tobytes() == want[name].tobytes(), name
@@ -686,8 +709,7 @@ class TestEvaluation:
 
         def checked(model, frames, mask):
             memory, col_mask = real_blocked(model, frames, mask)
-            with no_grad():
-                whole, whole_mask = model.encode(frames, mask)
+            whole, whole_mask = model.encode(frames, mask)
             assert np.array_equal(memory.data, whole.data)
             assert np.array_equal(col_mask, whole_mask)
             chunk_rows.append(len(frames))
@@ -734,8 +756,7 @@ class TestEvaluation:
         mask = np.ones(frames.shape[:2], dtype=bool)
         tracemalloc.start()
         try:
-            with no_grad():
-                model.encode(frames, mask)
+            model.encode(frames, mask)
             whole_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             training._decode_set(model, utts, build_prompt(vocab))
