@@ -1,7 +1,10 @@
 """Command-line interface.
 
 Subcommands: gen-data, pretrain, select-heads, adapt, eval,
-inspect-attention. Exit codes: 0 success, 2 config error, 3 data error,
+inspect-attention. Each reads its files, makes one library call, writes its
+files and prints; every rule of the pipeline lives in the library, except the
+check that a run config's model keys match the backbone's, as only the CLI
+reads config files. Exit codes: 0 success, 2 config error, 3 data error,
 4 numeric failure; `config` states which reader of a config value raises
 which.
 """
@@ -26,15 +29,6 @@ EXIT_NUMERIC = 4
 
 # gen-data spec keys that set a split's size, e.g. n_test_cs = 200
 SIZE_KEYS = {"n_" + split.replace("-", "_"): split for split in synthtask.SPLIT_SIZES}
-
-
-def _check_vocab(model: Seq2SeqModel, vocab: Vocabulary, data) -> None:
-    """DataError unless the corpus under `data` has the checkpoint's word
-    counts: a model scores ids of its own vocabulary only."""
-    have = (model.vocab.n_words_a, model.vocab.n_words_b)
-    if (vocab.n_words_a, vocab.n_words_b) != have:
-        raise DataError(f"the checkpoint has {have[0]}+{have[1]} words per language, "
-                        f"the corpus under {data} {vocab.n_words_a}+{vocab.n_words_b}")
 
 
 def cmd_gen_data(args) -> int:
@@ -71,20 +65,9 @@ def cmd_pretrain(args) -> int:
 
 def cmd_select_heads(args) -> int:
     model = checkpoint.load_model(args.backbone)
-    _, vocab, utts = synthtask.read_split(args.data, "adapt")
-    _check_vocab(model, vocab, args.data)
-    selection = training.select_heads(model, utts, args.fraction)
-    if args.strategy == "all":
-        selection.selected = guidance.candidate_heads(selection.counts)
-    elif args.strategy == "random":
-        selection.selected = guidance.random_heads(selection.counts, args.fraction,
-                                                   seed=args.seed or 0)
-    if not selection.selected:
-        raise ConfigError(
-            f"no heads selected ({args.strategy} strategy, fraction {args.fraction}): "
-            f"{len(selection.qualifying)} of {len(selection.counts)} heads pass the "
-            f"majority bar of {selection.threshold:g} of {selection.dataset_size} "
-            f"utterances; counts {selection.counts}; nothing written to {args.out}")
+    _, _, utts = synthtask.read_split(args.data, "adapt", model.vocab)
+    selection = training.select_heads(model, utts, args.fraction, args.strategy,
+                                      seed=args.seed or 0)
     guidance.save_head_selection(args.out, selection)
     print(f"dataset size: {selection.dataset_size}")
     print(f"qualifying heads: {len(selection.qualifying)}")
@@ -99,8 +82,6 @@ def cmd_adapt(args) -> int:
     values = config.parse_config_file(args.config)
     cfg = training.build_train_config(values, {"mode": args.mode, "seed": args.seed})
     model = checkpoint.load_model(args.backbone)
-    if model.has_adapters:
-        raise DataError("backbone checkpoint already contains adapters")
     wanted = config.from_text(config.field_kinds(ModelConfig), values,
                               config.field_kinds(training.TrainConfig))
     for name, want in wanted.items():
@@ -108,16 +89,12 @@ def cmd_adapt(args) -> int:
         if want != have:
             raise ConfigError(f"config sets {name} = {want!r}, but the backbone "
                               f"has {name} = {have!r}")
-    _, vocab, train_utts = synthtask.read_split(args.data, "adapt")
-    _check_vocab(model, vocab, args.data)
-    _, _, valid_utts = synthtask.read_split(args.data, "valid")
-    selection = None
-    if args.heads is not None:
-        selection = guidance.load_head_selection(args.heads)
-    summary = model.init_adapters(seed=cfg.seed + 1)
-    print(f"adapter parameters: {summary.format()}")
-    records = training.run_adaptation(model, train_utts, valid_utts, cfg, selection)
+    _, _, train_utts = synthtask.read_split(args.data, "adapt", model.vocab)
+    _, _, valid_utts = synthtask.read_split(args.data, "valid", model.vocab)
+    selection = None if args.heads is None else guidance.load_head_selection(args.heads)
+    records = training.adapt_backbone(model, train_utts, valid_utts, cfg, selection)
     checkpoint.save_model(args.out, model)
+    print(f"adapter parameters: {model.adapter_summary().format()}")
     for record in records:
         last = record.epochs[-1]
         print(f"{record.stage}: train_ce={last.train_ce:.4f} "
@@ -128,41 +105,25 @@ def cmd_adapt(args) -> int:
 
 def cmd_eval(args) -> int:
     model = checkpoint.load_model(args.model)
-    sets = {}
-    for split in ("test-mono-a", "test-mono-b", "test-cs"):
-        _, vocab, sets[split] = synthtask.read_split(args.data, split)
-        _check_vocab(model, vocab, args.data)
-    selection = None
-    if args.heads is not None:
-        selection = guidance.load_head_selection(args.heads)
-    report = training.evaluate_model(model, sets, selection=selection)
-    lines = ["set,metric,value"]
-    for name, metric, value in report.rows():
-        lines.append(f"{name},{metric},{value:.4f}")
+    sets = {split: synthtask.read_split(args.data, split, model.vocab)[2]
+            for split in ("test-mono-a", "test-mono-b", "test-cs")}
+    selection = None if args.heads is None else guidance.load_head_selection(args.heads)
+    report = training.evaluate_model(model, sets, selection=selection).csv()
     with atomic_write(args.report) as fh:
-        fh.write("\n".join(lines) + "\n")
-    for line in lines[1:]:
-        print(line)
+        fh.write(report)
+    print(report.partition("\n")[2], end="")  # the rows, without the header
     return EXIT_OK
 
 
 def cmd_inspect_attention(args) -> int:
     model = checkpoint.load_model(args.model)
-    found = None
     for split in ("test-cs", "test-mono-a", "test-mono-b", "valid", "adapt", "pretrain"):
-        try:
-            _, vocab, utts = synthtask.read_split(args.data, split)
-        except DataError:
-            continue
-        for utt in utts:
-            if utt.uid == args.utterance:
-                found = utt
-                break
-        if found:
+        _, _, utts = synthtask.read_split(args.data, split, model.vocab)
+        found = next((utt for utt in utts if utt.uid == args.utterance), None)
+        if found is not None:
             break
-    if found is None:
+    else:
         raise DataError(f"utterance {args.utterance!r} not found under {args.data}")
-    _check_vocab(model, vocab, args.data)
     if not (0 <= args.layer < model.config.dec_layers):
         raise ConfigError(f"layer {args.layer} out of range")
     if not (0 <= args.head < model.config.heads):
@@ -198,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backbone", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--fraction", type=float, default=0.6)
-    p.add_argument("--strategy", choices=("top", "all", "random"), default="top",
+    p.add_argument("--strategy", choices=training.STRATEGIES, default="top",
                    help="top: the top fraction of the qualifying candidate heads; "
                         "all: every candidate head; random: a seeded draw of "
                         "fraction x the candidate heads. Candidates are the heads of "

@@ -163,9 +163,8 @@ class Vocabulary:
         return list(self._a_range if lang == LANG_A else self._b_range)
 
 
-def build_prompt(vocab: Vocabulary, lang: str | None = None) -> list[int]:
-    """Decoder prompt: bilingual form by default, monolingual when `lang`
-    given. Every vocabulary shares the special ids, so `vocab` is not read."""
+def build_prompt(lang: str | None = None) -> list[int]:
+    """Decoder prompt: bilingual form by default, monolingual when `lang` given."""
     if lang not in PROMPTS:
         raise DataError(f"unknown language {lang!r}")
     return list(PROMPTS[lang])
@@ -197,7 +196,7 @@ class TokenSequence:
     @classmethod
     def from_words(cls, vocab: Vocabulary, word_ids: list[int],
                    lang: str | None = None) -> "TokenSequence":
-        return cls.from_ids(vocab, build_prompt(vocab, lang) + list(word_ids) + [EOT])
+        return cls.from_ids(vocab, build_prompt(lang) + list(word_ids) + [EOT])
 
     @property
     def n(self) -> int:

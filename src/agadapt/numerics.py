@@ -432,11 +432,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     gain = as_tensor(gain)
     bias = as_tensor(bias)
     mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out_data = xhat * gain.data + bias.data
+    xhat = x.data - mu
+    out_data = xhat * xhat  # the squares' buffer becomes the output
+    inv = 1.0 / np.sqrt(out_data.mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=out_data)
+    out_data += bias.data
 
     def grad_fn(g):
         dx = dgain = dbias = None

@@ -276,7 +276,10 @@ def write_corpus(out_dir, spec: SynthSpec, vocab: Vocabulary,
                 fh.write(rec + "\n")
 
 
-def read_split(data_dir, split: str) -> tuple[SynthSpec, Vocabulary, list[Utterance]]:
+def read_split(data_dir, split: str, expected_vocab: Vocabulary | None = None
+               ) -> tuple[SynthSpec, Vocabulary, list[Utterance]]:
+    """The spec, vocabulary and utterances of `split`. A model scores ids of its
+    own vocabulary only, so a corpus unlike `expected_vocab` raises DataError."""
     data_dir = Path(data_dir)
     manifest_path = data_dir / f"{split}.manifest"
     frames_path = data_dir / f"{split}.frames"
@@ -297,7 +300,12 @@ def read_split(data_dir, split: str) -> tuple[SynthSpec, Vocabulary, list[Uttera
     if header["split"] != split:
         raise DataError(f"{manifest_path} names split {header['split']!r}, not {split!r}")
     spec, count = header["spec"], header["count"]
-    vocab = Vocabulary.build(spec.words_per_language, spec.words_per_language)
+    n = spec.words_per_language
+    vocab = Vocabulary.build(n, n)
+    want = expected_vocab or vocab
+    if (want.n_words_a, want.n_words_b) != (n, n):
+        raise DataError(f"the checkpoint has {want.n_words_a}+{want.n_words_b} words per "
+                        f"language, the corpus under {data_dir} {n}+{n}")
     blob = frames_path.read_bytes()
     utts: list[Utterance] = []
     for lineno, line in enumerate(lines[1:], 2):

@@ -1,5 +1,6 @@
 """Backbone pretraining, head selection, two-stage adapter adaptation, and
-evaluation.
+evaluation: one call each (`pretrain_backbone`, `select_heads`,
+`adapt_backbone`, `evaluate_model`) for the CLI and in-process callers alike.
 
 Stage 1 trains the encoder adapters with cross-entropy only; stage 2 trains
 both adapter sets with the joint objective (cross-entropy plus the weighted
@@ -43,7 +44,14 @@ import numpy as np
 
 from . import config
 from .errors import ConfigError, DataError, NumericError
-from .guidance import HeadSelection, ag_loss, count_and_select, lid_attribution
+from .guidance import (
+    HeadSelection,
+    ag_loss,
+    candidate_heads,
+    count_and_select,
+    lid_attribution,
+    random_heads,
+)
 from .model import (
     BLNK,
     FIRST_GUIDABLE_LAYER,
@@ -69,6 +77,7 @@ from .synthtask import (
 )
 
 MODES = ("one-stage", "one-stage-ag", "two-stage-ag")
+STRATEGIES = ("top", "all", "random")
 
 PRETRAIN_ACCURACY_GATE = 0.90
 
@@ -391,6 +400,16 @@ def run_adaptation(model: Seq2SeqModel, train_utts: Sequence[Utterance],
     raise ConfigError(f"unknown mode {cfg.mode!r}")
 
 
+def adapt_backbone(model: Seq2SeqModel, train_utts: Sequence[Utterance],
+                   valid_utts: Sequence[Utterance], cfg: TrainConfig,
+                   selection: HeadSelection | None) -> list[RunRecord]:
+    """Insert fresh adapters into the backbone `model` (DataError if it has
+    some), drawn from seed `cfg.seed + 1`, apart from the seed-`cfg.seed`
+    stream that initialised the backbone; then `run_adaptation`."""
+    model.init_adapters(seed=cfg.seed + 1)
+    return run_adaptation(model, train_utts, valid_utts, cfg, selection)
+
+
 # ---------------------------------------------------------------------------
 # Backbone pretraining
 # ---------------------------------------------------------------------------
@@ -456,14 +475,30 @@ def _backbone_maps(model: Seq2SeqModel, utts: Sequence[Utterance]):
     return (maps(batch) for batch in make_batches(utts, 32))
 
 
-def select_heads(model: Seq2SeqModel, utts: Sequence[Utterance],
-                 fraction: float) -> HeadSelection:
+def select_heads(model: Seq2SeqModel, utts: Sequence[Utterance], fraction: float,
+                 strategy: str = "top", seed: int = 0) -> HeadSelection:
     """Count every head of the backbone `model` over the bilingual-prompt
-    `utts` and select the top candidates (see `count_and_select`). Selection
-    reads the backbone alone, so a model with adapters raises DataError."""
+    `utts` and select candidate heads by `strategy`: "top" the top fraction
+    of the qualifying ones (see `count_and_select`), "all" every one, and
+    "random" a draw seeded by `seed` (see `random_heads`). Selecting nothing
+    raises ConfigError. Selection reads the backbone alone, so a model with
+    adapters raises DataError."""
+    if strategy not in STRATEGIES:
+        raise ConfigError(f"head-selection strategy must be one of {STRATEGIES}")
     if model.has_adapters:
         raise DataError("head selection runs on a backbone; this model has adapters")
-    return count_and_select(_backbone_maps(model, utts), fraction)
+    selection = count_and_select(_backbone_maps(model, utts), fraction)
+    if strategy == "all":
+        selection.selected = candidate_heads(selection.counts)
+    elif strategy == "random":
+        selection.selected = random_heads(selection.counts, fraction, seed=seed)
+    if not selection.selected:
+        raise ConfigError(
+            f"no heads selected ({strategy} strategy, fraction {fraction}): "
+            f"{len(selection.qualifying)} of {len(selection.counts)} heads pass the "
+            f"majority bar of {selection.threshold:g} of {selection.dataset_size} "
+            f"utterances; counts {selection.counts}")
+    return selection
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +517,11 @@ class EvalReport:
         if self.lid_attribution is not None:
             out.append(("test-cs", "lid_attribution", self.lid_attribution))
         return out
+
+    def csv(self) -> str:
+        """`rows` under a `set,metric,value` header, values to 4 decimals."""
+        return "set,metric,value\n" + "".join(f"{name},{metric},{value:.4f}\n"
+                                              for name, metric, value in self.rows())
 
 
 # Rows per `encode` call while decoding a test set. A chunk's greedy decode

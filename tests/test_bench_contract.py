@@ -66,7 +66,7 @@ def test_decode_annotator_counts_emitted_tokens(targets):
                                      ffn_width=16, bottleneck=2, feat_dim=6, max_len=16),
                          vocab)
     memory, col_mask = model.encode(np.random.default_rng(0).normal(size=(2, 5, 6)))
-    prompt = build_prompt(vocab)
+    prompt = build_prompt()
     args = (model, memory, col_mask, prompt, 3)
     hyps = model.greedy_decode(*args[1:])
     # a hypothesis shorter than the limit also emitted its <eot>

@@ -46,6 +46,7 @@ def backbone(micro_files, data):
     # produce a usable (if weak) frozen backbone by skipping the gate: train
     # one epoch, then save via the library path
     from agadapt import checkpoint, config, synthtask, training
+    from agadapt.errors import NumericError
     from agadapt.model import Seq2SeqModel
 
     values = config.parse_config_file(micro_files["train"])
@@ -56,7 +57,7 @@ def backbone(micro_files, data):
     model = Seq2SeqModel(model_cfg, vocab, seed=0)
     try:
         training.pretrain_backbone(model, pretrain, valid, cfg)
-    except Exception:
+    except NumericError:  # the accuracy gate
         model.freeze_backbone()
     checkpoint.save_model(micro_files["backbone"], model)
     return micro_files["backbone"]
@@ -394,6 +395,41 @@ def test_eval(micro_files, data, heads, adapted):
     assert lines[0] == "set,metric,value"
     assert any("overall_mer" in ln for ln in lines)
     assert any("lid_attribution" in ln for ln in lines)
+
+
+def test_pipeline_in_process_matches_the_cli(micro_files, data, backbone, tmp_path):
+    # select-heads, adapt and eval once through the CLI and once as the
+    # library calls, with no file between the calls: the same bytes
+    from agadapt import checkpoint, config, guidance, synthtask, training
+
+    cli = {name: tmp_path / f"cli-{name}" for name in ("heads", "adapted", "report")}
+    lib = {name: tmp_path / f"lib-{name}" for name in ("heads", "adapted", "report")}
+    assert main(["select-heads", "--backbone", str(backbone), "--data", str(data),
+                 "--strategy", "all", "--out", str(cli["heads"])]) == 0
+    assert main(["adapt", "--mode", "two-stage-ag", "--backbone", str(backbone),
+                 "--data", str(data), "--heads", str(cli["heads"]),
+                 "--config", str(micro_files["train"]), "--out", str(cli["adapted"])]) == 0
+    assert main(["eval", "--model", str(cli["adapted"]), "--data", str(data),
+                 "--heads", str(cli["heads"]), "--report", str(cli["report"])]) == 0
+
+    model = checkpoint.load_model(backbone)
+
+    def split(name):
+        return synthtask.read_split(data, name, model.vocab)[2]
+
+    selection = training.select_heads(model, split("adapt"), 0.6, "all")
+    guidance.save_head_selection(lib["heads"], selection)
+    cfg = training.build_train_config(config.parse_config_file(micro_files["train"]),
+                                      {"mode": "two-stage-ag"})
+    training.adapt_backbone(model, split("adapt"), split("valid"), cfg, selection)
+    checkpoint.save_model(lib["adapted"], model)
+    report = training.evaluate_model(
+        model, {name: split(name) for name in ("test-mono-a", "test-mono-b", "test-cs")},
+        selection)
+    lib["report"].write_text(report.csv())
+    for name in cli:
+        assert cli[name].read_bytes() == lib[name].read_bytes(), name
+    assert "lid_attribution" in lib["report"].read_text()
 
 
 @pytest.mark.parametrize("command", ["adapt", "eval"])

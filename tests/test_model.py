@@ -61,21 +61,21 @@ class TestVocabulary:
 
 
 class TestPrompt:
-    def test_bilingual(self, vocab):
-        prompt = build_prompt(vocab)
+    def test_bilingual(self):
+        prompt = build_prompt()
         assert prompt == [0, 1, 2, 3, 4]
         assert len(prompt) == 5
 
-    def test_monolingual(self, vocab):
-        assert build_prompt(vocab, "A") == [0, 1, 3, 4]
-        assert build_prompt(vocab, "B") == [0, 2, 3, 4]
-        assert len(build_prompt(vocab, "A")) == 4
+    def test_monolingual(self):
+        assert build_prompt("A") == [0, 1, 3, 4]
+        assert build_prompt("B") == [0, 2, 3, 4]
+        assert len(build_prompt("A")) == 4
 
 
 class TestTokenSequence:
     def test_bilingual_layout(self, vocab):
         y = TokenSequence.from_words(vocab, [7, 17])
-        assert y.ids[:5] == build_prompt(vocab)
+        assert y.ids[:5] == build_prompt()
         assert [y.ids[c] for c in LID_COLUMNS] == [ZH, EN]
         assert y.lang_tags == [None] * 5 + ["A", "B"] + [None]
         assert y.ids[-1] == EOT
@@ -86,7 +86,7 @@ class TestTokenSequence:
 
     @pytest.mark.parametrize("lang", [None, "A", "B"])
     def test_from_ids_derives_the_tags(self, vocab, lang):
-        y = TokenSequence.from_ids(vocab, build_prompt(vocab, lang) + [17, 18, 7, EOT])
+        y = TokenSequence.from_ids(vocab, build_prompt(lang) + [17, 18, 7, EOT])
         assert y.lang_tags == [None] * (y.n - 4) + ["B", "B", "A", None]
         assert TokenSequence.from_words(vocab, [17, 18, 7], lang) == y
 
@@ -310,24 +310,24 @@ def assert_decode_matches_oracle(model, frames, frame_mask, prompt_ids, max_new=
 
 
 class TestGreedyDecode:
-    def test_decode_terminates_and_strips(self, model, vocab):
+    def test_decode_terminates_and_strips(self, model):
         frames = RNG.normal(size=(3, 6, 8))
         mask = np.ones((3, 6), dtype=bool)
-        out = model.greedy_decode(*model.encode(frames, mask), build_prompt(vocab))
+        out = model.greedy_decode(*model.encode(frames, mask), build_prompt())
         assert len(out) == 3
         for row in out:
             assert len(row) <= model.config.max_len
             assert EOT not in row
 
     @pytest.mark.parametrize("lang", [None, "A", "B"])
-    def test_matches_full_forward_per_prompt(self, model, vocab, lang):
+    def test_matches_full_forward_per_prompt(self, model, lang):
         frames = RNG.normal(size=(3, 6, 8))
         mask = np.ones((3, 6), dtype=bool)
-        assert_decode_matches_oracle(model, frames, mask, build_prompt(vocab, lang))
+        assert_decode_matches_oracle(model, frames, mask, build_prompt(lang))
 
-    def test_matches_with_active_adapters(self, model, vocab):
+    def test_matches_with_active_adapters(self, model):
         frames = RNG.normal(size=(3, 6, 8))
-        prompt = build_prompt(vocab)
+        prompt = build_prompt()
         toks = np.tile(prompt, (3, 1))
         off = next_logits(model, frames, toks)
         model.init_adapters(seed=3)
@@ -342,33 +342,33 @@ class TestGreedyDecode:
     def test_matches_without_lid_prior(self, small_config, vocab):
         config = ModelConfig(**{**small_config.__dict__, "anchored_heads": 0})
         model = Seq2SeqModel(config, vocab, seed=5)
-        toks = np.array([build_prompt(vocab)])
+        toks = np.array([build_prompt()])
         assert all(model._lid_prior(toks, layer) is None for layer in range(2))
         frames = RNG.normal(size=(2, 6, 8))
-        assert_decode_matches_oracle(model, frames, None, build_prompt(vocab))
+        assert_decode_matches_oracle(model, frames, None, build_prompt())
 
-    def test_matches_with_padded_frames(self, model, vocab):
+    def test_matches_with_padded_frames(self, model):
         frames = RNG.normal(size=(3, 7, 8))
         mask = np.ones((3, 7), dtype=bool)
         mask[1, 4:] = False
         mask[2, 2:] = False
         frames[~mask] = 0.0
-        assert_decode_matches_oracle(model, frames, mask, build_prompt(vocab))
+        assert_decode_matches_oracle(model, frames, mask, build_prompt())
 
-    def test_matches_with_max_new(self, model, vocab):
+    def test_matches_with_max_new(self, model):
         frames = RNG.normal(size=(2, 6, 8))
-        hyps = assert_decode_matches_oracle(model, frames, None, build_prompt(vocab),
+        hyps = assert_decode_matches_oracle(model, frames, None, build_prompt(),
                                             max_new=3)
         assert all(len(h) <= 3 for h in hyps)
 
-    def test_matches_when_rows_finish_early(self, model, vocab):
+    def test_matches_when_rows_finish_early(self, model):
         # a raised <eot> bias makes some rows stop while others run on
         model.params["dec.out_proj.bias"].data[EOT] = 0.09
         frames = np.random.default_rng(7).normal(size=(6, 7, 8))
         mask = np.ones((6, 7), dtype=bool)
         mask[1, 5:] = False
         mask[3, 3:] = False
-        hyps = assert_decode_matches_oracle(model, frames, mask, build_prompt(vocab))
+        hyps = assert_decode_matches_oracle(model, frames, mask, build_prompt())
         assert len({len(h) for h in hyps}) > 1
 
     # frames are validated where they enter, in `encode`
@@ -388,10 +388,10 @@ class TestGreedyDecode:
         with pytest.raises(DataError, match="frames must have shape"):
             model.encode(RNG.normal(size=(1, 2, 6, 8)), None)
 
-    def test_rejects_frames_in_place_of_memory(self, model, vocab):
+    def test_rejects_frames_in_place_of_memory(self, model):
         frames = Tensor(RNG.normal(size=(2, 6, 8)))
         with pytest.raises(DataError, match="output of encode"):
-            model.greedy_decode(frames, None, build_prompt(vocab))
+            model.greedy_decode(frames, None, build_prompt())
 
 
 class TestLoadState:

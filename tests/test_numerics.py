@@ -430,6 +430,27 @@ class TestOpGradients:
         (grad,) = out._grad_fn(g)
         assert np.array_equal(grad, g * (cdf + x * pdf))
 
+    def test_layer_norm_matches_unfused_formula_bitwise(self):
+        x = RNG.normal(size=(3, 5, 16)) * 3.0 + 1.0
+        gain, bias = RNG.normal(size=16), RNG.normal(size=16)
+        g = RNG.normal(size=(3, 5, 16))
+        params = [Parameter("x", x.copy()), Parameter("gain", gain), Parameter("bias", bias)]
+        with recording(params):
+            out = layer_norm(*params)
+            dx, dgain, dbias = out._grad_fn(g)
+        # the formula with one fresh array per step, as a reference
+        xc = x - x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5)
+        xhat = xc * inv
+        assert np.array_equal(out.data, xhat * gain + bias)
+        assert np.array_equal(params[0].data, x)
+        dxhat = g * gain
+        want_dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                         - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        assert np.array_equal(dx, want_dx)
+        assert np.array_equal(dgain, (g * xhat).sum(axis=(0, 1)))
+        assert np.array_equal(dbias, g.sum(axis=(0, 1)))
+
     def test_embedding(self):
         ids = np.array([0, 3, 3, 1])
         c = Tensor(RNG.normal(size=(4, 5)))

@@ -262,6 +262,13 @@ class TestManifest:
         with pytest.raises(DataError, match=message):
             read_split(tmp_path, "test-cs")
 
+    def test_expected_vocabulary_must_match(self, tmp_path):
+        write_corpus(tmp_path, SPEC, VOCAB, generate_corpus(SPEC, VOCAB, SIZES))
+        assert len(read_split(tmp_path, "adapt", VOCAB)[2]) == SIZES["adapt"]
+        with pytest.raises(DataError, match=f"the checkpoint has 8\\+6 words per language, "
+                                            f"the corpus under {tmp_path} 6\\+6"):
+            read_split(tmp_path, "adapt", Vocabulary.build(8, 6))
+
     def test_failed_write_keeps_previous_corpus(self, tmp_path):
         corpus = generate_corpus(SPEC, VOCAB, SIZES)
         write_corpus(tmp_path, SPEC, VOCAB, corpus)

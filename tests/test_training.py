@@ -9,7 +9,7 @@ import pytest
 from agadapt import training
 from agadapt.config import parse_config_file
 from agadapt.errors import ConfigError, DataError, NumericError
-from agadapt.guidance import HeadSelection, ag_loss, candidate_heads
+from agadapt.guidance import HeadSelection, ag_loss, candidate_heads, random_heads
 from agadapt.model import (
     BLNK,
     EN,
@@ -30,7 +30,7 @@ from agadapt.numerics import (
     finite_diff_grad,
     recording,
 )
-from agadapt.synthtask import KIND_CS, SynthSpec, Utterance, generate_corpus
+from agadapt.synthtask import KIND_CS, MerReport, SynthSpec, Utterance, generate_corpus
 from agadapt.training import (
     EpochCheckpoint,
     RunRecord,
@@ -428,6 +428,26 @@ class TestStages:
         best = sorted(record.epochs, key=lambda e: (e.val_ce, e.epoch))[:2]
         assert [cp.epoch for cp in record.checkpoints] == [e.epoch for e in best]
 
+    def test_adapt_backbone_draws_adapters_from_the_next_seed(self, vocab, corpus):
+        cfg = self._cfg(mode="one-stage", epochs=1, avg_count=1)
+
+        def backbone():
+            model = Seq2SeqModel(GUIDED_CONFIG, vocab, seed=1)
+            model.freeze_backbone()
+            return model
+
+        got, want = backbone(), backbone()
+        records = training.adapt_backbone(got, corpus["adapt"], corpus["valid"], cfg, None)
+        want.init_adapters(seed=cfg.seed + 1)
+        want_records = training.run_adaptation(want, corpus["adapt"], corpus["valid"], cfg,
+                                               None)
+        assert [r.epochs[0].train_ce for r in records] == \
+            [r.epochs[0].train_ce for r in want_records]
+        for name, arr in want.state_dict().items():
+            assert np.array_equal(got.params[name].data, arr), name
+        with pytest.raises(DataError, match="adapters already initialised"):
+            training.adapt_backbone(got, corpus["adapt"], corpus["valid"], cfg, None)
+
     def test_pretrain_rejects_cs_and_adapters(self, vocab, corpus):
         model = Seq2SeqModel(MICRO_CONFIG, vocab, seed=1)
         with pytest.raises(DataError):
@@ -507,7 +527,7 @@ def oracle_head_counts(model, utts):
     per map."""
     counts = {}
     for utt in utts:
-        if utt.reference.ids[:5] != build_prompt(model.vocab):
+        if utt.reference.ids[:5] != build_prompt():
             continue
         out = model.forward(utt.frames[None], np.array([utt.reference.ids]))
         for layer, maps in enumerate(out.attention):
@@ -555,6 +575,28 @@ class TestSelectHeadsIntegration:
 
         monkeypatch.setattr(Seq2SeqModel, "forward", no_forward)
         assert select_heads(model, utts, 1.0).counts == want
+
+    def test_nothing_selected_raises_with_the_counts(self, vocab, corpus):
+        model = Seq2SeqModel(GUIDED_CONFIG, vocab, seed=1)
+        model.freeze_backbone()
+        counts = select_heads(model, corpus["adapt"], 1.0).counts
+        with pytest.raises(ConfigError) as err:
+            select_heads(model, corpus["adapt"], 0.0)
+        assert str(err.value).startswith("no heads selected (top strategy, fraction 0.0): ")
+        assert f"majority bar of 12 of 24 utterances; counts {counts}" in str(err.value)
+
+    def test_strategies(self, vocab, corpus):
+        model = Seq2SeqModel(GUIDED_CONFIG, vocab, seed=1)
+        model.freeze_backbone()
+        utts = corpus["adapt"]
+        counts = select_heads(model, utts, 1.0).counts
+        assert select_heads(model, utts, 0.0, "all").selected == candidate_heads(counts)
+        assert (select_heads(model, utts, 0.5, "random", seed=7).selected
+                == random_heads(counts, 0.5, seed=7))
+        with pytest.raises(ConfigError, match="no heads selected \\(random strategy"):
+            select_heads(model, utts, 0.0, "random")
+        with pytest.raises(ConfigError, match="strategy must be one of"):
+            select_heads(model, utts, 1.0, "best")
 
     def test_needs_bilingual_utterances(self, vocab, corpus):
         model = Seq2SeqModel(MICRO_CONFIG, vocab, seed=1)
@@ -647,6 +689,20 @@ class TestNextTokenAlignment:
 
 
 class TestEvaluation:
+    @pytest.mark.parametrize("attribution", [0.52791066, None])
+    def test_report_csv(self, attribution):
+        # the bytes `agadapt eval --report` has always written
+        mer = MerReport(per_kind={"mono-b": 12.5, "cs": 100 / 3, "mono-a": 0.0},
+                        overall=16.858442601016858, errors={}, tokens={})
+        want = ("set,metric,value\n"
+                "all,overall_mer,16.8584\n"
+                "cs,token_error_rate,33.3333\n"
+                "mono-a,token_error_rate,0.0000\n"
+                "mono-b,token_error_rate,12.5000\n")
+        if attribution is not None:
+            want += "test-cs,lid_attribution,0.5279\n"
+        assert training.EvalReport(mer=mer, lid_attribution=attribution).csv() == want
+
     def test_empty_set_errors(self, adapted_model):
         with pytest.raises(DataError):
             evaluate_model(adapted_model, {"test-cs": []})
@@ -703,7 +759,7 @@ class TestEvaluation:
         real_decode = Seq2SeqModel.greedy_decode
         monkeypatch.setattr(Seq2SeqModel, "greedy_decode",
                             lambda self, *a: real_decode(self, *a, max_new=2))
-        prompt = build_prompt(vocab)
+        prompt = build_prompt()
         real_blocked = training._encode_blocked
         chunk_rows = []
 
@@ -733,7 +789,7 @@ class TestEvaluation:
         corpus = generate_corpus(MICRO_SPEC, vocab, {**MICRO_SIZES, "test-cs": 70})
         utts = corpus["test-cs"] + corpus["test-mono-a"]
         sel = micro_selection() if with_selection else None
-        prompt = build_prompt(vocab)
+        prompt = build_prompt()
         got = training._decode_set(adapted_model, utts, prompt, sel)
         monkeypatch.setattr(training, "_encode_blocked",
                             lambda model, frames, mask: model.encode(frames, mask))
@@ -759,7 +815,7 @@ class TestEvaluation:
             model.encode(frames, mask)
             whole_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            training._decode_set(model, utts, build_prompt(vocab))
+            training._decode_set(model, utts, build_prompt())
             decode_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
