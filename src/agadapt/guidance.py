@@ -239,8 +239,11 @@ def save_head_selection(path, selection: HeadSelection) -> None:
 
 
 def load_head_selection(path) -> HeadSelection:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise DataError(f"malformed head-selection file: {path}: {exc}") from exc
     if not lines or not lines[0].startswith("#"):
         raise DataError(f"malformed head-selection file: {path}")
     header = {}
@@ -251,6 +254,8 @@ def load_head_selection(path) -> HeadSelection:
         dataset_size = int(header["dataset_size"])
     except (KeyError, ValueError) as exc:
         raise DataError(f"malformed head-selection header: {path}") from exc
+    if dataset_size < 1:
+        raise DataError(f"malformed head-selection header: {path} counts no utterance")
     counts: dict[HeadIndex, int] = {}
     selected: list[HeadIndex] = []
     for line in lines[1:]:
@@ -260,8 +265,11 @@ def load_head_selection(path) -> HeadSelection:
             raise DataError(f"malformed head-selection line: {line!r}") from exc
         if (layer, head) in counts:
             raise DataError(f"malformed head-selection line: {line!r} repeats a head")
-        if count < 0:
-            raise DataError(f"malformed head-selection line: {line!r} has a negative count")
+        if not 0 <= count <= dataset_size:
+            raise DataError(f"malformed head-selection line: {line!r} counts {count} of "
+                            f"{dataset_size} utterances")
         counts[(layer, head)] = count
         selected.append((layer, head))
+    if not selected:
+        raise DataError(f"malformed head-selection file: {path} selects no head")
     return HeadSelection(counts=counts, dataset_size=dataset_size, selected=selected)

@@ -103,8 +103,6 @@ class Tensor:
 
         return _node(a.data + b.data, (a, b), grad_fn)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         other = as_tensor(other)
         a, b = self, other

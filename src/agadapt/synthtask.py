@@ -12,7 +12,8 @@ little-endian float32), and `<split>.manifest` a JSON header line (`format`
 split read) and then one line per utterance, `uid kind ids offset length`
 separated by tabs, the ids separated by spaces and the offset and length
 (bytes) locating the frame record. A word's language follows from its id
-(see `model`), so the ids are the whole reference.
+(see `model`), so the ids are the whole reference, and their languages
+decide the utterance's kind (`Utterance.kind`), which the kind column repeats.
 
 Also home to the edit-distance scorer and the per-language error-rate report
 used for evaluation.
@@ -114,29 +115,26 @@ class Utterance:
     uid: str
     frames: np.ndarray  # (T, feat_dim)
     reference: TokenSequence
-    kind: str
 
     @property
     def words(self) -> list[int]:
         return [self.reference.ids[i] for i in self.reference.word_positions]
 
     @property
+    def kind(self) -> str:
+        """mono-a or mono-b when every word is of language A or B, cs when
+        both occur; a reference without words raises DataError."""
+        langs = set(self.reference.lang_tags) - {None}
+        if not langs:
+            raise DataError(f"{self.uid}: reference holds no word")
+        return KIND_CS if len(langs) > 1 else KIND_MONO_A if LANG_A in langs else KIND_MONO_B
+
+    @property
     def lang(self) -> str | None:
         """Utterance language for monolingual kinds."""
-        if self.kind == KIND_MONO_A:
-            return LANG_A
-        if self.kind == KIND_MONO_B:
-            return LANG_B
-        return None
+        return {KIND_MONO_A: LANG_A, KIND_MONO_B: LANG_B}.get(self.kind)
 
     def validate(self) -> None:
-        tags = {t for t in self.reference.lang_tags if t is not None}
-        if self.kind == KIND_MONO_A and tags != {LANG_A}:
-            raise DataError(f"{self.uid}: mono-a utterance carries tags {tags}")
-        if self.kind == KIND_MONO_B and tags != {LANG_B}:
-            raise DataError(f"{self.uid}: mono-b utterance carries tags {tags}")
-        if self.kind == KIND_CS and tags != {LANG_A, LANG_B}:
-            raise DataError(f"{self.uid}: code-switched utterance must mix languages")
         # the bilingual prompt, or a monolingual utterance's own language's
         if not any(tuple(self.reference.ids[:len(p)]) == p
                    for p in (PROMPTS[None], PROMPTS[self.lang])):
@@ -188,15 +186,10 @@ def generate_utterance(spec: SynthSpec, kind: str, uid: str, vocab: Vocabulary,
         words.append(word)
         blocks.append(render_features(word, spec, rng, bank))
     frames = np.concatenate(blocks, axis=0)
-    if prompt_lang_form:
-        if kind == KIND_CS:
-            raise DataError("monolingual prompt form requires a monolingual utterance")
-        ref = TokenSequence.from_words(vocab, words, lang=langs[0])
-    else:
-        ref = TokenSequence.from_words(vocab, words)
-    utt = Utterance(uid=uid, frames=frames, reference=ref, kind=kind)
-    utt.validate()
-    return utt
+    if prompt_lang_form and kind == KIND_CS:
+        raise DataError("monolingual prompt form requires a monolingual utterance")
+    ref = TokenSequence.from_words(vocab, words, langs[0] if prompt_lang_form else None)
+    return Utterance(uid=uid, frames=frames, reference=ref)
 
 
 def _uid_key(uid: str) -> int:
@@ -285,7 +278,10 @@ def read_split(data_dir, split: str, expected_vocab: Vocabulary | None = None
     frames_path = data_dir / f"{split}.frames"
     if not manifest_path.exists() or not frames_path.exists():
         raise DataError(f"missing split {split!r} under {data_dir}")
-    lines = manifest_path.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = manifest_path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"manifest {manifest_path} is not UTF-8 text: {exc}") from exc
     if not lines:
         raise DataError(f"empty manifest: {manifest_path}")
     try:
@@ -332,7 +328,11 @@ def read_split(data_dir, split: str, expected_vocab: Vocabulary | None = None
             raise DataError(f"frame record length mismatch for {uid}")
         frames = np.frombuffer(blob, dtype="<f4", count=t * feat,
                                offset=offset + 8).astype(np.float64).reshape(t, feat)
-        utt = Utterance(uid=uid, frames=frames, reference=ref, kind=kind)
+        utt = Utterance(uid=uid, frames=frames, reference=ref)
+        if utt.kind != kind:
+            raise DataError(f"{uid}: code-switched utterance must mix languages"
+                            if kind == KIND_CS else f"{uid}: {kind} utterance carries "
+                            f"tags {set(ref.lang_tags) - {None}}")
         utt.validate()
         utts.append(utt)
     if len(utts) != count:

@@ -1,6 +1,8 @@
 """Backbone pretraining, head selection, two-stage adapter adaptation, and
 evaluation: one call each (`pretrain_backbone`, `select_heads`,
 `adapt_backbone`, `evaluate_model`) for the CLI and in-process callers alike.
+Evaluation and the pretraining gate (`token_accuracy`) decode and score
+through one function, `decode_and_score`.
 
 Stage 1 trains the encoder adapters with cross-entropy only; stage 2 trains
 both adapter sets with the joint objective (cross-entropy plus the weighted
@@ -28,10 +30,10 @@ selects only candidate heads, those of decoder layers
 `model.FIRST_GUIDABLE_LAYER` and up; `run_stage2` refuses to guide any other
 head; `batch_loss` adds one guidance-loss node per step, its goal built from
 the batch's sequences and the soft label `TrainConfig.c`; and
-`evaluate_model` encodes each utterance once, 16 rows at a time, decodes each
-chunk of 64 from that memory, and attributes languages from a teacher-forced
+`decode_and_score` encodes each utterance once, 16 rows at a time, decodes
+each chunk of 64 from that memory, attributes languages from a teacher-forced
 pass over the references on the same memory, run only through the deepest
-selected layer.
+selected layer, and scores every hypothesis by its utterance's kind.
 """
 
 from __future__ import annotations
@@ -351,22 +353,24 @@ def run_stage1(model: Seq2SeqModel, train_utts: Sequence[Utterance],
                          gamma=0.0, epochs=cfg.epochs)
 
 
+def _require_heads(selection: HeadSelection, config: ModelConfig) -> None:
+    """ConfigError if `selection` names no head, DataError if one the model of `config` lacks."""
+    selection.require_nonempty()
+    for layer, head in selection.selected:
+        if not (0 <= layer < config.dec_layers and 0 <= head < config.heads):
+            raise DataError(f"selected head {(layer, head)} missing from the model, which has "
+                            f"{config.dec_layers} decoder layers of {config.heads} heads")
+
+
 def _check_guided(selection: HeadSelection | None, config: ModelConfig) -> None:
-    """Raise ConfigError unless `selection` names at least one head and only
-    heads that guidance can move, and DataError if it names a head the model
-    of `config` lacks."""
+    """`_require_heads`, after ConfigError for no selection or an unguidable head."""
     if selection is None:
         raise ConfigError("guided training requires a head selection")
-    selection.require_nonempty()
     unguidable = [h for h in selection.selected if h[0] < FIRST_GUIDABLE_LAYER]
     if unguidable:
         raise ConfigError(f"heads {unguidable} cannot be guided: no adapter feeds "
                           f"decoder layers below {FIRST_GUIDABLE_LAYER}")
-    for layer, head in selection.selected:
-        if layer >= config.dec_layers or not 0 <= head < config.heads:
-            raise DataError(f"selected head {(layer, head)} missing from the model, "
-                            f"which has {config.dec_layers} decoder layers of "
-                            f"{config.heads} heads")
+    _require_heads(selection, config)
 
 
 def run_stage2(model: Seq2SeqModel, train_utts: Sequence[Utterance],
@@ -427,18 +431,13 @@ def pretrain_backbone(model: Seq2SeqModel, pretrain_utts: Sequence[Utterance],
     then freeze every backbone parameter."""
     if model.has_adapters:
         raise ConfigError("pretrain the backbone before inserting adapters")
-    for utt in pretrain_utts:
-        if utt.kind == KIND_CS:
-            raise DataError("pretraining corpus must be monolingual only")
+    if any(utt.kind == KIND_CS for utt in pretrain_utts):
+        raise DataError("pretraining corpus must be monolingual only")
     # Validation sequences must use the monolingual prompt the backbone is
     # trained on; the valid split stores bilingual-prompt references.
-    valid_mono = []
-    for utt in valid_utts:
-        if utt.lang is None:
-            continue
-        ref = TokenSequence.from_words(model.vocab, utt.words, utt.lang)
-        valid_mono.append(Utterance(uid=utt.uid, frames=utt.frames,
-                                    reference=ref, kind=utt.kind))
+    valid_mono = [Utterance(utt.uid, utt.frames,
+                            TokenSequence.from_words(model.vocab, utt.words, utt.lang))
+                  for utt in valid_utts if utt.lang is not None]
     if not valid_mono:
         raise DataError("validation set has no monolingual utterances")
     names = sorted(model.params)
@@ -578,7 +577,6 @@ def _decode_set(model: Seq2SeqModel, utts: Sequence[Utterance], prompt: list[int
         if selection is not None and rows:
             seqs = [batch.sequences[i] for i in rows]
             tokens = batch.tokens[rows, :max(s.n for s in seqs)]
-            selection.require_nonempty()
             depth = 1 + max(layer for layer, _ in selection.selected)
             _, maps = model._decode_rows(tokens, Tensor(memory.data[rows]),
                                          col_mask[rows], depth=depth)
@@ -588,6 +586,31 @@ def _decode_set(model: Seq2SeqModel, utts: Sequence[Utterance], prompt: list[int
         for utt, hyp in zip(group, decoded):
             hyps[utt.uid] = hyp
     return hyps, (correct, total)
+
+
+def decode_and_score(model: Seq2SeqModel,
+                     groups: Sequence[tuple[Sequence[int], Sequence[Utterance]]],
+                     selection: HeadSelection | None = None) -> EvalReport:
+    """Decode each (prompt, utterances) group with `_decode_set`, then score
+    every hypothesis by kind in one `mixed_error_rate` call. Heads add the LID
+    attribution: the share of code-switched word tokens whose mean selected-head
+    map favours their language's LID column. A bad selection (`_require_heads`)
+    or a repeated utterance id raises before anything decodes."""
+    if selection is not None:
+        _require_heads(selection, model.config)
+    refs, kinds, hyps = {}, {}, {}
+    for utt in (utt for _, utts in groups for utt in utts):
+        if utt.uid in refs:
+            raise DataError(f"utterance id {utt.uid!r} occurs more than once")
+        refs[utt.uid], kinds[utt.uid] = utt.words, utt.kind
+    correct = total = 0
+    for prompt, utts in groups:
+        set_hyps, (right, words) = _decode_set(model, utts, list(prompt), selection)
+        hyps.update(set_hyps)
+        correct += right
+        total += words
+    return EvalReport(mer=mixed_error_rate(refs, hyps, kinds),
+                      lid_attribution=correct / total if total else None)
 
 
 def token_accuracy(model: Seq2SeqModel, utts: Sequence[Utterance],
@@ -600,39 +623,17 @@ def token_accuracy(model: Seq2SeqModel, utts: Sequence[Utterance],
         if not bilingual_prompt and utt.lang is None:
             raise DataError("monolingual prompt requires a monolingual utterance")
         groups.setdefault(PROMPTS[None if bilingual_prompt else utt.lang], []).append(utt)
-    hyps: dict[str, list[int]] = {}
-    for prompt, group in sorted(groups.items()):
-        hyps.update(_decode_set(model, group, list(prompt))[0])
-    refs = {u.uid: u.words for u in utts}
-    mer = mixed_error_rate(refs, hyps, {u.uid: u.kind for u in utts})
+    mer = decode_and_score(model, sorted(groups.items())).mer
     return max(0.0, 1.0 - sum(mer.errors.values()) / sum(mer.tokens.values()))
 
 
 def evaluate_model(model: Seq2SeqModel, test_sets: Mapping[str, Sequence[Utterance]],
                    selection: HeadSelection | None = None) -> EvalReport:
-    """Greedy-decode the three test sets and report error rates, plus, when
-    heads are given, the LID-attribution accuracy: the fraction of word
-    tokens of the code-switched utterances whose mean selected-head map
-    favours their own language's LID column. Each utterance is encoded
-    once, 16 rows at a time (see `_decode_set`); the model's full `forward`
-    is never called."""
+    """`decode_and_score` of the non-empty test sets in name order, under the
+    bilingual prompt. Each utterance is encoded once, 16 rows at a time (see
+    `_decode_set`); the model's full `forward` is never called."""
     for name, utts in test_sets.items():
         if not utts:
             raise DataError(f"test set {name!r} is empty")
-    refs: dict[str, list[int]] = {}
-    hyps: dict[str, list[int]] = {}
-    kinds: dict[str, str] = {}
-    correct = total = 0
-    prompt = list(PROMPTS[None])
-    for name in sorted(test_sets):
-        utts = test_sets[name]
-        set_hyps, (right, words) = _decode_set(model, utts, prompt, selection)
-        correct += right
-        total += words
-        for utt in utts:
-            refs[utt.uid] = utt.words
-            hyps[utt.uid] = set_hyps[utt.uid]
-            kinds[utt.uid] = utt.kind
-    mer = mixed_error_rate(refs, hyps, kinds)
-    attribution = correct / total if total else None
-    return EvalReport(mer=mer, lid_attribution=attribution)
+    return decode_and_score(model, [(PROMPTS[None], test_sets[name])
+                                    for name in sorted(test_sets)], selection)

@@ -510,19 +510,104 @@ def test_eval_checkpoint_with_tensors_the_model_lacks(data, adapted, workdir, ca
     assert "unknown keys ['dec.0.attn_adapter" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("rows", ["1\t0\t5\n1\t0\t5\n", "1\t0\t5\n1\t1\t-4\n"],
-                         ids=["duplicate-head", "negative-count"])
+HEADER = "# dataset_size=32\tthreshold=16.0\n"
+
+
+# select-heads never writes any of these: it raises before saving
+@pytest.mark.parametrize("text, message", [
+    (HEADER + "1\t0\t5\n1\t0\t5\n", "malformed head-selection line"),
+    (HEADER + "1\t0\t5\n1\t1\t-4\n", "malformed head-selection line"),
+    ("# dataset_size=-5\tthreshold=-2.5\n1\t0\t3\n", "malformed head-selection header"),
+    (HEADER + "1\t0\t5\n1\t1\t33\n", "'1\\t1\\t33' counts 33 of 32 utterances"),
+    (HEADER, "selects no head"),
+], ids=["duplicate-head", "negative-count", "negative-dataset-size",
+        "count-above-dataset-size", "no-head"])
 def test_heads_file_with_a_repeated_head_or_negative_count(micro_files, data, backbone,
-                                                           workdir, capsys, rows):
+                                                           workdir, capsys, text, message):
     bad = workdir / "bad-count-heads.tsv"
-    bad.write_text("# dataset_size=32\tthreshold=16.0\n" + rows)
+    bad.write_text(text)
     out = workdir / "bad-count-heads.ckpt"
     rc = main(["adapt", "--mode", "two-stage-ag", "--backbone", str(backbone),
                "--config", str(micro_files["train"]), "--data", str(data),
                "--heads", str(bad), "--out", str(out)])
     assert rc == 3
-    assert "malformed head-selection line" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def no_decode(*args, **kwargs):
+    raise AssertionError("a chunk was decoded")
+
+
+@pytest.mark.parametrize("split", ["test-cs", "test-mono-a"])
+def test_eval_repeated_utterance_id(data, adapted, tmp_path, capsys, monkeypatch, split):
+    # test-cs's first utterance id, given to its second line or to test-mono-a's first
+    from agadapt.model import Seq2SeqModel
+
+    monkeypatch.setattr(Seq2SeqModel, "greedy_decode", no_decode)
+    uid = read_split(data, "test-cs")[2][0].uid
+    row = 2 if split == "test-cs" else 1
+
+    def edit(lines):
+        lines[row] = "\t".join([uid] + lines[row].split("\t")[1:])
+        return lines
+
+    bad = corrupt_copy(data, tmp_path / "data", split, edit)
+    report = tmp_path / "report.csv"
+    rc = main(["eval", "--model", str(adapted), "--data", str(bad), "--report", str(report)])
+    assert rc == 3
+    assert f"utterance id {uid!r} occurs more than once" in capsys.readouterr().err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("head", [(5, 0), (2, 1), (1, 7)])
+def test_eval_missing_head_fails_before_decoding(data, adapted, tmp_path, capsys,
+                                                 monkeypatch, head):
+    from agadapt.model import Seq2SeqModel
+
+    monkeypatch.setattr(Seq2SeqModel, "greedy_decode", no_decode)
+    missing = tmp_path / "missing.tsv"
+    missing.write_text(f"{HEADER}1\t0\t20\n{head[0]}\t{head[1]}\t20\n")
+    report = tmp_path / "report.csv"
+    rc = main(["eval", "--model", str(adapted), "--data", str(data),
+               "--heads", str(missing), "--report", str(report)])
+    assert rc == 3
+    assert (f"selected head {head} missing from the model, which has 2 decoder "
+            f"layers of 2 heads") in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_non_utf8_config_file(micro_files, data, tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(micro_files["train"].read_bytes() + b"# caf\xe9 \xff\n")
+    out = tmp_path / "b.ckpt"
+    rc = main(["pretrain", "--data", str(data), "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    assert f"config file {cfg} is not UTF-8 text" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_utf8_manifest(micro_files, data, tmp_path, capsys):
+    bad = corrupt_copy(data, tmp_path / "data", "pretrain", lambda lines: lines)
+    manifest = bad / "pretrain.manifest"
+    manifest.write_bytes(manifest.read_bytes() + b"\xff\n")
+    out = tmp_path / "b.ckpt"
+    rc = main(["pretrain", "--data", str(bad), "--config", str(micro_files["train"]),
+               "--out", str(out)])
+    assert rc == 3
+    assert f"manifest {manifest} is not UTF-8 text" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_utf8_heads_file(data, adapted, tmp_path, capsys):
+    bad = tmp_path / "heads.tsv"
+    bad.write_bytes(HEADER.encode() + b"1\t0\t5\xff\n")
+    report = tmp_path / "report.csv"
+    rc = main(["eval", "--model", str(adapted), "--data", str(data),
+               "--heads", str(bad), "--report", str(report)])
+    assert rc == 3
+    assert f"malformed head-selection file: {bad}" in capsys.readouterr().err
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("line", ["lr = 0", "weight_decay = -0.01"])

@@ -607,3 +607,16 @@ class TestHeadSelectionFile:
         bad.write_text(f"# dataset_size=10\tthreshold=5.0\n0\t1\t5\n{line}\n")
         with pytest.raises(DataError, match="malformed head-selection line"):
             load_head_selection(bad)
+
+    @pytest.mark.parametrize("text", [
+        b"# dataset_size=-5\tthreshold=-2.5\n1\t0\t3\n",
+        b"# dataset_size=0\tthreshold=0.0\n1\t0\t0\n",
+        b"# dataset_size=10\tthreshold=5.0\n1\t0\t11\n",
+        b"# dataset_size=10\tthreshold=5.0\n",
+        b"# dataset_size=10\tthreshold=5.0\n1\t0\t3\xff\n",
+    ], ids=["negative-size", "zero-size", "count-above-size", "no-head", "not-utf8"])
+    def test_out_of_bounds_or_undecodable_file_errors(self, tmp_path, text):
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(text)
+        with pytest.raises(DataError, match="malformed head-selection"):
+            load_head_selection(bad)

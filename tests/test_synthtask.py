@@ -99,7 +99,9 @@ class TestValidate:
     ])
     def test_prompt_of_the_kind_accepted(self, kind, words, prompt):
         ref = TokenSequence.from_words(VOCAB, words, prompt)
-        Utterance(uid="u1", frames=np.zeros((2, 2)), reference=ref, kind=kind).validate()
+        utt = Utterance(uid="u1", frames=np.zeros((2, 2)), reference=ref)
+        assert utt.kind == kind
+        utt.validate()
 
     @pytest.mark.parametrize("kind, words, prompt", [
         (KIND_MONO_A, [7, 8], LANG_B), (KIND_MONO_B, [13, 14], LANG_A),
@@ -107,9 +109,24 @@ class TestValidate:
     ])
     def test_prompt_of_another_language_rejected(self, kind, words, prompt):
         ref = TokenSequence.from_words(VOCAB, words, prompt)
-        utt = Utterance(uid="u1", frames=np.zeros((2, 2)), reference=ref, kind=kind)
+        utt = Utterance(uid="u1", frames=np.zeros((2, 2)), reference=ref)
         with pytest.raises(DataError, match=f"u1: {kind} utterance opens with the prompt"):
             utt.validate()
+
+    @pytest.mark.parametrize("words, kind, lang", [
+        ([7, 8, 12], KIND_MONO_A, LANG_A), ([13, 18], KIND_MONO_B, LANG_B),
+        ([13, 7, 13], KIND_CS, None), ([7, 13, 14], KIND_CS, None),
+    ])
+    def test_kind_follows_from_the_reference_words(self, words, kind, lang):
+        utt = Utterance(uid="u1", frames=np.zeros((2, 2)),
+                        reference=TokenSequence.from_words(VOCAB, words))
+        assert (utt.kind, utt.lang) == (kind, lang)
+
+    def test_reference_without_words_has_no_kind(self):
+        utt = Utterance(uid="u1", frames=np.zeros((2, 2)),
+                        reference=TokenSequence.from_words(VOCAB, []))
+        with pytest.raises(DataError, match="u1: reference holds no word"):
+            utt.kind
 
 
 class TestFeatures:
@@ -241,6 +258,10 @@ class TestManifest:
         # the <en> prompt before language-A words
         (lambda f: f[:2] + [" ".join(["0", "2"] + f[2].split()[2:])] + f[3:],
          "mono-a utterance opens with the prompt of another language"),
+        (lambda f: f[:1] + ["cs"] + f[2:], "code-switched utterance must mix languages"),
+        # the prompt and <eot> alone
+        (lambda f: f[:2] + [" ".join(f[2].split()[:4] + f[2].split()[-1:])] + f[3:],
+         "reference holds no word"),
     ])
     def test_bad_kind_or_tag_count(self, tmp_path, corrupt, message):
         write_corpus(tmp_path, SPEC, VOCAB, generate_corpus(SPEC, VOCAB, SIZES))

@@ -77,6 +77,10 @@ def adapted_model(vocab):
     return model
 
 
+def no_decode(*args, **kwargs):
+    raise AssertionError("a chunk was decoded")
+
+
 def micro_selection(layer=1):
     counts = {(l, h): 0 for l in range(2) for h in range(2)}
     return HeadSelection(counts=counts, dataset_size=1, selected=[(layer, 0), (layer, 1)])
@@ -706,6 +710,50 @@ class TestEvaluation:
     def test_empty_set_errors(self, adapted_model):
         with pytest.raises(DataError):
             evaluate_model(adapted_model, {"test-cs": []})
+
+    @pytest.mark.parametrize("within", [True, False], ids=["within-a-set", "across-sets"])
+    def test_repeated_utterance_id_raises_before_decoding(self, adapted_model, corpus,
+                                                          monkeypatch, within):
+        monkeypatch.setattr(Seq2SeqModel, "greedy_decode", no_decode)
+        mono_a, mono_b = corpus["test-mono-a"], corpus["test-mono-b"]
+        # a language-B utterance under the id of the first language-A one
+        twin = Utterance(uid=mono_a[0].uid, frames=mono_b[0].frames,
+                         reference=mono_b[0].reference)
+        sets = ({"test-mono-a": mono_a + [twin], "test-mono-b": mono_b} if within
+                else {"test-mono-a": mono_a, "test-mono-b": [twin] + mono_b[1:]})
+        match = f"utterance id {mono_a[0].uid!r} occurs more than once"
+        with pytest.raises(DataError, match=match):
+            evaluate_model(adapted_model, sets, selection=micro_selection())
+        # one prompt group under the bilingual prompt, one per language without
+        with pytest.raises(DataError, match=match):
+            training.token_accuracy(adapted_model, mono_a + [twin], bilingual_prompt=within)
+
+    @pytest.mark.parametrize("selected, error", [
+        ([], ConfigError), ([(1, 0), (2, 0)], DataError), ([(1, 2)], DataError),
+        ([(-1, 0)], DataError)])
+    def test_selection_checked_before_decoding(self, adapted_model, corpus, monkeypatch,
+                                               selected, error):
+        monkeypatch.setattr(Seq2SeqModel, "greedy_decode", no_decode)
+        sel = HeadSelection(counts=micro_selection().counts, dataset_size=1,
+                            selected=selected)
+        # a selection is checked even when no set holds a code-switched utterance
+        with pytest.raises(error):
+            evaluate_model(adapted_model, {"test-mono-a": corpus["test-mono-a"]}, sel)
+
+    def test_token_accuracy_and_evaluation_score_alike(self, adapted_model, corpus,
+                                                       monkeypatch):
+        randomise_adapters(adapted_model)
+        calls = []
+        real = training.mixed_error_rate
+        monkeypatch.setattr(training, "mixed_error_rate",
+                            lambda *args: calls.append(args) or real(*args))
+        utts = corpus["test-cs"] + corpus["test-mono-b"]
+        accuracy = training.token_accuracy(adapted_model, utts, bilingual_prompt=True)
+        mer = evaluate_model(adapted_model, {"test-cs": corpus["test-cs"],
+                                             "test-mono-b": corpus["test-mono-b"]}).mer
+        assert len(calls) == 2 and calls[0] == calls[1]
+        assert accuracy == max(0.0, 1.0 - sum(mer.errors.values()) / sum(mer.tokens.values()))
+        assert calls[1][2] == {u.uid: u.kind for u in utts}
 
     def test_attribution_matches_full_forward_oracle(self, adapted_model, corpus):
         randomise_adapters(adapted_model)
