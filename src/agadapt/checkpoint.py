@@ -7,13 +7,13 @@ field), ``vocab`` (``n_words_a``, ``n_words_b``), ``adapters`` (a bool) and
 ``tensors``, each parameter's shape by name, so in name order.
 
 The bytes follow from the model alone: two saves of one model are equal, and
-so are a save and the save of what it loads as. `load_model` raises DataError
-for a missing file; another magic or version (a version-1 file is not read);
-a header that is not JSON, lacks a key or has an unknown one; a
-`model_config` or `vocab` value that breaks the per-type rule of `config`
-or a config `ModelConfig` rejects; a tensor index other than the
-described model's names and shapes; and a payload longer or shorter than the
-index.
+so are a save and the save of what it loads as. `load_model` draws nothing:
+it builds the model from the payload. It raises DataError for a missing file;
+another magic or version (a version-1 file is not read); a header that is not
+JSON, lacks a key or has an unknown one; a `model_config` or `vocab` value
+that breaks the per-type rule of `config` or a config `ModelConfig` rejects;
+a tensor index other than the layout's names and shapes (`model.misfits`);
+and a payload longer or shorter than the index.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from . import config
 from .atomicio import atomic_write
 from .errors import DataError
-from .model import ModelConfig, Seq2SeqModel, Vocabulary
+from .model import ModelConfig, Seq2SeqModel, Vocabulary, misfits, parameter_shapes
 
 MAGIC = b"AGCK"
 VERSION = 2
@@ -53,8 +53,8 @@ def save_model(path, model: Seq2SeqModel) -> None:
             fh.write(np.ascontiguousarray(model.params[name].data, dtype="<f8").tobytes())
 
 
-def _describe(header) -> Seq2SeqModel:
-    """The freshly initialised model the header describes."""
+def _describe(header) -> tuple[ModelConfig, Vocabulary, dict[str, tuple[int, ...]]]:
+    """The model config, vocabulary and parameter shapes the header describes."""
     header = config.exact_keys(header, HEADER_KEYS, "checkpoint header")
     model_config = config.from_json(ModelConfig, header["model_config"],
                                     "checkpoint model_config")
@@ -62,15 +62,19 @@ def _describe(header) -> Seq2SeqModel:
     adapters = header["adapters"]
     if not isinstance(adapters, bool):
         raise DataError(f"checkpoint adapters flag must be a JSON bool, got {adapters!r}")
-    model = Seq2SeqModel(model_config, Vocabulary.build(n_a, n_b), seed=0)
-    if adapters:
-        model.init_adapters(seed=0)
-    listed = config.exact_keys(header["tensors"], model.params, "checkpoint tensor index")
-    for name, p in model.params.items():
-        if listed[name] != list(p.data.shape):
-            raise DataError(f"checkpoint tensor {name} has shape {listed[name]}, "
-                            f"the described model {list(p.data.shape)}")
-    return model
+    vocab = Vocabulary.build(n_a, n_b)
+    shapes = parameter_shapes(model_config, vocab.size, adapters)
+    listed = header["tensors"]
+    if not isinstance(listed, dict):
+        raise DataError("checkpoint tensor index must be a JSON object")
+    unknown, misfit = misfits(shapes, listed)
+    missing = sorted(name for name in misfit if name not in listed)
+    if unknown or missing:
+        raise DataError(f"checkpoint tensor index has unknown keys {unknown} and lacks {missing}")
+    if misfit:
+        raise DataError(f"checkpoint tensor {misfit[0]} has shape {listed[misfit[0]]}, "
+                        f"the described model {list(shapes[misfit[0]])}")
+    return model_config, vocab, shapes
 
 
 def load_model(path, freeze_backbone: bool = True) -> Seq2SeqModel:
@@ -99,18 +103,16 @@ def load_model(path, freeze_backbone: bool = True) -> Seq2SeqModel:
         header = json.loads(blob[PREFIX.size:start].decode("utf-8"))
     except ValueError as exc:  # also UnicodeDecodeError and JSONDecodeError
         raise DataError(f"malformed checkpoint header in {path}: {exc}") from exc
-    model = _describe(header)
-    params = [model.params[name] for name in sorted(model.params)]
-    size = start + 8 * sum(p.data.size for p in params)
+    model_config, vocab, shapes = _describe(header)
+    ends = np.cumsum([np.prod(shapes[name]) for name in sorted(shapes)])
+    size = start + 8 * int(ends[-1])
     if len(blob) != size:
         problem = "truncated checkpoint" if len(blob) < size else "trailing bytes in checkpoint"
         raise DataError(f"{problem}: {path} has {len(blob)} bytes, "
                         f"its tensor index needs {size}")
-    payload = np.frombuffer(blob, dtype="<f8", offset=start)
-    at = 0
-    for p in params:
-        p.data = payload[at:at + p.data.size].reshape(p.data.shape).astype(np.float64)
-        at += p.data.size
+    arrays = np.split(np.frombuffer(blob, dtype="<f8", offset=start), ends[:-1])
+    model = Seq2SeqModel(model_config, vocab, state={
+        name: array.reshape(shapes[name]) for name, array in zip(sorted(shapes), arrays)})
     if freeze_backbone:
         model.freeze_backbone()
     return model

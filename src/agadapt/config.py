@@ -43,8 +43,8 @@ def parse_config_file(path) -> dict[str, str]:
         return {}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:  # missing, a directory, unreadable: all exit 2, as config errors
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
     values: dict[str, str] = {}

@@ -20,10 +20,12 @@ it:
   stops at the deepest layer holding a selected head. Head selection runs
   `encode` and `_decode_rows` through the last layer's self-attention maps.
 
+Every parameter's name, shape and initialiser is stated once, in
+`backbone_layout` and `adapter_layout`; fresh models draw them in that order,
+and `load_state` and `checkpoint.load_model` check a state against them.
 Bottleneck adapters (down-project, GELU, up-project, residual) sit after the
-attention sub-block and after the feed-forward sub-block of every layer; with
-zero-initialised up-projections they are exact identities, so inserting them
-does not change the backbone function.
+attention and the feed-forward sub-block of every layer; zero-initialised
+up-projections make them exact identities.
 
 Token layout: ids 0-6 are `SOT, ZH, EN, TRANS, NOTS, EOT, BLNK` (<zh> and
 <en> are the language-ID tokens of languages A and B), then language A's
@@ -254,83 +256,96 @@ def adapter_apply(x, down_w, down_b, up_w, up_b) -> Tensor:
     return x + linear(hidden, up_w, up_b)
 
 
+def _projection(prefix: str, n_in: int, n_out: int, init) -> list[tuple]:
+    return [(prefix + ".weight", (n_in, n_out), init), (prefix + ".bias", (n_out,), np.zeros)]
+
+
+def _draw(layout: list[tuple], rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Each parameter's initial value, drawn in layout order from `rng`: a normal
+    draw when the initialiser is a standard deviation, else `np.zeros` or `np.ones`."""
+    return {name: init(shape) if callable(init) else rng.normal(0.0, init, shape)
+            for name, shape, init in layout}
+
+
+def backbone_layout(c: ModelConfig, vocab_size: int) -> list[tuple]:
+    """Every backbone parameter as (name, shape, initialiser), in draw order."""
+    w, ff, std = c.width, c.ffn_width, 0.02
+    # residual-branch outputs start smaller so deep stacks stay stable
+    res_std = std / math.sqrt(2.0 * max(c.enc_layers, c.dec_layers))
+
+    def norm(prefix):
+        return [(prefix + ".gain", (w,), np.ones), (prefix + ".bias", (w,), np.zeros)]
+
+    def attn(p):
+        projections = (("q_proj", std), ("k_proj", std), ("v_proj", std), ("out_proj", res_std))
+        return [e for proj, init in projections for e in _projection(f"{p}.{proj}", w, w, init)]
+
+    def ffn(p):
+        return _projection(p + "ffn.fc1", w, ff, std) + _projection(p + "ffn.fc2", ff, w, res_std)
+
+    # input projection sees a 3-frame window so word boundaries (where
+    # adjacent frames jump between clusters) are linearly visible
+    layout = _projection("enc.in_proj", 3 * c.feat_dim, w, std) + [
+        ("enc.pos.weight", (c.max_len, w), std)]
+    for i in range(c.enc_layers):
+        p = f"enc.{i}."
+        layout += norm(p + "ln1") + attn(p + "attn") + norm(p + "ln2") + ffn(p)
+    layout += norm("enc.ln_out") + [("dec.embed.weight", (vocab_size, w), std),
+                                    ("dec.pos.weight", (c.max_len, w), std)]
+    for i in range(c.dec_layers):
+        p = f"dec.{i}."
+        layout += (norm(p + "ln1") + attn(p + "self_attn") + norm(p + "ln2")
+                   + attn(p + "cross_attn") + norm(p + "ln3") + ffn(p))
+    return layout + norm("dec.ln_out") + _projection("dec.out_proj", w, vocab_size, std)
+
+
+def adapter_layout(c: ModelConfig) -> list[tuple]:
+    """Every adapter parameter, in draw order; each up-projection starts at zero."""
+    return [entry for side, n_layers in (("enc", c.enc_layers), ("dec", c.dec_layers))
+            for i in range(n_layers) for tag in ("attn_adapter", "ffn_adapter")
+            for entry in (_projection(f"{side}.{i}.{tag}.down", c.width, c.bottleneck, 0.02)
+                          + _projection(f"{side}.{i}.{tag}.up", c.bottleneck, c.width, np.zeros))]
+
+
+def parameter_shapes(c: ModelConfig, vocab_size: int, adapters: bool) -> dict[str, tuple]:
+    """Each parameter's shape by name, in draw order, with or without adapters."""
+    layout = backbone_layout(c, vocab_size) + (adapter_layout(c) if adapters else [])
+    return {name: shape for name, shape, _ in layout}
+
+
+def misfits(shapes: dict[str, tuple], listed: dict) -> tuple[list[str], list[str]]:
+    """The names in `listed`, a shape list by name, that `shapes` lacks, sorted;
+    and those of `shapes` that `listed` lacks or gives another shape, in order."""
+    return (sorted(set(listed) - set(shapes)),
+            [name for name, shape in shapes.items() if listed.get(name) != list(shape)])
+
+
 class Seq2SeqModel:
     """Encoder-decoder with per-head attention extraction and adapters.
 
-    Parameters live in a flat name-to-Parameter map; adapter parameters are
-    the ones whose names contain an ``_adapter.`` segment. The model is
-    immutable during inference; training mutates parameters in place and must
-    own the model exclusively.
+    Parameters live in a flat name-to-Parameter map in layout order; adapter
+    parameters are the ones whose names contain an ``_adapter.`` segment. The
+    model is immutable during inference; training mutates parameters in place
+    and must own the model exclusively.
     """
 
-    def __init__(self, config: ModelConfig, vocab: Vocabulary, seed: int = 0):
+    def __init__(self, config: ModelConfig, vocab: Vocabulary, seed: int = 0,
+                 state: dict[str, np.ndarray] | None = None):
+        """The backbone drawn from `seed`, or, drawing nothing, a copy of `state`."""
         self.config = config
         self.vocab = vocab
-        self.params: dict[str, Parameter] = {}
-        self.has_adapters = False
-        self._init_backbone(np.random.default_rng(seed))
+        self.has_adapters = state is not None and any(map(is_adapter_param, state))
+        if state is None:
+            rng = np.random.default_rng(seed)
+            state = _draw(backbone_layout(config, vocab.size), rng)
+            self._seed_lid_contrast(state, rng)
+        shapes = parameter_shapes(config, vocab.size, self.has_adapters)
+        self.params = {name: Parameter(name, np.empty(shape)) for name, shape in shapes.items()}
+        self.load_state(state)
 
     # -- construction --------------------------------------------------------
 
-    def _add(self, name: str, data) -> Parameter:
-        if name in self.params:
-            raise DataError(f"duplicate parameter name {name!r}")
-        p = Parameter(name, data)
-        self.params[name] = p
-        return p
-
-    def _init_backbone(self, rng) -> None:
-        c = self.config
-        w, ff, m = c.width, c.ffn_width, self.vocab.size
-        std = 0.02
-        # residual-branch outputs start smaller so deep stacks stay stable
-        res_std = std / math.sqrt(2.0 * max(c.enc_layers, c.dec_layers))
-
-        def normal(*shape, scale=std):
-            return rng.normal(0.0, scale, shape)
-
-        def add_attn(prefix: str) -> None:
-            for proj in ("q_proj", "k_proj", "v_proj", "out_proj"):
-                scale = res_std if proj == "out_proj" else std
-                self._add(f"{prefix}.{proj}.weight", normal(w, w, scale=scale))
-                self._add(f"{prefix}.{proj}.bias", np.zeros(w))
-
-        # input projection sees a 3-frame window so word boundaries (where
-        # adjacent frames jump between clusters) are linearly visible
-        self._add("enc.in_proj.weight", normal(3 * c.feat_dim, w))
-        self._add("enc.in_proj.bias", np.zeros(w))
-        self._add("enc.pos.weight", normal(c.max_len, w))
-        for i in range(c.enc_layers):
-            p = f"enc.{i}."
-            self._add_ln(p + "ln1")
-            add_attn(p + "attn")
-            self._add_ln(p + "ln2")
-            self._add(p + "ffn.fc1.weight", normal(w, ff))
-            self._add(p + "ffn.fc1.bias", np.zeros(ff))
-            self._add(p + "ffn.fc2.weight", normal(ff, w, scale=res_std))
-            self._add(p + "ffn.fc2.bias", np.zeros(w))
-        self._add_ln("enc.ln_out")
-
-        self._add("dec.embed.weight", normal(m, w))
-        self._add("dec.pos.weight", normal(c.max_len, w))
-        for i in range(c.dec_layers):
-            p = f"dec.{i}."
-            self._add_ln(p + "ln1")
-            add_attn(p + "self_attn")
-            self._add_ln(p + "ln2")
-            add_attn(p + "cross_attn")
-            self._add_ln(p + "ln3")
-            self._add(p + "ffn.fc1.weight", normal(w, ff))
-            self._add(p + "ffn.fc1.bias", np.zeros(ff))
-            self._add(p + "ffn.fc2.weight", normal(ff, w, scale=res_std))
-            self._add(p + "ffn.fc2.bias", np.zeros(w))
-        self._add_ln("dec.ln_out")
-        self._add("dec.out_proj.weight", normal(w, m))
-        self._add("dec.out_proj.bias", np.zeros(m))
-        if c.anchored_heads:
-            self._seed_lid_contrast(rng)
-
-    def _seed_lid_contrast(self, rng) -> None:
+    def _seed_lid_contrast(self, state: dict[str, np.ndarray], rng) -> None:
         """Seed the language-contrast circuit of the anchored heads.
 
         Word embeddings get a +-polarity component along a shared language
@@ -341,7 +356,7 @@ class Seq2SeqModel:
         supplies mass on the LID columns; this seeding supplies a steerable,
         sign-correct contrast that training may amplify, shrink, or repurpose."""
         c = self.config
-        if c.dec_layers < 2:
+        if not c.anchored_heads or c.dec_layers < 2:
             return
         d = c.head_dim
 
@@ -350,7 +365,7 @@ class Seq2SeqModel:
             sd = math.sqrt(((x - mu) ** 2).mean() + 1e-5)
             return (x - mu) / sd
 
-        embed = self.params["dec.embed.weight"].data
+        embed = state["dec.embed.weight"]
         g = rng.normal(size=c.width)
         g /= np.linalg.norm(g)
         for word in self.vocab.word_ids(LANG_A):
@@ -358,7 +373,7 @@ class Seq2SeqModel:
         for word in self.vocab.word_ids(LANG_B):
             embed[word] -= c.embed_polarity * g
 
-        pos = self.params["dec.pos.weight"].data
+        pos = state["dec.pos.weight"]
         v_diff = normed(embed[ZH] + pos[1]) - normed(embed[EN] + pos[2])
         v_diff /= np.linalg.norm(v_diff)
         for layer in range(1, c.dec_layers):
@@ -366,9 +381,8 @@ class Seq2SeqModel:
                 w = rng.normal(size=d)
                 w /= np.linalg.norm(w)
                 sl = slice(head * d, (head + 1) * d)
-                self.params[f"dec.{layer}.self_attn.k_proj.weight"].data[:, sl] += \
-                    np.outer(v_diff, w)
-                self.params[f"dec.{layer}.self_attn.q_proj.weight"].data[:, sl] += \
+                state[f"dec.{layer}.self_attn.k_proj.weight"][:, sl] += np.outer(v_diff, w)
+                state[f"dec.{layer}.self_attn.q_proj.weight"][:, sl] += \
                     c.anchor_contrast * np.outer(g, w)
 
     def _lid_prior(self, tokens: np.ndarray, layer: int) -> np.ndarray | None:
@@ -387,30 +401,15 @@ class Seq2SeqModel:
             prior[:, head, 0, :] = col
         return prior
 
-    def _add_ln(self, prefix: str) -> None:
-        w = self.config.width
-        self._add(prefix + ".gain", np.ones(w))
-        self._add(prefix + ".bias", np.zeros(w))
-
     # -- adapters -------------------------------------------------------------
 
-    def init_adapters(self, seed: int = 1) -> AdapterSummary:
-        """Insert zero-initialised adapters; the network function is unchanged."""
+    def init_adapters(self, seed: int = 1) -> None:
+        """Insert the adapters drawn from `seed`; the network function is unchanged."""
         if self.has_adapters:
             raise DataError("adapters already initialised")
-        rng = np.random.default_rng(seed)
-        c = self.config
-        w, b = c.width, c.bottleneck
-        for side, n_layers in (("enc", c.enc_layers), ("dec", c.dec_layers)):
-            for i in range(n_layers):
-                for tag in ("attn_adapter", "ffn_adapter"):
-                    p = f"{side}.{i}.{tag}."
-                    self._add(p + "down.weight", rng.normal(0.0, 0.02, (w, b)))
-                    self._add(p + "down.bias", np.zeros(b))
-                    self._add(p + "up.weight", np.zeros((b, w)))
-                    self._add(p + "up.bias", np.zeros(w))
+        drawn = _draw(adapter_layout(self.config), np.random.default_rng(seed))
+        self.params.update((name, Parameter(name, data)) for name, data in drawn.items())
         self.has_adapters = True
-        return self.adapter_summary()
 
     def adapter_summary(self) -> AdapterSummary:
         adapter = sum(p.data.size for n, p in self.params.items() if is_adapter_param(n))
@@ -436,17 +435,16 @@ class Seq2SeqModel:
         return {n: p.data.copy() for n, p in self.params.items()}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
-        """Set every parameter from `state`, which must hold exactly this
-        model's parameter names, each with its parameter's shape. A state
-        that fails either check raises DataError and changes nothing."""
-        extra = sorted(set(state) - set(self.params))
-        if extra:
-            raise DataError(f"state has entries the model lacks: {', '.join(extra)}")
-        for name, p in self.params.items():
-            if name not in state:
-                raise DataError(f"state is missing parameter {name!r}")
-            if state[name].shape != p.data.shape:
-                raise DataError(f"state shape mismatch for {name!r}")
+        """Set every parameter from a copy of its `state` array; `state` must
+        hold exactly this model's parameter names, each with its layout shape.
+        A state that fails either check raises DataError and changes nothing."""
+        shapes = parameter_shapes(self.config, self.vocab.size, self.has_adapters)
+        unknown, misfit = misfits(shapes, {name: list(np.shape(a)) for name, a in state.items()})
+        if unknown:
+            raise DataError(f"state has entries the model lacks: {', '.join(unknown)}")
+        if misfit:
+            problem = "shape mismatch for" if misfit[0] in state else "is missing parameter"
+            raise DataError(f"state {problem} {misfit[0]!r}")
         for name, p in self.params.items():
             p.data = np.array(state[name], dtype=np.float64)
 

@@ -31,9 +31,9 @@ selects only candidate heads, those of decoder layers
 head; `batch_loss` adds one guidance-loss node per step, its goal built from
 the batch's sequences and the soft label `TrainConfig.c`; and
 `decode_and_score` encodes each utterance once, 16 rows at a time, decodes
-each chunk of 64 from that memory, attributes languages from a teacher-forced
-pass over the references on the same memory, run only through the deepest
-selected layer, and scores every hypothesis by its utterance's kind.
+chunks of 64 utterances sharing a prompt from that memory, attributes languages
+from a teacher-forced pass over the references on the same memory, run only
+through the deepest selected layer, and scores every hypothesis by its kind.
 """
 
 from __future__ import annotations
@@ -588,24 +588,28 @@ def _decode_set(model: Seq2SeqModel, utts: Sequence[Utterance], prompt: list[int
     return hyps, (correct, total)
 
 
-def decode_and_score(model: Seq2SeqModel,
-                     groups: Sequence[tuple[Sequence[int], Sequence[Utterance]]],
+def decode_and_score(model: Seq2SeqModel, utts: Sequence[Utterance], bilingual_prompt: bool,
                      selection: HeadSelection | None = None) -> EvalReport:
-    """Decode each (prompt, utterances) group with `_decode_set`, then score
-    every hypothesis by kind in one `mixed_error_rate` call. Heads add the LID
-    attribution: the share of code-switched word tokens whose mean selected-head
-    map favours their language's LID column. A bad selection (`_require_heads`)
-    or a repeated utterance id raises before anything decodes."""
+    """Decode the utterances under the bilingual prompt, or else each under its
+    language's, one `_decode_set` per prompt, and score every hypothesis by
+    kind in one `mixed_error_rate` call. Heads add the LID attribution: the
+    share of code-switched word tokens whose mean selected-head map favours
+    their language's LID column. A bad selection (`_require_heads`), a repeated
+    utterance id or a code-switched utterance under monolingual prompts raises
+    before anything decodes."""
     if selection is not None:
         _require_heads(selection, model.config)
-    refs, kinds, hyps = {}, {}, {}
-    for utt in (utt for _, utts in groups for utt in utts):
+    refs, kinds, groups = {}, {}, {}
+    for utt in utts:
         if utt.uid in refs:
             raise DataError(f"utterance id {utt.uid!r} occurs more than once")
+        if not bilingual_prompt and utt.lang is None:
+            raise DataError("monolingual prompt requires a monolingual utterance")
         refs[utt.uid], kinds[utt.uid] = utt.words, utt.kind
-    correct = total = 0
-    for prompt, utts in groups:
-        set_hyps, (right, words) = _decode_set(model, utts, list(prompt), selection)
+        groups.setdefault(PROMPTS[None if bilingual_prompt else utt.lang], []).append(utt)
+    hyps, correct, total = {}, 0, 0
+    for prompt, group in sorted(groups.items()):
+        set_hyps, (right, words) = _decode_set(model, group, list(prompt), selection)
         hyps.update(set_hyps)
         correct += right
         total += words
@@ -618,22 +622,17 @@ def token_accuracy(model: Seq2SeqModel, utts: Sequence[Utterance],
     """1 - (total edit distance / total reference tokens), floored at 0."""
     if not utts:
         raise DataError("cannot compute accuracy on an empty set")
-    groups: dict[tuple, list[Utterance]] = {}
-    for utt in utts:
-        if not bilingual_prompt and utt.lang is None:
-            raise DataError("monolingual prompt requires a monolingual utterance")
-        groups.setdefault(PROMPTS[None if bilingual_prompt else utt.lang], []).append(utt)
-    mer = decode_and_score(model, sorted(groups.items())).mer
+    mer = decode_and_score(model, utts, bilingual_prompt).mer
     return max(0.0, 1.0 - sum(mer.errors.values()) / sum(mer.tokens.values()))
 
 
 def evaluate_model(model: Seq2SeqModel, test_sets: Mapping[str, Sequence[Utterance]],
                    selection: HeadSelection | None = None) -> EvalReport:
-    """`decode_and_score` of the non-empty test sets in name order, under the
-    bilingual prompt. Each utterance is encoded once, 16 rows at a time (see
+    """`decode_and_score` of the non-empty test sets, pooled in name order under
+    the bilingual prompt. Each utterance is encoded once, 16 rows at a time (see
     `_decode_set`); the model's full `forward` is never called."""
     for name, utts in test_sets.items():
         if not utts:
             raise DataError(f"test set {name!r} is empty")
-    return decode_and_score(model, [(PROMPTS[None], test_sets[name])
-                                    for name in sorted(test_sets)], selection)
+    return decode_and_score(model, [u for name in sorted(test_sets) for u in test_sets[name]],
+                            bilingual_prompt=True, selection=selection)

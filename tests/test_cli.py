@@ -587,6 +587,23 @@ def test_non_utf8_config_file(micro_files, data, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_pretrain_config_that_is_a_directory(data, tmp_path, capsys):
+    out = tmp_path / "b.ckpt"
+    rc = main(["pretrain", "--data", str(data), "--config", str(tmp_path), "--out", str(out)])
+    assert rc == 2
+    assert f"cannot read config file {tmp_path}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_data_spec_that_is_a_directory(tmp_path, capsys):
+    out = tmp_path / "data"
+    rc = main(["gen-data", "--spec", str(tmp_path), "--out", str(out)])
+    assert rc == 2
+    assert f"cannot read config file {tmp_path}" in capsys.readouterr().err
+    assert not out.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_non_utf8_manifest(micro_files, data, tmp_path, capsys):
     bad = corrupt_copy(data, tmp_path / "data", "pretrain", lambda lines: lines)
     manifest = bad / "pretrain.manifest"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from agadapt.checkpoint import load_model, save_model
 from agadapt.errors import DataError
 from agadapt.model import (
     EN,
@@ -16,6 +17,7 @@ from agadapt.model import (
     adapter_apply,
     build_prompt,
     is_adapter_param,
+    parameter_shapes,
 )
 from agadapt.numerics import (
     OptimizerState,
@@ -395,6 +397,40 @@ class TestGreedyDecode:
 
 
 class TestLoadState:
+    @pytest.mark.parametrize("adapters", [False, True])
+    def test_rebuilt_from_its_state_equals_it(self, model, small_config, vocab, adapters):
+        if adapters:
+            model.init_adapters(seed=3)
+            for p in model.params.values():  # nonzero up-projections too
+                p.data = RNG.normal(size=p.data.shape)
+        assert list(parameter_shapes(small_config, vocab.size, adapters).items()) == \
+            [(name, p.data.shape) for name, p in model.params.items()]
+        state = model.state_dict()
+        clone = Seq2SeqModel(small_config, vocab, state=state)
+        assert clone.has_adapters == adapters
+        assert list(clone.params) == list(model.params)
+        for name, p in model.params.items():
+            assert clone.params[name].data.tobytes() == p.data.tobytes(), name
+            state[name] += 1.0  # the clone holds copies
+            assert clone.params[name].data.tobytes() == p.data.tobytes(), name
+
+    @pytest.mark.parametrize("adapters", [False, True])
+    def test_load_model_draws_no_random_number(self, model, tmp_path, monkeypatch,
+                                               adapters):
+        if adapters:
+            model.init_adapters(seed=3)
+        path = tmp_path / "model.ckpt"
+        save_model(path, model)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("loading a checkpoint drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        clone = load_model(path)
+        assert list(clone.params) == list(model.params)
+        for name, p in model.params.items():
+            assert clone.params[name].data.tobytes() == p.data.tobytes(), name
+
     def test_round_trips_its_own_state(self, model, small_config, vocab):
         clone = Seq2SeqModel(small_config, vocab, seed=5)
         clone.load_state(model.state_dict())

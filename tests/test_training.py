@@ -13,6 +13,7 @@ from agadapt.guidance import HeadSelection, ag_loss, candidate_heads, random_hea
 from agadapt.model import (
     BLNK,
     EN,
+    PROMPTS,
     ZH,
     ModelConfig,
     Seq2SeqModel,
@@ -788,7 +789,27 @@ class TestEvaluation:
         evaluate_model(adapted_model, sets, selection=micro_selection())
         assert sum(blocks) == sum(len(utts) for utts in sets.values()) == 82
         assert max(blocks) == training.ENCODE_ROWS
-        assert len(blocks) == 7  # chunks 64 + 6, 6 and 6; the 64 in four blocks
+        assert len(blocks) == 6  # the pooled sets in chunks of 64 and 18: 4 + 2 blocks
+
+    def test_utterances_sharing_a_prompt_share_decode_chunks(self, adapted_model, vocab,
+                                                             monkeypatch):
+        corpus = generate_corpus(MICRO_SPEC, vocab, {**MICRO_SIZES, "test-cs": 70})
+        sets = {name: corpus[name] for name in ("test-cs", "test-mono-a", "test-mono-b")}
+        calls = []
+        real_decode = Seq2SeqModel.greedy_decode
+
+        def counting_decode(self, memory, col_mask, prompt, *args):
+            calls.append((memory.shape[0], tuple(prompt)))
+            return real_decode(self, memory, col_mask, prompt, *args)
+
+        monkeypatch.setattr(Seq2SeqModel, "greedy_decode", counting_decode)
+        evaluate_model(adapted_model, sets)
+        # 82 utterances under one prompt: ceil(82 / 64) decodes, not one per set's tail
+        assert calls == [(64, PROMPTS[None]), (18, PROMPTS[None])]
+        calls.clear()
+        mono = corpus["test-mono-b"] + corpus["test-mono-a"]
+        training.token_accuracy(adapted_model, mono, bilingual_prompt=False)
+        assert calls == [(6, PROMPTS["A"]), (6, PROMPTS["B"])]
 
     def test_blocked_memory_bit_identical_on_every_chunk(self, monkeypatch):
         """At the default model size, every chunk's blocked memory and column
