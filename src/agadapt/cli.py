@@ -159,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backbone", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--fraction", type=float, default=0.6)
-    p.add_argument("--strategy", choices=training.STRATEGIES, default="top",
+    p.add_argument("--strategy", choices=guidance.STRATEGIES, default="top",
                    help="top: the top fraction of the qualifying candidate heads; "
                         "all: every candidate head; random: a seeded draw of "
                         "fraction x the candidate heads. Candidates are the heads of "

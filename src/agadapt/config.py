@@ -11,7 +11,8 @@ not parsed, so a header ``"heads": "3"`` is rejected.
 --spec`): an unknown key, a value against the rule and a value the dataclass
 rejects raise ConfigError, exit code 2. `from_json` reads checkpoint and
 manifest headers, whose objects hold exactly the expected keys: any mistake
-raises DataError, exit code 3.
+raises DataError, exit code 3, also a value the dataclass rejects, so a
+negative seed exits 2 from `gen-data --seed` but 3 from a manifest's spec.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ columns `model.LID_COLUMNS`; one without them there raises DataError.
 - `lid_counts` gives, for each head, how many sequences of a batch put more
   mass on the LID columns than on all other columns combined, over their
   valid rows; `count_heads` adds these up over a dataset, and
-  `count_and_select` picks the top candidates.
+  `count_and_select` picks candidates by one of the `STRATEGIES`.
 - Every head is counted, but only candidate heads are selected: those of
   decoder layers `model.FIRST_GUIDABLE_LAYER` and up, as no adapter feeds a
   layer-0 map. `candidate_heads` ranks them by count and `random_heads`
@@ -24,18 +24,23 @@ columns `model.LID_COLUMNS`; one without them there raises DataError.
   gradient.
 - `lid_attribution` counts the word tokens whose mean selected-head map puts
   at least as much mass on their own language's LID column as on the other.
+
+A selection is checked against a model once, by `HeadSelection.check`, as it
+enters training or evaluation (see `training`); `lid_counts`, `ag_loss` and
+`lid_attribution` trust their inputs, and `lid_counts` reads every head.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .atomicio import atomic_write
 from .errors import ConfigError, DataError, NumericError
-from .model import EN, FIRST_GUIDABLE_LAYER, LANG_A, LANG_B, LID_COLUMNS, ZH, TokenSequence
+from .model import (EN, FIRST_GUIDABLE_LAYER, LANG_A, LANG_B, LID_COLUMNS, ZH, ModelConfig,
+                    TokenSequence)
 from .numerics import Tensor, as_tensor, column_squared_error
 
 HeadIndex = tuple[int, int]
@@ -69,22 +74,6 @@ def _row_masks(sequences: Sequence[TokenSequence], b: int,
     return valid, lang_a, lang_b
 
 
-def _check_heads(attention: Sequence, heads: Sequence[HeadIndex]) -> None:
-    """Raise DataError unless every listed (layer, head) exists in the
-    per-layer (B, H, N, N) `attention`."""
-    for layer, head in heads:
-        if not (0 <= layer < len(attention) and 0 <= head < _data(attention[layer]).shape[1]):
-            raise DataError(f"selected head {(layer, head)} missing from attention maps")
-
-
-def _lid_columns(attention: Sequence, heads: Sequence[HeadIndex]) -> np.ndarray:
-    """(B, K, N, 2): the two LID columns of each listed (layer, head) map of
-    the per-layer (B, H, N, N) `attention`, in list order."""
-    _check_heads(attention, heads)
-    return np.stack([_data(attention[layer])[:, head][..., list(LID_COLUMNS)]
-                     for layer, head in heads], axis=1)
-
-
 def lid_counts(attention: Sequence, sequences: Sequence[TokenSequence]) -> np.ndarray:
     """(L, H) indicator counts of one batch: how many of its sequences put
     more total mass on the LID columns than on all other columns combined,
@@ -92,23 +81,25 @@ def lid_counts(attention: Sequence, sequences: Sequence[TokenSequence]) -> np.nd
     row that is not stochastic raises NumericError."""
     layers = len(attention)
     b, heads, n, _ = _data(attention[0]).shape
-    every = [(layer, head) for layer in range(layers) for head in range(heads)]
     valid = _row_masks(sequences, b, n)[0][:, None, :]
     row_sums = np.concatenate([_data(a).sum(axis=-1) for a in attention], axis=1)
     if np.any(valid & (np.abs(row_sums - 1.0) > ROW_SUM_TOL)):
         raise NumericError("attention rows must be stochastic")
-    lid = np.where(valid, _lid_columns(attention, every).sum(axis=-1), 0.0).sum(axis=-1)
+    lid = np.concatenate([_data(a)[..., list(LID_COLUMNS)].sum(axis=-1) for a in attention],
+                         axis=1)
+    lid = np.where(valid, lid, 0.0).sum(axis=-1)
     total = np.where(valid, row_sums, 0.0).sum(axis=-1)
     return (lid > total - lid).sum(axis=0).reshape(layers, heads)
 
 
-@dataclass
+@dataclass(frozen=True)
 class HeadSelection:
     """Per-head indicator counts plus the chosen (layer, head) list.
 
     `threshold` is the majority bar a head must clear to qualify as a
     language-ID head: its count over the dataset must exceed half the
-    dataset size.
+    dataset size. A selection is frozen, so the list `check` accepted is
+    the one that is guided and attributed.
     """
 
     counts: dict[HeadIndex, int]
@@ -129,6 +120,21 @@ class HeadSelection:
         if not self.selected:
             raise ConfigError("head selection is empty")
 
+    def check(self, config: ModelConfig, guided: bool = False) -> None:
+        """The one check of a selection against a model: ConfigError if it
+        is empty or, when `guided`, names a head of a layer below
+        FIRST_GUIDABLE_LAYER, which no adapter feeds; DataError if it names
+        a head the model of `config` lacks."""
+        self.require_nonempty()
+        unguidable = [h for h in self.selected if h[0] < FIRST_GUIDABLE_LAYER]
+        if guided and unguidable:
+            raise ConfigError(f"heads {unguidable} cannot be guided: no adapter feeds "
+                              f"decoder layers below {FIRST_GUIDABLE_LAYER}")
+        for layer, head in self.selected:
+            if not (0 <= layer < config.dec_layers and 0 <= head < config.heads):
+                raise DataError(f"selected head {(layer, head)} missing from the model, which "
+                                f"has {config.dec_layers} decoder layers of {config.heads} heads")
+
 
 def candidate_heads(counts: Mapping[HeadIndex, int]) -> list[HeadIndex]:
     """The heads of decoder layers FIRST_GUIDABLE_LAYER and up, by count
@@ -137,15 +143,11 @@ def candidate_heads(counts: Mapping[HeadIndex, int]) -> list[HeadIndex]:
                   key=lambda h: (-counts[h], h[0], h[1]))
 
 
-def random_heads(counts: Mapping[HeadIndex, int], fraction: float,
-                 seed: int) -> list[HeadIndex]:
-    """Ablation selector: a seeded uniform draw of round(fraction * K) of the
-    K candidate heads, ignoring their counts, in (layer, head) order."""
-    if not 0.0 <= fraction <= 1.0:
-        raise ConfigError("head fraction must lie in [0, 1]")
+def random_heads(counts: Mapping[HeadIndex, int], size: int, seed: int) -> list[HeadIndex]:
+    """Ablation selector: a seeded uniform draw of `size` of the candidate
+    heads (at most all of them), ignoring their counts, in (layer, head) order."""
     heads = sorted(candidate_heads(counts))
-    picked = np.random.default_rng(seed).choice(len(heads), size=round(fraction * len(heads)),
-                                                replace=False)
+    picked = np.random.default_rng(seed).choice(len(heads), size=size, replace=False)
     return sorted(heads[i] for i in picked)
 
 
@@ -169,17 +171,30 @@ def count_heads(batches: Iterable[tuple[Sequence, Sequence[TokenSequence]]]) -> 
                                  in np.ndenumerate(total)}, dataset_size=size)
 
 
+# The heads each strategy selects from a counted selection `s` at fraction `f`.
+STRATEGIES = {
+    "top": lambda s, f, seed: candidate_heads(s.counts)[:round(f * len(s.qualifying))],
+    "all": lambda s, f, seed: candidate_heads(s.counts),
+    "random": lambda s, f, seed: random_heads(
+        s.counts, round(f * len(candidate_heads(s.counts))), seed),
+}
+
+
 def count_and_select(batches: Iterable[tuple[Sequence, Sequence[TokenSequence]]],
-                     fraction: float) -> HeadSelection:
+                     fraction: float, strategy: str = "top", seed: int = 0) -> HeadSelection:
     """Count every head over a dataset of (attention, sequences) batches and
-    select the top round(fraction * |qualifying|) candidate heads, where the
-    qualifying candidates are those that pass the majority bar."""
+    select candidate heads by `strategy`: "top" keeps the top
+    round(fraction * |qualifying|), "all" every one, and "random" a draw,
+    seeded by `seed`, of round(fraction * K) of the K candidates. A bad
+    strategy, fraction or seed raises ConfigError before any batch is read."""
+    if strategy not in STRATEGIES:
+        raise ConfigError(f"head-selection strategy must be one of {tuple(STRATEGIES)}")
     if not 0.0 <= fraction <= 1.0:
         raise ConfigError("head fraction must lie in [0, 1]")
-    selection = count_heads(batches)
-    top = round(fraction * len(selection.qualifying))
-    selection.selected = candidate_heads(selection.counts)[:top]
-    return selection
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    counted = count_heads(batches)
+    return replace(counted, selected=STRATEGIES[strategy](counted, fraction, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -197,12 +212,10 @@ def ag_loss(attention: Sequence, sequences: Sequence[TokenSequence],
     tape node over the layers that hold a selected head, so gradients flow
     back through the maps into the decoder adapters.
     """
-    selection.require_nonempty()
     maps = [as_tensor(a) for a in attention]
     b, _, n, _ = maps[0].shape
     valid, lang_a, lang_b = _row_masks(sequences, b, n)
     goal = c * np.stack([lang_a, lang_b], axis=-1)
-    _check_heads(maps, selection.selected)
     return column_squared_error(maps, selection.selected, LID_COLUMNS, goal, valid)
 
 
@@ -216,10 +229,10 @@ def lid_attribution(attention: Sequence, sequences: Sequence[TokenSequence],
     `attention` holds each decoder layer's (B, H, N, N) maps over the
     <blnk>-padded `sequences`.
     """
-    selection.require_nonempty()
     b, _, n, _ = _data(attention[0]).shape
     _, lang_a, lang_b = _row_masks(sequences, b, n)
-    mean = _lid_columns(attention, selection.selected).sum(axis=1)
+    mean = np.stack([_data(attention[layer])[:, head][..., list(LID_COLUMNS)]
+                     for layer, head in selection.selected], axis=1).sum(axis=1)
     mean /= len(selection.selected)
     says_a = mean[..., 0] >= mean[..., 1]
     is_word = lang_a | lang_b
@@ -231,6 +244,8 @@ def lid_attribution(attention: Sequence, sequences: Sequence[TokenSequence],
 # ---------------------------------------------------------------------------
 
 def save_head_selection(path, selection: HeadSelection) -> None:
+    """Write `selection` as UTF-8 text: the header "# dataset_size=<n><TAB>
+    threshold=<n / 2>", then one line per selected head, in selection order."""
     lines = [f"# dataset_size={selection.dataset_size}\tthreshold={selection.threshold!r}"]
     for layer, head in selection.selected:
         lines.append(f"{layer}\t{head}\t{selection.counts[(layer, head)]}")
@@ -239,6 +254,9 @@ def save_head_selection(path, selection: HeadSelection) -> None:
 
 
 def load_head_selection(path) -> HeadSelection:
+    """The selection in a `save_head_selection` file. Its `counts` cover only
+    the selected heads, so its `qualifying` omits every unselected head. A
+    malformed file raises DataError; `HeadSelection.check` tests the heads."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln.rstrip("\n") for ln in fh if ln.strip()]

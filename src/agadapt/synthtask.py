@@ -77,6 +77,8 @@ class SynthSpec:
             raise ConfigError("frames per word must be >= 1 and ordered")
         if self.words_per_language < 1 or self.feat_dim < 2:
             raise ConfigError("need at least one word per language and feat_dim >= 2")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 class WordBank:

@@ -27,13 +27,17 @@ Every head statistic reads the batched maps of one teacher-forced decoder
 pass together with the batch's token sequences (see `guidance`):
 `select_heads` counts every head of each batch of backbone maps at once and
 selects only candidate heads, those of decoder layers
-`model.FIRST_GUIDABLE_LAYER` and up; `run_stage2` refuses to guide any other
-head; `batch_loss` adds one guidance-loss node per step, its goal built from
-the batch's sequences and the soft label `TrainConfig.c`; and
+`model.FIRST_GUIDABLE_LAYER` and up, by one `guidance.count_and_select` call;
+`batch_loss` adds one guidance-loss node per step, its goal built from the
+batch's sequences and the soft label `TrainConfig.c`; and
 `decode_and_score` encodes each utterance once, 16 rows at a time, decodes
 chunks of 64 utterances sharing a prompt from that memory, attributes languages
 from a teacher-forced pass over the references on the same memory, run only
 through the deepest selected layer, and scores every hypothesis by its kind.
+
+`HeadSelection.check` tests a selection against the model once, as it enters
+`decode_and_score`, `run_stage2` or, before stage 1, `run_adaptation`; the
+last two also refuse a layer-0 head. Nothing downstream checks it again.
 """
 
 from __future__ import annotations
@@ -46,17 +50,9 @@ import numpy as np
 
 from . import config
 from .errors import ConfigError, DataError, NumericError
-from .guidance import (
-    HeadSelection,
-    ag_loss,
-    candidate_heads,
-    count_and_select,
-    lid_attribution,
-    random_heads,
-)
+from .guidance import HeadSelection, ag_loss, count_and_select, lid_attribution
 from .model import (
     BLNK,
-    FIRST_GUIDABLE_LAYER,
     ModelConfig,
     Seq2SeqModel,
     PROMPTS,
@@ -79,7 +75,6 @@ from .synthtask import (
 )
 
 MODES = ("one-stage", "one-stage-ag", "two-stage-ag")
-STRATEGIES = ("top", "all", "random")
 
 PRETRAIN_ACCURACY_GATE = 0.90
 
@@ -114,6 +109,8 @@ class TrainConfig:
             raise ConfigError("learning rate lr must be positive")
         if self.weight_decay < 0:
             raise ConfigError("weight_decay must be non-negative")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 def build_train_config(values: Mapping[str, str],
@@ -189,8 +186,6 @@ def batch_loss(model: Seq2SeqModel, batch: Batch, selection: HeadSelection | Non
     ce_mean = ce_sum * (1.0 / b)
     if gamma == 0.0:
         return ce_mean, ce_mean.item(), 0.0
-    if selection is None:
-        raise ConfigError("guidance weight is positive but no head selection given")
     ag_total = ag_loss(out.attention, batch.sequences, selection, c)
     ag_mean = ag_total * (1.0 / b)
     loss = ce_mean + gamma * ag_mean
@@ -353,24 +348,11 @@ def run_stage1(model: Seq2SeqModel, train_utts: Sequence[Utterance],
                          gamma=0.0, epochs=cfg.epochs)
 
 
-def _require_heads(selection: HeadSelection, config: ModelConfig) -> None:
-    """ConfigError if `selection` names no head, DataError if one the model of `config` lacks."""
-    selection.require_nonempty()
-    for layer, head in selection.selected:
-        if not (0 <= layer < config.dec_layers and 0 <= head < config.heads):
-            raise DataError(f"selected head {(layer, head)} missing from the model, which has "
-                            f"{config.dec_layers} decoder layers of {config.heads} heads")
-
-
 def _check_guided(selection: HeadSelection | None, config: ModelConfig) -> None:
-    """`_require_heads`, after ConfigError for no selection or an unguidable head."""
+    """ConfigError for no selection, else `selection.check(config, guided=True)`."""
     if selection is None:
         raise ConfigError("guided training requires a head selection")
-    unguidable = [h for h in selection.selected if h[0] < FIRST_GUIDABLE_LAYER]
-    if unguidable:
-        raise ConfigError(f"heads {unguidable} cannot be guided: no adapter feeds "
-                          f"decoder layers below {FIRST_GUIDABLE_LAYER}")
-    _require_heads(selection, config)
+    selection.check(config, guided=True)
 
 
 def run_stage2(model: Seq2SeqModel, train_utts: Sequence[Utterance],
@@ -477,20 +459,12 @@ def _backbone_maps(model: Seq2SeqModel, utts: Sequence[Utterance]):
 def select_heads(model: Seq2SeqModel, utts: Sequence[Utterance], fraction: float,
                  strategy: str = "top", seed: int = 0) -> HeadSelection:
     """Count every head of the backbone `model` over the bilingual-prompt
-    `utts` and select candidate heads by `strategy`: "top" the top fraction
-    of the qualifying ones (see `count_and_select`), "all" every one, and
-    "random" a draw seeded by `seed` (see `random_heads`). Selecting nothing
-    raises ConfigError. Selection reads the backbone alone, so a model with
-    adapters raises DataError."""
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"head-selection strategy must be one of {STRATEGIES}")
+    `utts` and select candidate heads by `strategy` (see
+    `guidance.STRATEGIES`). Selecting nothing raises ConfigError. Selection
+    reads the backbone alone, so a model with adapters raises DataError."""
     if model.has_adapters:
         raise DataError("head selection runs on a backbone; this model has adapters")
-    selection = count_and_select(_backbone_maps(model, utts), fraction)
-    if strategy == "all":
-        selection.selected = candidate_heads(selection.counts)
-    elif strategy == "random":
-        selection.selected = random_heads(selection.counts, fraction, seed=seed)
+    selection = count_and_select(_backbone_maps(model, utts), fraction, strategy, seed)
     if not selection.selected:
         raise ConfigError(
             f"no heads selected ({strategy} strategy, fraction {fraction}): "
@@ -594,11 +568,11 @@ def decode_and_score(model: Seq2SeqModel, utts: Sequence[Utterance], bilingual_p
     language's, one `_decode_set` per prompt, and score every hypothesis by
     kind in one `mixed_error_rate` call. Heads add the LID attribution: the
     share of code-switched word tokens whose mean selected-head map favours
-    their language's LID column. A bad selection (`_require_heads`), a repeated
-    utterance id or a code-switched utterance under monolingual prompts raises
-    before anything decodes."""
+    their language's LID column. A bad selection (`HeadSelection.check`), a
+    repeated utterance id or a code-switched utterance under monolingual
+    prompts raises before anything decodes."""
     if selection is not None:
-        _require_heads(selection, model.config)
+        selection.check(model.config)
     refs, kinds, groups = {}, {}, {}
     for utt in utts:
         if utt.uid in refs:

@@ -280,6 +280,27 @@ def test_select_heads_random_strategy(data, backbone, workdir, capsys):
     assert marked == [f"head ({layer}, {head}): count {sel.counts[(layer, head)]} selected"]
 
 
+# numpy's generators refuse a negative seed; every subcommand that takes one
+# refuses it first, as a config error
+@pytest.mark.parametrize("argv", [
+    ["gen-data", "--out", "{tmp}/data"],
+    ["pretrain", "--data", "{data}", "--config", "{train}", "--out", "{tmp}/b.ckpt"],
+    ["select-heads", "--backbone", "{backbone}", "--data", "{data}", "--strategy", "random",
+     "--out", "{tmp}/heads.tsv"],
+    ["adapt", "--mode", "one-stage", "--backbone", "{backbone}", "--data", "{data}",
+     "--config", "{train}", "--out", "{tmp}/a.ckpt"],
+], ids=["gen-data", "pretrain", "select-heads", "adapt"])
+def test_negative_seed_fails_without_traceback(micro_files, data, backbone, tmp_path, capsys,
+                                               argv):
+    paths = {"tmp": tmp_path, "data": data, "backbone": backbone, "train": micro_files["train"]}
+    rc = main([arg.format(**paths) for arg in argv] + ["--seed", "-1"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "seed must be non-negative, got -1" in err
+    assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_adapt_one_stage(adapted):
     assert adapted.exists()
 

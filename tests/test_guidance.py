@@ -3,6 +3,7 @@ language indicator and head counts, selection, the guidance goal, the AG
 loss and LID attribution. The batched functions are checked against
 per-utterance oracles, the loops they replaced, kept here."""
 
+import dataclasses
 from collections import namedtuple
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from agadapt.errors import ConfigError, DataError, NumericError
 from agadapt.guidance import (
+    STRATEGIES,
     HeadSelection,
     ag_loss,
     candidate_heads,
@@ -29,6 +31,7 @@ from agadapt.model import (
     LID_COLUMNS,
     PROMPTS,
     ZH,
+    ModelConfig,
     TokenSequence,
     Vocabulary,
 )
@@ -294,8 +297,8 @@ class TestCountAndSelect:
         assert sel.selected == [(1, 0)]
         assert candidate_heads(sel.counts) == [(1, 0), (1, 1)]
         for seed in range(5):
-            assert random_heads(sel.counts, 1.0, seed) == [(1, 0), (1, 1)]
-            assert random_heads(sel.counts, 0.5, seed)[0][0] == 1
+            assert random_heads(sel.counts, 2, seed) == [(1, 0), (1, 1)]
+            assert random_heads(sel.counts, 1, seed)[0][0] == 1
 
     def test_empty_dataset_errors(self):
         with pytest.raises(DataError):
@@ -306,8 +309,56 @@ class TestCountAndSelect:
         data = self._dataset({(0, 0): [1], (1, 0): [1]})
         with pytest.raises(ConfigError, match="fraction"):
             count_and_select(data, fraction=fraction)
-        with pytest.raises(ConfigError, match="fraction"):
-            random_heads({(1, 0): 1}, fraction, seed=0)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"fraction": 2.0}, "fraction"), ({"strategy": "best"}, "strategy must be one of"),
+        ({"seed": -1}, "seed must be non-negative"),
+    ], ids=["fraction", "strategy", "seed"])
+    def test_arguments_checked_before_any_batch_is_read(self, kwargs, match):
+        def batches():
+            raise AssertionError("a batch was read")
+            yield
+
+        with pytest.raises(ConfigError, match=match):
+            count_and_select(batches(), **{"fraction": 1.0, **kwargs})
+
+    # 10 utterances: candidate counts (1, 0) 9, (2, 1) 8, (1, 1) 7, (2, 0) 6,
+    # (1, 2) 3, (2, 2) 1, so four of the six candidates qualify
+    PIN_PLAN = {
+        (0, 0): [1] * 9 + [0] * 1, (0, 1): [1] * 8 + [0] * 2, (0, 2): [1] * 2 + [0] * 8,
+        (1, 0): [1] * 9 + [0] * 1, (1, 1): [1] * 7 + [0] * 3, (1, 2): [1] * 3 + [0] * 7,
+        (2, 0): [1] * 6 + [0] * 4, (2, 1): [1] * 8 + [0] * 2, (2, 2): [1] * 1 + [0] * 9,
+    }
+    EVERY = [(1, 0), (2, 1), (1, 1), (2, 0), (1, 2), (2, 2)]
+    # regression pins: the selection of seeds 0-4 for each (strategy,
+    # fraction); [] where `select_heads` raises "no heads selected"
+    PINNED = {
+        ("top", 0.0): [[]] * 5,
+        ("top", 0.5): [[(1, 0), (2, 1)]] * 5,
+        ("top", 1.0): [[(1, 0), (2, 1), (1, 1), (2, 0)]] * 5,
+        ("all", 0.0): [EVERY] * 5,
+        ("all", 0.5): [EVERY] * 5,
+        ("all", 1.0): [EVERY] * 5,
+        ("random", 0.0): [[]] * 5,
+        ("random", 0.5): [[(2, 0), (2, 1), (2, 2)], [(1, 1), (1, 2), (2, 1)],
+                          [(1, 0), (1, 1), (2, 0)], [(1, 0), (1, 1), (2, 0)],
+                          [(1, 2), (2, 1), (2, 2)]],
+        ("random", 1.0): [sorted(EVERY)] * 5,
+    }
+
+    @pytest.mark.parametrize("strategy, fraction", sorted(PINNED))
+    def test_strategy_table_matches_pinned_selections(self, strategy, fraction):
+        batches = self._dataset(self.PIN_PLAN)
+        for seed, want in enumerate(self.PINNED[(strategy, fraction)]):
+            assert count_and_select(batches, fraction, strategy, seed).selected == want
+
+    def test_every_strategy_is_pinned(self):
+        assert {strategy for strategy, _ in self.PINNED} == set(STRATEGIES)
+
+    def test_selection_is_frozen(self):
+        sel = count_and_select(self._dataset(self.PIN_PLAN), fraction=1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sel.selected = []
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)
@@ -341,10 +392,38 @@ class TestCountAndSelect:
 
     def test_random_selection_seeded(self):
         counts = {(l, h): 0 for l in range(2) for h in range(4)}
-        a = random_heads(counts, 0.5, seed=3)
-        assert a == random_heads(counts, 0.5, seed=3)
-        assert len(a) == 2  # half of the 4 candidates of layer 1
+        a = random_heads(counts, 2, seed=3)
+        assert a == random_heads(counts, 2, seed=3)
+        assert len(a) == 2  # 2 of the 4 candidates of layer 1
         assert all(layer == 1 for layer, _ in a)
+
+
+# two decoder layers of three heads
+CHECK_CONFIG = ModelConfig(enc_layers=1, dec_layers=2, heads=3, width=12, ffn_width=24,
+                           bottleneck=3, feat_dim=6, max_len=32)
+
+
+class TestCheck:
+    @pytest.mark.parametrize("selected, guided, error, match", [
+        ([], False, ConfigError, "head selection is empty"),
+        ([], True, ConfigError, "head selection is empty"),
+        ([(1, 0), (2, 0)], False, DataError, r"selected head \(2, 0\) missing from the model, "
+         "which has 2 decoder layers of 3 heads"),
+        ([(1, 3)], True, DataError, r"selected head \(1, 3\) missing"),
+        ([(-1, 0)], False, DataError, r"selected head \(-1, 0\) missing"),
+        ([(1, -1)], False, DataError, r"selected head \(1, -1\) missing"),
+        ([(1, 2), (0, 1)], True, ConfigError, r"heads \[\(0, 1\)\] cannot be guided"),
+    ], ids=["empty", "empty-guided", "layer-past-model", "head-past-model", "negative-layer",
+            "negative-head", "layer-0-guided"])
+    def test_rejects(self, selected, guided, error, match):
+        with pytest.raises(error, match=match):
+            make_selection(selected).check(CHECK_CONFIG, guided=guided)
+
+    @pytest.mark.parametrize("selected, guided", [
+        ([(0, 1), (1, 2)], False), ([(1, 0), (1, 2), (1, 0)], True),
+    ], ids=["layer-0-unguided", "guided"])
+    def test_accepts(self, selected, guided):
+        make_selection(selected).check(CHECK_CONFIG, guided=guided)
 
 
 def goal_of(seq, c):
@@ -443,16 +522,6 @@ class TestAgLoss:
         once = self._loss(a, [(0, 0)]).item()
         twice = self._loss(a, [(0, 0), (0, 0)]).item()
         assert twice == pytest.approx(2 * once, rel=1e-12)
-
-    def test_missing_head_errors(self):
-        with pytest.raises(DataError):
-            self._loss(one_map(self._matching_map()), [(0, 1)])
-        with pytest.raises(DataError):
-            self._loss(one_map(self._matching_map()), [(1, 0)])
-
-    def test_empty_selection_errors(self):
-        with pytest.raises(ConfigError):
-            self._loss(one_map(self._matching_map()), [])
 
     def test_non_lid_columns_get_zero_gradient(self):
         n = self.y.n
@@ -566,12 +635,10 @@ class TestLidAttribution:
         assert lid_attribution(one_map(a), seqs, make_selection([(0, 0)])) == (1, 2)
         assert seqs[0].lang_tags[5] == LANG_A
 
-    def test_rejects_bad_selection_and_sequences(self):
+    def test_rejects_bad_sequences(self):
         vocab = Vocabulary.build(4, 4)
         seq = TokenSequence.from_words(vocab, [vocab.word_ids("A")[0]])
         maps = one_map(np.full((seq.n, seq.n), 1.0 / seq.n))
-        with pytest.raises(ConfigError):
-            lid_attribution(maps, [seq], make_selection([]))
         mono = TokenSequence.from_words(vocab, [vocab.word_ids("A")[0]], "A")
         with pytest.raises(DataError):
             lid_attribution(maps, [mono], make_selection([(0, 0)]))

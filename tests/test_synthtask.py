@@ -236,8 +236,9 @@ class TestManifest:
         (lambda h: h.update(colour=1), r"unknown keys \['colour'\]"),
         (lambda h: h["spec"].pop("seed"), r"spec has unknown keys \[\] and lacks \['seed'\]"),
         (lambda h: h.update(split="valid"), "names split 'valid', not 'adapt'"),
+        (lambda h: h["spec"].update(seed=-1), "spec: seed must be non-negative, got -1"),
     ], ids=["float-words", "bool-words", "string-words", "nan-noise", "float-count",
-            "missing-key", "unknown-key", "missing-spec-key", "other-split"])
+            "missing-key", "unknown-key", "missing-spec-key", "other-split", "negative-seed"])
     def test_header_value_checked(self, tmp_path, edit, message):
         write_corpus(tmp_path, SPEC, VOCAB, generate_corpus(SPEC, VOCAB, SIZES))
         path = tmp_path / "adapt.manifest"
