@@ -11,9 +11,10 @@ so are a save and the save of what it loads as. `load_model` draws nothing:
 it builds the model from the payload. It raises DataError for a missing file;
 another magic or version (a version-1 file is not read); a header that is not
 JSON, lacks a key or has an unknown one; a `model_config` or `vocab` value
-that breaks the per-type rule of `config` or a config `ModelConfig` rejects;
-a tensor index other than the layout's names and shapes (`model.misfits`);
-and a payload longer or shorter than the index.
+that breaks the per-type rule of `config`, a config `ModelConfig` rejects or
+a word count below 1; a tensor index other than the layout's names and
+shapes (`model.misfits`); a payload longer or shorter than the index; and a
+non-finite parameter value (`Seq2SeqModel.load_state`).
 """
 
 from __future__ import annotations

@@ -161,8 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fraction", type=float, default=0.6)
     p.add_argument("--strategy", choices=guidance.STRATEGIES, default="top",
                    help="top: the top fraction of the qualifying candidate heads; "
-                        "all: every candidate head; random: a seeded draw of "
-                        "fraction x the candidate heads. Candidates are the heads of "
+                        "all: every candidate head; random: a seeded draw of as "
+                        "many candidate heads as top keeps. Candidates are the heads of "
                         f"decoder layers {FIRST_GUIDABLE_LAYER} and up")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)

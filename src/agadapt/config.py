@@ -39,7 +39,8 @@ def _valid(kind: type, value) -> bool:
 
 
 def parse_config_file(path) -> dict[str, str]:
-    """Flat ``key = value`` lines with ``#`` comments; no file (None) is empty."""
+    """Flat ``key = value`` lines with ``#`` comments, each key at most once;
+    no file (None) is empty."""
     if path is None:
         return {}
     try:
@@ -55,8 +56,10 @@ def parse_config_file(path) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} set twice")
+        values[key] = value
     return values
 
 

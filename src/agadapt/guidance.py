@@ -175,8 +175,7 @@ def count_heads(batches: Iterable[tuple[Sequence, Sequence[TokenSequence]]]) -> 
 STRATEGIES = {
     "top": lambda s, f, seed: candidate_heads(s.counts)[:round(f * len(s.qualifying))],
     "all": lambda s, f, seed: candidate_heads(s.counts),
-    "random": lambda s, f, seed: random_heads(
-        s.counts, round(f * len(candidate_heads(s.counts))), seed),
+    "random": lambda s, f, seed: random_heads(s.counts, round(f * len(s.qualifying)), seed),
 }
 
 
@@ -185,7 +184,7 @@ def count_and_select(batches: Iterable[tuple[Sequence, Sequence[TokenSequence]]]
     """Count every head over a dataset of (attention, sequences) batches and
     select candidate heads by `strategy`: "top" keeps the top
     round(fraction * |qualifying|), "all" every one, and "random" a draw,
-    seeded by `seed`, of round(fraction * K) of the K candidates. A bad
+    seeded by `seed`, of as many candidates as "top" keeps. A bad
     strategy, fraction or seed raises ConfigError before any batch is read."""
     if strategy not in STRATEGIES:
         raise ConfigError(f"head-selection strategy must be one of {tuple(STRATEGIES)}")

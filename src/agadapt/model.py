@@ -125,34 +125,34 @@ class ModelConfig:
 
 
 class Vocabulary:
-    """Token inventory: seven special tokens followed by the two word sets.
-
-    Word tokens are partitioned into language A and language B; each carries
-    exactly one language tag.
+    """Token inventory: the seven special tokens, then `n_words_a` words of
+    language A (`A00`, `A01`, ...), then `n_words_b` words of language B
+    (`B00`, ...). Each word token carries exactly one language tag.
     """
 
-    def __init__(self, words_a: list[str], words_b: list[str]):
-        tokens = list(SPECIAL_STRINGS) + list(words_a) + list(words_b)
-        if len(set(tokens)) != len(tokens):
-            raise DataError("vocabulary tokens must be unique")
-        self._strings = tokens
-        self.n_words_a = len(words_a)
-        self.n_words_b = len(words_b)
+    def __init__(self, n_words_a: int, n_words_b: int):
+        for lang, n in ((LANG_A, n_words_a), (LANG_B, n_words_b)):
+            if n < 1:
+                raise DataError(f"language {lang} needs at least one word, got {n}")
+        self.n_words_a = n_words_a
+        self.n_words_b = n_words_b
         n_special = len(SPECIAL_STRINGS)
-        self._a_range = range(n_special, n_special + len(words_a))
-        self._b_range = range(n_special + len(words_a), len(tokens))
+        self._a_range = range(n_special, n_special + n_words_a)
+        self._b_range = range(self._a_range.stop, self._a_range.stop + n_words_b)
 
     @classmethod
     def build(cls, n_a: int = 40, n_b: int = 40) -> "Vocabulary":
-        return cls([f"A{i:02d}" for i in range(n_a)],
-                   [f"B{i:02d}" for i in range(n_b)])
+        return cls(n_a, n_b)
 
     @property
     def size(self) -> int:
-        return len(self._strings)
+        return self._b_range.stop
 
     def string(self, token_id: int) -> str:
-        return self._strings[token_id]
+        for lang, ids in ((LANG_A, self._a_range), (LANG_B, self._b_range)):
+            if token_id in ids:
+                return f"{lang}{token_id - ids.start:02d}"
+        return SPECIAL_STRINGS[token_id]
 
     def lang(self, token_id: int) -> str | None:
         if token_id in self._a_range:
@@ -392,8 +392,6 @@ class Seq2SeqModel:
         if layer == 0 or not c.anchored_heads:
             return None
         is_lid = (tokens == ZH) | (tokens == EN)
-        if not is_lid.any():
-            return None
         batch, n_len = tokens.shape
         prior = np.zeros((batch, c.heads, 1, n_len))
         col = c.anchor_strength * is_lid.astype(np.float64)
@@ -436,8 +434,9 @@ class Seq2SeqModel:
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         """Set every parameter from a copy of its `state` array; `state` must
-        hold exactly this model's parameter names, each with its layout shape.
-        A state that fails either check raises DataError and changes nothing."""
+        hold exactly this model's parameter names, each with its layout shape
+        and finite values. A state that fails a check raises DataError and
+        changes nothing."""
         shapes = parameter_shapes(self.config, self.vocab.size, self.has_adapters)
         unknown, misfit = misfits(shapes, {name: list(np.shape(a)) for name, a in state.items()})
         if unknown:
@@ -445,6 +444,9 @@ class Seq2SeqModel:
         if misfit:
             problem = "shape mismatch for" if misfit[0] in state else "is missing parameter"
             raise DataError(f"state {problem} {misfit[0]!r}")
+        for name in shapes:
+            if not np.isfinite(state[name]).all():
+                raise DataError(f"state has a non-finite value in {name!r}")
         for name, p in self.params.items():
             p.data = np.array(state[name], dtype=np.float64)
 

@@ -16,6 +16,11 @@ Three fused nodes carry most of the work:
   integer target ids (softmax-minus-target backward), so no probability is
   ever clamped before a log.
 
+`Tensor.__sub__`, `Tensor.__getitem__` (whose backward scatters with
+`np.add.at`, so a repeated index accumulates) and `Tensor.sum` (of every
+element) serve the test suite alone, which builds its gradient-check losses
+and reference paths from them; no model, loss or training code calls them.
+
 An op records a tape node exactly when one of its inputs requires a
 gradient, and a `Parameter` requires one only inside `recording(params)`. A
 training step builds its loss and runs its backward sweep in that block over
@@ -156,34 +161,20 @@ class Tensor:
 
     def __getitem__(self, idx):
         shape = self.data.shape
-        basic = _is_basic_index(idx)
 
         def grad_fn(g):
             out = np.zeros(shape)
-            if basic:
-                # a basic index selects each element at most once
-                out[idx] = g
-            else:
-                np.add.at(out, idx, g)
+            np.add.at(out, idx, g)
             return (out,)
 
         return _node(self.data[idx], (self,), grad_fn)
 
     # -- reductions and elementwise ------------------------------------------
 
-    def sum(self, axis=None, keepdims: bool = False):
+    def sum(self):
         shape = self.data.shape
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
-
-        def grad_fn(g):
-            if axis is None:
-                return (np.broadcast_to(g, shape).copy(),)
-            gg = g
-            if not keepdims:
-                gg = np.expand_dims(g, axis)
-            return (np.broadcast_to(gg, shape).copy(),)
-
-        return _node(out_data, (self,), grad_fn)
+        return _node(self.data.sum(), (self,),
+                     lambda g: (np.broadcast_to(g, shape).copy(),))
 
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar node; fills `grad` on the leaves.
@@ -212,16 +203,6 @@ class Tensor:
                     continue
                 parent.grad = g if parent.grad is None else parent.grad + g
             node.grad = node._grad_fn = node._parents = None
-
-
-def _is_basic_index(idx) -> bool:
-    """True when `idx` holds only ints, slices, None and Ellipsis, so that
-    `a[idx]` is a view that reaches no element twice."""
-    parts = idx if isinstance(idx, tuple) else (idx,)
-    return all(
-        part is None or part is Ellipsis or isinstance(part, slice)
-        or (isinstance(part, (int, np.integer)) and not isinstance(part, bool))
-        for part in parts)
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -301,11 +282,6 @@ def recording(params: Iterable[Parameter]):
             p.requires_grad = False
 
 
-def zero_grads(params: Iterable[Parameter]) -> None:
-    for p in params:
-        p.grad = None
-
-
 def backward(loss: Tensor, params: Iterable[Parameter]) -> GradientStore:
     """Gradients of a scalar loss for every trainable parameter in `params`.
 
@@ -314,7 +290,8 @@ def backward(loss: Tensor, params: Iterable[Parameter]) -> GradientStore:
     `Tensor.backward`).
     """
     params = list(params)
-    zero_grads(params)
+    for p in params:
+        p.grad = None
     loss.backward()
     store: GradientStore = {}
     for p in params:

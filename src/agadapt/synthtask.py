@@ -306,6 +306,7 @@ def read_split(data_dir, split: str, expected_vocab: Vocabulary | None = None
                         f"language, the corpus under {data_dir} {n}+{n}")
     blob = frames_path.read_bytes()
     utts: list[Utterance] = []
+    seen: set[str] = set()
     for lineno, line in enumerate(lines[1:], 2):
         try:
             uid, kind, ids_s, offset_s, length_s = line.split("\t")
@@ -313,6 +314,9 @@ def read_split(data_dir, split: str, expected_vocab: Vocabulary | None = None
             offset, length = int(offset_s), int(length_s)
         except ValueError as exc:
             raise DataError(f"{manifest_path}:{lineno}: malformed manifest line") from exc
+        if uid in seen:
+            raise DataError(f"{manifest_path}:{lineno}: utterance id {uid!r} repeats")
+        seen.add(uid)
         if kind not in KINDS:
             raise DataError(f"{manifest_path}:{lineno}: unknown utterance kind {kind!r}")
         try:
@@ -330,6 +334,8 @@ def read_split(data_dir, split: str, expected_vocab: Vocabulary | None = None
             raise DataError(f"frame record length mismatch for {uid}")
         frames = np.frombuffer(blob, dtype="<f4", count=t * feat,
                                offset=offset + 8).astype(np.float64).reshape(t, feat)
+        if not np.isfinite(frames).all():
+            raise DataError(f"frame record for {uid} holds a non-finite value")
         utt = Utterance(uid=uid, frames=frames, reference=ref)
         if utt.kind != kind:
             raise DataError(f"{uid}: code-switched utterance must mix languages"

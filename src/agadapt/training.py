@@ -79,7 +79,7 @@ MODES = ("one-stage", "one-stage-ag", "two-stage-ag")
 PRETRAIN_ACCURACY_GATE = 0.90
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     gamma: float = 0.01
     c: float = 0.6
@@ -377,13 +377,11 @@ def run_adaptation(model: Seq2SeqModel, train_utts: Sequence[Utterance],
         return [run_stage2(model, train_utts, valid_utts, replace(cfg, gamma=0.0), None)]
     if cfg.mode == "one-stage-ag":
         return [run_stage2(model, train_utts, valid_utts, cfg, selection)]
-    if cfg.mode == "two-stage-ag":
-        if cfg.gamma > 0.0:
-            _check_guided(selection, model.config)  # before stage 1, not after it
-        first = run_stage1(model, train_utts, valid_utts, cfg)
-        second = run_stage2(model, train_utts, valid_utts, cfg, selection)
-        return [first, second]
-    raise ConfigError(f"unknown mode {cfg.mode!r}")
+    if cfg.gamma > 0.0:  # two-stage-ag: check before stage 1, not after it
+        _check_guided(selection, model.config)
+    first = run_stage1(model, train_utts, valid_utts, cfg)
+    second = run_stage2(model, train_utts, valid_utts, cfg, selection)
+    return [first, second]
 
 
 def adapt_backbone(model: Seq2SeqModel, train_utts: Sequence[Utterance],

@@ -158,6 +158,7 @@ class TestContainer:
         (lambda h: h["model_config"].update(enc_layers=True), "enc_layers must be a JSON int"),
         (lambda h: h["model_config"].update(anchor_strength="3"), "anchor_strength"),
         (lambda h: h["vocab"].update(n_words_a=5.0), "n_words_a"),
+        (lambda h: h["vocab"].update(n_words_a=-1), "language A needs at least one word, got -1"),
         (lambda h: h.update(adapters=0), "adapters flag"),
         (lambda h: h.update(tensors=[]), "tensor index must be a JSON object"),
         (lambda h: h["tensors"].pop("enc.pos.weight"), r"lacks \['enc.pos.weight'\]"),

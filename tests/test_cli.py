@@ -99,10 +99,11 @@ def test_gen_data_bad_spec(workdir):
 # empty one.
 @pytest.mark.parametrize("line", ["nosie = 0.1", "n_tests = 4", "n_adapt = many",
                                   "noise = nan", "switch_prob = inf", "n_pretrain = -3",
-                                  "n_test_cs = 0", "words_per_language = 6.0"],
+                                  "n_test_cs = 0", "words_per_language = 6.0",
+                                  "noise = 0.1\nnoise = 0.2"],
                          ids=["typo", "unknown-split", "bad-size", "nan-noise",
                               "inf-switch-prob", "negative-size", "zero-size",
-                              "float-words"])
+                              "float-words", "repeated-key"])
 def test_gen_data_unknown_or_bad_key(workdir, capsys, line):
     bad = workdir / "typo.cfg"
     bad.write_text(line + "\n")
@@ -213,7 +214,8 @@ def test_eval_malformed_manifest(data, adapted, tmp_path, capsys, split, edit, m
 @pytest.mark.parametrize("frames, message", [
     (np.zeros((4, 3)), "4 frames of 3 features"),
     (np.zeros((0, 6)), "0 frames of 6 features"),
-], ids=["narrow-frames", "no-frames"])
+    (np.where(np.eye(4, 6), np.nan, 0.0), "holds a non-finite value"),
+], ids=["narrow-frames", "no-frames", "nan-frame"])
 def test_eval_malformed_frame_record(data, adapted, tmp_path, capsys, frames, message):
     bad = corrupt_copy(data, tmp_path / "data", "test-cs", lambda lines: lines)
     spec, vocab, utts = read_split(bad, "test-cs")
@@ -262,22 +264,81 @@ def test_select_heads(heads):
     assert len(sel.selected) == 2
 
 
-def test_select_heads_random_strategy(data, backbone, workdir, capsys):
-    out = workdir / "rand.tsv"
-    rc = main(["select-heads", "--backbone", str(backbone), "--data", str(data),
-               "--fraction", "0.5", "--strategy", "random", "--seed", "7",
+@pytest.fixture(scope="module")
+def gated(workdir):
+    """A micro corpus whose backbone passes the pretraining gate, pretrained
+    through the library: the corpus, the run config, the report and the
+    saved backbone."""
+    from agadapt import checkpoint, config, synthtask, training
+    from agadapt.model import Seq2SeqModel
+
+    spec = workdir / "gated-gen.cfg"
+    spec.write_text(
+        "words_per_language = 3\nwords_min = 1\nwords_max = 3\nnoise = 0.1\n"
+        "n_pretrain = 192\nn_adapt = 32\nn_valid = 20\nn_test_mono_a = 6\n"
+        "n_test_mono_b = 6\nn_test_cs = 6\n")
+    train = workdir / "gated-train.cfg"
+    train.write_text("enc_layers = 1\ndec_layers = 2\nwidth = 24\nffn_width = 48\n"
+                     "pretrain_epochs = 25\nbatch_size = 16\nlr = 0.005\n")
+    data = workdir / "gated-data"
+    assert main(["gen-data", "--spec", str(spec), "--out", str(data), "--seed", "1"]) == 0
+    values = config.parse_config_file(train)
+    cfg = training.build_train_config(values)
+    _, vocab, pretrain = synthtask.read_split(data, "pretrain")
+    _, _, valid = synthtask.read_split(data, "valid")
+    model = Seq2SeqModel(training.build_model_config(values), vocab, seed=cfg.seed)
+    report = training.pretrain_backbone(model, pretrain, valid, cfg)
+    backbone = workdir / "gated.ckpt"
+    checkpoint.save_model(backbone, model)
+    return {"data": data, "train": train, "report": report, "backbone": backbone}
+
+
+def test_pretrain_passing_the_gate_saves_the_backbone(gated, workdir, capsys):
+    capsys.readouterr()
+    out = workdir / "gated-cli.ckpt"
+    rc = main(["pretrain", "--data", str(gated["data"]), "--config", str(gated["train"]),
                "--out", str(out)])
     assert rc == 0
+    report = gated["report"]
+    assert capsys.readouterr().out.splitlines() == [
+        f"monolingual accuracy: {report.mono_accuracy:.4f}",
+        f"code-switched accuracy: {report.cs_accuracy:.4f}",
+        f"saved backbone to {out}"]
+    assert out.read_bytes() == gated["backbone"].read_bytes()
+
+
+def test_select_heads_random_strategy(gated, workdir, capsys):
+    # 3 of the 4 candidate heads qualify; at fraction 0.7 top keeps
+    # round(0.7 * 3) = 2 of them, and random draws as many
+    capsys.readouterr()
+    out = workdir / "rand.tsv"
+    rc = main(["select-heads", "--backbone", str(gated["backbone"]),
+               "--data", str(gated["data"]), "--fraction", "0.7", "--strategy", "random",
+               "--seed", "7", "--out", str(out)])
+    assert rc == 0
     sel = load_head_selection(out)
-    assert len(sel.selected) == 1  # half of the 2 candidate heads of layer 1
-    # every head's count is printed, and the drawn head is marked
-    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("head (")]
+    assert len(sel.selected) == 2
+    assert all(layer == 1 for layer, _ in sel.selected)
+    # every head's count is printed, and the drawn heads are marked
+    printed = capsys.readouterr().out.splitlines()
+    assert "qualifying heads: 3" in printed
+    lines = [ln for ln in printed if ln.startswith("head (")]
     assert [ln.split(":")[0] for ln in lines] == [
-        "head (0, 0)", "head (0, 1)", "head (1, 0)", "head (1, 1)"]
-    layer, head = sel.selected[0]
-    assert layer == 1
+        f"head ({layer}, {head})" for layer in range(2) for head in range(4)]
     marked = [ln for ln in lines if ln.endswith(" selected")]
-    assert marked == [f"head ({layer}, {head}): count {sel.counts[(layer, head)]} selected"]
+    assert marked == [f"head ({layer}, {head}): count {sel.counts[(layer, head)]} selected"
+                      for layer, head in sel.selected]
+
+
+def test_select_heads_random_strategy_without_qualifying_heads_fails(data, backbone,
+                                                                    workdir, capsys):
+    # no head of the weak micro backbone qualifies, so random draws none
+    out = workdir / "rand-none.tsv"
+    rc = main(["select-heads", "--backbone", str(backbone), "--data", str(data),
+               "--fraction", "1.0", "--strategy", "random", "--out", str(out)])
+    assert rc == 2
+    assert "no heads selected (random strategy" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # numpy's generators refuse a negative seed; every subcommand that takes one
@@ -531,6 +592,23 @@ def test_eval_checkpoint_with_tensors_the_model_lacks(data, adapted, workdir, ca
     assert "unknown keys ['dec.0.attn_adapter" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, value", [("dec.out_proj.bias", np.nan),
+                                         ("enc.0.ffn.fc1.weight", np.inf)])
+def test_eval_checkpoint_with_non_finite_parameter(data, adapted, tmp_path, capsys,
+                                                   name, value):
+    from agadapt import checkpoint
+
+    model = checkpoint.load_model(adapted)
+    model.params[name].data.reshape(-1)[0] = value
+    path = tmp_path / "non-finite.ckpt"
+    checkpoint.save_model(path, model)
+    report = tmp_path / "report.csv"
+    rc = main(["eval", "--model", str(path), "--data", str(data), "--report", str(report)])
+    assert rc == 3
+    assert f"state has a non-finite value in {name!r}" in capsys.readouterr().err
+    assert not report.exists()
+
+
 HEADER = "# dataset_size=32\tthreshold=16.0\n"
 
 
@@ -560,9 +638,14 @@ def no_decode(*args, **kwargs):
     raise AssertionError("a chunk was decoded")
 
 
-@pytest.mark.parametrize("split", ["test-cs", "test-mono-a"])
-def test_eval_repeated_utterance_id(data, adapted, tmp_path, capsys, monkeypatch, split):
-    # test-cs's first utterance id, given to its second line or to test-mono-a's first
+@pytest.mark.parametrize("split, message", [
+    ("test-cs", "test-cs.manifest:3: utterance id {uid!r} repeats"),
+    ("test-mono-a", "utterance id {uid!r} occurs more than once"),
+], ids=["test-cs", "test-mono-a"])
+def test_eval_repeated_utterance_id(data, adapted, tmp_path, capsys, monkeypatch, split,
+                                    message):
+    # test-cs's first utterance id, given to its second line (read_split
+    # refuses it) or to test-mono-a's first (the pooled test sets repeat it)
     from agadapt.model import Seq2SeqModel
 
     monkeypatch.setattr(Seq2SeqModel, "greedy_decode", no_decode)
@@ -577,7 +660,7 @@ def test_eval_repeated_utterance_id(data, adapted, tmp_path, capsys, monkeypatch
     report = tmp_path / "report.csv"
     rc = main(["eval", "--model", str(adapted), "--data", str(bad), "--report", str(report)])
     assert rc == 3
-    assert f"utterance id {uid!r} occurs more than once" in capsys.readouterr().err
+    assert message.format(uid=uid) in capsys.readouterr().err
     assert not report.exists()
 
 

@@ -340,10 +340,11 @@ class TestCountAndSelect:
         ("all", 0.5): [EVERY] * 5,
         ("all", 1.0): [EVERY] * 5,
         ("random", 0.0): [[]] * 5,
-        ("random", 0.5): [[(2, 0), (2, 1), (2, 2)], [(1, 1), (1, 2), (2, 1)],
-                          [(1, 0), (1, 1), (2, 0)], [(1, 0), (1, 1), (2, 0)],
-                          [(1, 2), (2, 1), (2, 2)]],
-        ("random", 1.0): [sorted(EVERY)] * 5,
+        ("random", 0.5): [[(2, 0), (2, 1)], [(1, 2), (2, 0)], [(1, 1), (2, 1)],
+                          [(1, 0), (2, 1)], [(2, 0), (2, 2)]],
+        ("random", 1.0): [[(1, 1), (1, 2), (2, 0), (2, 1)], [(1, 1), (1, 2), (2, 0), (2, 2)],
+                          [(1, 0), (1, 1), (1, 2), (2, 2)], [(1, 0), (1, 1), (1, 2), (2, 1)],
+                          [(1, 2), (2, 0), (2, 1), (2, 2)]],
     }
 
     @pytest.mark.parametrize("strategy, fraction", sorted(PINNED))
@@ -351,6 +352,14 @@ class TestCountAndSelect:
         batches = self._dataset(self.PIN_PLAN)
         for seed, want in enumerate(self.PINNED[(strategy, fraction)]):
             assert count_and_select(batches, fraction, strategy, seed).selected == want
+
+    def test_random_draws_as_many_heads_as_top_keeps(self):
+        # a size-matched ablation: only which heads are guided differs
+        batches = self._dataset(self.PIN_PLAN)
+        for fraction in [i / 20 for i in range(21)]:
+            kept = len(count_and_select(batches, fraction, "top").selected)
+            for seed in range(3):
+                assert len(count_and_select(batches, fraction, "random", seed).selected) == kept
 
     def test_every_strategy_is_pinned(self):
         assert {strategy for strategy, _ in self.PINNED} == set(STRATEGIES)

@@ -52,8 +52,15 @@ class TestVocabulary:
         assert vocab.size == 7 + 20
         assert vocab.string(0) == "<sot>"
         assert (vocab.string(ZH), vocab.string(EN)) == ("<zh>", "<en>")
+        assert [vocab.string(i) for i in (6, 7, 16, 17, 26)] == [
+            "<blnk>", "A00", "A09", "B00", "B09"]
         assert vocab.lang(7) == "A" and vocab.lang(17) == "B"
         assert vocab.lang(3) is None
+
+    @pytest.mark.parametrize("n_a, n_b, lang", [(0, 3, "A"), (3, -1, "B")])
+    def test_needs_a_word_per_language(self, n_a, n_b, lang):
+        with pytest.raises(DataError, match=f"language {lang} needs at least one word"):
+            Vocabulary.build(n_a, n_b)
 
     def test_word_partitions_disjoint(self, vocab):
         a = set(vocab.word_ids("A"))
@@ -452,13 +459,15 @@ class TestLoadState:
             model.load_state(state)
 
     def test_rejected_state_changes_nothing(self, model, small_config, vocab):
-        # the misshapen entry is the last parameter, so every other would
-        # already be overwritten by a load that checks as it goes
+        # the bad entry, misshapen or non-finite, is the last parameter, so
+        # every other would already be overwritten by a load that checks as
+        # it goes
         before = model.state_dict()
         state = Seq2SeqModel(small_config, vocab, seed=5).state_dict()
         last = list(model.params)[-1]
-        state[last] = np.zeros(1)
-        with pytest.raises(DataError, match=f"shape mismatch for '{last}'"):
-            model.load_state(state)
+        for bad, message in ((np.zeros(1), "shape mismatch for"),
+                             (np.full(state[last].shape, np.nan), "non-finite value in")):
+            with pytest.raises(DataError, match=f"{message} '{last}'"):
+                model.load_state({**state, last: bad})
         for name, p in model.params.items():
             assert np.array_equal(p.data, before[name]), name

@@ -1,5 +1,6 @@
 """Training machinery at micro scale: losses, stages, averaging, evaluation."""
 
+import dataclasses
 import gc
 import tracemalloc
 
@@ -119,6 +120,9 @@ class TestConfig:
         path.write_text("gamma 0.5\n")
         with pytest.raises(ConfigError):
             parse_config_file(path)
+        path.write_text("heads = 4\nheads = 2\n")
+        with pytest.raises(ConfigError, match="run.cfg:2: key 'heads' set twice"):
+            parse_config_file(path)
         with pytest.raises(ConfigError):
             TrainConfig(mode="three-stage")
         with pytest.raises(ConfigError):
@@ -131,6 +135,11 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 build_train_config(parse_config_file(path))
         assert TrainConfig(weight_decay=0.0).weight_decay == 0.0
+
+    def test_frozen(self):
+        # a checked mode stays checked: run_adaptation needs no fallback
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            TrainConfig().mode = "three-stage"
 
     def test_soft_label_checked_when_config_is_read(self):
         with pytest.raises(ConfigError, match="soft label"):
@@ -589,10 +598,11 @@ class TestSelectHeadsIntegration:
         model = Seq2SeqModel(GUIDED_CONFIG, vocab, seed=1)
         model.freeze_backbone()
         utts = corpus["adapt"]
-        counts = select_heads(model, utts, 1.0).counts
+        counted = select_heads(model, utts, 1.0)
+        counts = counted.counts
         assert select_heads(model, utts, 0.0, "all").selected == candidate_heads(counts)
         assert (select_heads(model, utts, 0.5, "random", seed=7).selected
-                == random_heads(counts, round(0.5 * len(candidate_heads(counts))), seed=7))
+                == random_heads(counts, round(0.5 * len(counted.qualifying)), seed=7))
         with pytest.raises(ConfigError, match="no heads selected \\(random strategy"):
             select_heads(model, utts, 0.0, "random")
         with pytest.raises(ConfigError, match="strategy must be one of"):
