@@ -14,7 +14,7 @@ JSON, lacks a key or has an unknown one; a `model_config` or `vocab` value
 that breaks the per-type rule of `config`, a config `ModelConfig` rejects or
 a word count below 1; a tensor index other than the layout's names and
 shapes (`model.misfits`); a payload longer or shorter than the index; and a
-non-finite parameter value (`Seq2SeqModel.load_state`).
+non-finite parameter value (`Seq2SeqModel.load_state`). Each names the file.
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ def _describe(header) -> tuple[ModelConfig, Vocabulary, dict[str, tuple[int, ...
 def load_model(path, freeze_backbone: bool = True) -> Seq2SeqModel:
     """Rebuild a model from a checkpoint.
 
-    The backbone is frozen on load; adapter parameters (when present in the
-    checkpoint) stay trainable.
+    With `freeze_backbone` the model comes back frozen: its adapters, if it
+    has any, may train, and its backbone may not.
     """
     path = Path(path)
     if not path.is_file():
@@ -104,7 +104,10 @@ def load_model(path, freeze_backbone: bool = True) -> Seq2SeqModel:
         header = json.loads(blob[PREFIX.size:start].decode("utf-8"))
     except ValueError as exc:  # also UnicodeDecodeError and JSONDecodeError
         raise DataError(f"malformed checkpoint header in {path}: {exc}") from exc
-    model_config, vocab, shapes = _describe(header)
+    try:
+        model_config, vocab, shapes = _describe(header)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
     ends = np.cumsum([np.prod(shapes[name]) for name in sorted(shapes)])
     size = start + 8 * int(ends[-1])
     if len(blob) != size:
@@ -112,8 +115,11 @@ def load_model(path, freeze_backbone: bool = True) -> Seq2SeqModel:
         raise DataError(f"{problem}: {path} has {len(blob)} bytes, "
                         f"its tensor index needs {size}")
     arrays = np.split(np.frombuffer(blob, dtype="<f8", offset=start), ends[:-1])
-    model = Seq2SeqModel(model_config, vocab, state={
-        name: array.reshape(shapes[name]) for name, array in zip(sorted(shapes), arrays)})
+    try:
+        model = Seq2SeqModel(model_config, vocab, state={
+            name: array.reshape(shapes[name]) for name, array in zip(sorted(shapes), arrays)})
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
     if freeze_backbone:
         model.freeze_backbone()
     return model

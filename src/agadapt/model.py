@@ -326,7 +326,8 @@ class Seq2SeqModel:
     Parameters live in a flat name-to-Parameter map in layout order; adapter
     parameters are the ones whose names contain an ``_adapter.`` segment. The
     model is immutable during inference; training mutates parameters in place
-    and must own the model exclusively.
+    and must own the model exclusively. `frozen`, set by `freeze_backbone`,
+    means only adapter parameters may train.
     """
 
     def __init__(self, config: ModelConfig, vocab: Vocabulary, seed: int = 0,
@@ -335,6 +336,7 @@ class Seq2SeqModel:
         self.config = config
         self.vocab = vocab
         self.has_adapters = state is not None and any(map(is_adapter_param, state))
+        self.frozen = False
         if state is None:
             rng = np.random.default_rng(seed)
             state = _draw(backbone_layout(config, vocab.size), rng)
@@ -415,9 +417,7 @@ class Seq2SeqModel:
         return AdapterSummary(adapter_count=adapter, backbone_count=backbone)
 
     def freeze_backbone(self) -> None:
-        for name, p in self.params.items():
-            if not is_adapter_param(name):
-                p.freeze()
+        self.frozen = True
 
     def adapter_params(self, side: str | None = None) -> dict[str, Parameter]:
         out = {}

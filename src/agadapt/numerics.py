@@ -26,6 +26,8 @@ gradient, and a `Parameter` requires one only inside `recording(params)`. A
 training step builds its loss and runs its backward sweep in that block over
 the parameters it updates; everywhere else (inference, validation, the
 parameters a step leaves alone) nothing records and no activation is kept.
+A parameter carries no frozen flag: which ones train is the caller's choice
+of `params` (in `training`, a frozen model's backbone is refused up front).
 
 A graph lives for one backward sweep. Recording holds every activation a
 node's backward needs; `Tensor.backward` frees each interior node as soon as
@@ -119,9 +121,6 @@ class Tensor:
         return _node(a.data - b.data, (a, b), grad_fn)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            c = float(other)
-            return _node(self.data * c, (self,), lambda g: (g * c,))
         other = as_tensor(other)
         a, b = self, other
 
@@ -245,22 +244,17 @@ def as_tensor(x) -> Tensor:
 
 
 class Parameter(Tensor):
-    """Named leaf tensor. It requires a gradient only inside `recording`.
-    Frozen parameters are never recorded by training and never touched by
-    the optimizer."""
+    """Named leaf tensor. It requires a gradient only inside `recording`;
+    whether it trains is up to whoever records it and steps it."""
 
-    __slots__ = ("name", "trainable")
+    __slots__ = ("name",)
 
-    def __init__(self, name: str, data, trainable: bool = True):
+    def __init__(self, name: str, data):
         super().__init__(data)
         self.name = name
-        self.trainable = trainable
-
-    def freeze(self) -> None:
-        self.trainable = False
 
     def __repr__(self) -> str:
-        return f"Parameter({self.name!r}, shape={self.data.shape}, trainable={self.trainable})"
+        return f"Parameter({self.name!r}, shape={self.data.shape})"
 
 
 # Gradients keyed by parameter name; values match parameter shapes.
@@ -283,7 +277,7 @@ def recording(params: Iterable[Parameter]):
 
 
 def backward(loss: Tensor, params: Iterable[Parameter]) -> GradientStore:
-    """Gradients of a scalar loss for every trainable parameter in `params`.
+    """Gradients of a scalar loss for every parameter in `params`.
 
     Parameters not on the loss path get an all-zero entry, which keeps the
     optimizer loop uniform. The sweep consumes the loss's graph (see
@@ -295,8 +289,6 @@ def backward(loss: Tensor, params: Iterable[Parameter]) -> GradientStore:
     loss.backward()
     store: GradientStore = {}
     for p in params:
-        if not p.trainable:
-            continue
         store[p.name] = p.grad if p.grad is not None else np.zeros_like(p.data)
     return store
 
@@ -547,14 +539,15 @@ def column_squared_error(tensors: Sequence, picks: Sequence[tuple[int, int]],
 # AdamW
 # ---------------------------------------------------------------------------
 
+# AdamW's moment decays and denominator epsilon, the same for every run
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class OptimizerState:
     """AdamW state: per-parameter moments plus the shared step counter."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
     step: int = 0
     m: dict[str, Array] = field(default_factory=dict)
@@ -573,17 +566,14 @@ def adamw_step(state: OptimizerState, params: Mapping[str, Parameter],
     for name in grads:
         if name not in params:
             raise NumericError(f"gradient for unknown parameter {name!r}")
-        p = params[name]
-        if not p.trainable:
-            raise NumericError(f"gradient supplied for frozen parameter {name!r}")
-        if grads[name].shape != p.data.shape:
+        if grads[name].shape != params[name].data.shape:
             raise NumericError(
                 f"gradient shape {grads[name].shape} does not match "
-                f"parameter {name!r} shape {p.data.shape}")
+                f"parameter {name!r} shape {params[name].data.shape}")
 
     t = state.step + 1
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     # two scratch buffers, sized for the largest parameter, serve every update
     size = max((grads[name].size for name in grads), default=0)
     buf_a = np.empty(size)
@@ -596,17 +586,17 @@ def adamw_step(state: OptimizerState, params: Mapping[str, Parameter],
         update = buf_b[:g.size].reshape(g.shape)
         zeros = None if name in state.m else np.zeros_like(p.data)
         # m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g^2
-        mn = state.m.get(name, zeros) * state.beta1
-        np.multiply(g, 1.0 - state.beta1, out=tmp)
+        mn = state.m.get(name, zeros) * ADAM_BETA1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
         mn += tmp
-        vn = state.v.get(name, zeros) * state.beta2
+        vn = state.v.get(name, zeros) * ADAM_BETA2
         np.multiply(g, g, out=tmp)
-        tmp *= 1.0 - state.beta2
+        tmp *= 1.0 - ADAM_BETA2
         vn += tmp
         # update = (m / bc1) / (sqrt(v / bc2) + eps)
         np.divide(vn, bc2, out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += state.eps
+        tmp += ADAM_EPS
         np.divide(mn, bc1, out=update)
         update /= tmp
         update *= state.lr

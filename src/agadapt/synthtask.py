@@ -67,17 +67,18 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.noise < 0:
-            raise ConfigError("noise must be non-negative")
+        # each bound is the condition that must hold, negated, so NaN fails it
+        if not self.noise >= 0:
+            raise ConfigError(f"noise must be non-negative, got {self.noise}")
         if not 0.0 <= self.switch_prob <= 1.0:
             raise ConfigError("switch probability must lie in [0, 1]")
-        if self.words_min < 1 or self.words_max < self.words_min:
-            raise ConfigError("utterance word counts must be >= 1 and ordered")
-        if self.frames_min < 1 or self.frames_max < self.frames_min:
-            raise ConfigError("frames per word must be >= 1 and ordered")
-        if self.words_per_language < 1 or self.feat_dim < 2:
+        if not 1 <= self.words_min <= self.words_max:
+            raise ConfigError("utterance word counts need 1 <= words_min <= words_max")
+        if not 1 <= self.frames_min <= self.frames_max:
+            raise ConfigError("frames per word need 1 <= frames_min <= frames_max")
+        if not (self.words_per_language >= 1 and self.feat_dim >= 2):
             raise ConfigError("need at least one word per language and feat_dim >= 2")
-        if self.seed < 0:
+        if not self.seed >= 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 

@@ -6,15 +6,17 @@ through one function, `decode_and_score`.
 
 Stage 1 trains the encoder adapters with cross-entropy only; stage 2 trains
 both adapter sets with the joint objective (cross-entropy plus the weighted
-guidance loss). The backbone is frozen throughout adaptation, and each stage
-ends by averaging the best checkpoints by validation loss.
+guidance loss). The backbone is frozen (`Seq2SeqModel.frozen`) throughout
+adaptation. A run's stage alone sets its epochs, shuffle stream and guidance
+weight (`_run_training`), and each stage ends by averaging its best checkpoints.
 
 A training step holds one tape: `_train_step` records the step's graph over
 the parameters it updates, inside `numerics.recording`, `backward` consumes
 it, and the loss and the gradient store go out of scope when the step
 returns, so no activation of a step is alive during the next step, and
-validation, selection and decoding record nothing. Only the `avg_count`
-best checkpoints by validation loss are kept as an epoch ends.
+validation, selection and decoding record nothing. As each epoch ends,
+`keep_best` keeps only the `avg_count` best checkpoints, ranked by validation
+loss, and `average_checkpoints` takes the mean of what it kept.
 
 Every model input is one `pad`ded `Batch`: zero frames under a frame mask
 and <blnk>-padded reference tokens. `make_batches` pads chunks sorted by
@@ -57,6 +59,7 @@ from .model import (
     Seq2SeqModel,
     PROMPTS,
     TokenSequence,
+    is_adapter_param,
 )
 from .numerics import (
     OptimizerState,
@@ -75,6 +78,8 @@ from .synthtask import (
 )
 
 MODES = ("one-stage", "one-stage-ag", "two-stage-ag")
+# A run's stage; its index is the run's shuffle stream.
+STAGES = ("pretrain", "stage1", "stage2")
 
 PRETRAIN_ACCURACY_GATE = 0.90
 
@@ -93,23 +98,24 @@ class TrainConfig:
     pretrain_epochs: int = 20
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ConfigError("gamma must be non-negative")
+        # each bound is the condition that must hold, negated, so NaN fails it
+        if not self.gamma >= 0:
+            raise ConfigError(f"gamma must be non-negative, got {self.gamma}")
         if not 0.5 < self.c < 1.0:
             raise ConfigError("soft label c out of range (need 0.5 < c < 1)")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
-        if self.epochs < 1 or self.pretrain_epochs < 1:
-            raise ConfigError("epoch counts must be positive")
-        if self.batch_size < 1:
-            raise ConfigError("batch size must be positive")
-        if self.avg_count < 1:
-            raise ConfigError("checkpoint-average count must be positive")
-        if self.lr <= 0:
-            raise ConfigError("learning rate lr must be positive")
-        if self.weight_decay < 0:
-            raise ConfigError("weight_decay must be non-negative")
-        if self.seed < 0:
+        if not (self.epochs >= 1 and self.pretrain_epochs >= 1):
+            raise ConfigError("epochs and pretrain_epochs must be at least 1")
+        if not self.batch_size >= 1:
+            raise ConfigError("batch_size must be at least 1")
+        if not self.avg_count >= 1:
+            raise ConfigError("avg_count (checkpoints averaged) must be at least 1")
+        if not self.lr > 0:
+            raise ConfigError(f"learning rate lr must be positive, got {self.lr}")
+        if not self.weight_decay >= 0:
+            raise ConfigError(f"weight_decay must be non-negative, got {self.weight_decay}")
+        if not self.seed >= 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
@@ -235,42 +241,33 @@ class RunRecord:
     final_val_ce: float | None = None
 
 
-def _rank(cp: EpochCheckpoint) -> tuple[float, int]:
-    """Checkpoint order: lower validation loss first, earlier epoch on ties."""
-    return (cp.val_loss, cp.epoch)
-
-
 def keep_best(kept: list[EpochCheckpoint], cp: EpochCheckpoint, k: int) -> None:
-    """Add `cp` to `kept`, then keep only the k best by `_rank`: the k
-    checkpoints that `average_checkpoints` would pick from every one seen."""
+    """Add `cp` to `kept`, then keep only the k best: lower validation loss
+    first, the earlier epoch on ties. `kept` stays in that order, so it holds
+    the k best of every checkpoint seen, best first."""
     kept.append(cp)
-    kept.sort(key=_rank)
+    kept.sort(key=lambda c: (c.val_loss, c.epoch))
     del kept[k:]
 
 
-def average_checkpoints(run: RunRecord, k: int) -> dict[str, np.ndarray]:
-    """Coordinate-wise mean of the k checkpoints with the lowest validation
-    loss (earlier epoch wins ties).
+def average_checkpoints(kept: Sequence[EpochCheckpoint]) -> dict[str, np.ndarray]:
+    """Coordinate-wise mean of the non-empty checkpoints `kept`, summed in
+    list order; `keep_best` chose and ordered them.
 
-    Tensors that are bit-identical across the chosen checkpoints are passed
-    through verbatim; the arithmetic mean of identical values is that value,
-    and copying preserves it exactly.
+    Tensors that are bit-identical across the checkpoints are passed through
+    verbatim; the arithmetic mean of identical values is that value, and
+    copying preserves it exactly.
     """
-    if k > len(run.checkpoints):
-        raise ConfigError(
-            f"cannot average {k} checkpoints, only {len(run.checkpoints)} exist")
-    ranked = sorted(run.checkpoints, key=_rank)[:k]
-    names = ranked[0].params.keys()
     averaged: dict[str, np.ndarray] = {}
-    for name in names:
-        stack = [cp.params[name] for cp in ranked]
+    for name in kept[0].params:
+        stack = [cp.params[name] for cp in kept]
         if all(np.array_equal(stack[0], arr) for arr in stack[1:]):
             averaged[name] = stack[0].copy()
         else:
             acc = np.zeros_like(stack[0])
             for arr in stack:
                 acc += arr
-            averaged[name] = acc / k
+            averaged[name] = acc / len(stack)
     return averaged
 
 
@@ -292,14 +289,17 @@ def _train_step(model: Seq2SeqModel, batch: Batch, selection: HeadSelection | No
 
 
 def _run_training(model: Seq2SeqModel, train_utts: Sequence[Utterance],
-                  valid_utts: Sequence[Utterance], cfg: TrainConfig, *,
-                  stage: str, stage_tag: int, param_names: Sequence[str],
-                  selection: HeadSelection | None, gamma: float,
-                  epochs: int) -> RunRecord:
-    params = {name: model.params[name] for name in param_names}
-    for name, p in params.items():
-        if not p.trainable:
+                  valid_utts: Sequence[Utterance], cfg: TrainConfig, stage: str,
+                  param_names: Sequence[str],
+                  selection: HeadSelection | None = None) -> RunRecord:
+    """Train `param_names` for `cfg.pretrain_epochs` in pretraining, else `cfg.epochs`,
+    with guidance weight `cfg.gamma` in stage 2 alone; a frozen model's backbone is refused."""
+    for name in param_names:
+        if model.frozen and not is_adapter_param(name):
             raise ConfigError(f"parameter {name!r} is frozen and cannot be trained")
+    params = {name: model.params[name] for name in param_names}
+    epochs = cfg.pretrain_epochs if stage == "pretrain" else cfg.epochs
+    gamma = cfg.gamma if stage == "stage2" else 0.0
     opt = OptimizerState(lr=cfg.lr, weight_decay=cfg.weight_decay)
     batches = make_batches(train_utts, cfg.batch_size)
     valid_batches = make_batches(valid_utts, cfg.batch_size)
@@ -307,7 +307,7 @@ def _run_training(model: Seq2SeqModel, train_utts: Sequence[Utterance],
         raise DataError("training set is empty")
     if not valid_batches:
         raise DataError("validation set is empty")
-    shuffle_rng = np.random.default_rng([cfg.seed, 977, stage_tag])
+    shuffle_rng = np.random.default_rng([cfg.seed, 977, STAGES.index(stage)])
     record = RunRecord(stage=stage)
     for epoch in range(epochs):
         start = time.perf_counter()
@@ -330,9 +330,8 @@ def _run_training(model: Seq2SeqModel, train_utts: Sequence[Utterance],
         keep_best(record.checkpoints, EpochCheckpoint(
             epoch=epoch, val_loss=val_ce,
             params={n: p.data.copy() for n, p in params.items()}), cfg.avg_count)
-    averaged = average_checkpoints(record, min(cfg.avg_count, len(record.checkpoints)))
-    for name, arr in averaged.items():
-        model.params[name].data = arr.copy()
+    for name, arr in average_checkpoints(record.checkpoints).items():
+        model.params[name].data = arr
     record.final_val_ce = validation_ce(model, valid_batches)
     return record
 
@@ -343,9 +342,7 @@ def run_stage1(model: Seq2SeqModel, train_utts: Sequence[Utterance],
     if not model.has_adapters:
         raise ConfigError("stage 1 requires initialised adapters")
     names = sorted(model.adapter_params("enc"))
-    return _run_training(model, train_utts, valid_utts, cfg, stage="stage1",
-                         stage_tag=1, param_names=names, selection=None,
-                         gamma=0.0, epochs=cfg.epochs)
+    return _run_training(model, train_utts, valid_utts, cfg, "stage1", names)
 
 
 def _check_guided(selection: HeadSelection | None, config: ModelConfig) -> None:
@@ -364,9 +361,7 @@ def run_stage2(model: Seq2SeqModel, train_utts: Sequence[Utterance],
     if cfg.gamma > 0.0:
         _check_guided(selection, model.config)
     names = sorted(model.adapter_params())
-    return _run_training(model, train_utts, valid_utts, cfg, stage="stage2",
-                         stage_tag=2, param_names=names, selection=selection,
-                         gamma=cfg.gamma, epochs=cfg.epochs)
+    return _run_training(model, train_utts, valid_utts, cfg, "stage2", names, selection)
 
 
 def run_adaptation(model: Seq2SeqModel, train_utts: Sequence[Utterance],
@@ -408,7 +403,7 @@ class PretrainReport:
 def pretrain_backbone(model: Seq2SeqModel, pretrain_utts: Sequence[Utterance],
                       valid_utts: Sequence[Utterance], cfg: TrainConfig) -> PretrainReport:
     """Train the backbone on monolingual data, gate on held-out accuracy,
-    then freeze every backbone parameter."""
+    then freeze the model, so only adapters train from then on."""
     if model.has_adapters:
         raise ConfigError("pretrain the backbone before inserting adapters")
     if any(utt.kind == KIND_CS for utt in pretrain_utts):
@@ -420,10 +415,8 @@ def pretrain_backbone(model: Seq2SeqModel, pretrain_utts: Sequence[Utterance],
                   for utt in valid_utts if utt.lang is not None]
     if not valid_mono:
         raise DataError("validation set has no monolingual utterances")
-    names = sorted(model.params)
-    record = _run_training(model, pretrain_utts, valid_mono, cfg,
-                           stage="pretrain", stage_tag=0, param_names=names,
-                           selection=None, gamma=0.0, epochs=cfg.pretrain_epochs)
+    record = _run_training(model, pretrain_utts, valid_mono, cfg, "pretrain",
+                           sorted(model.params))
     mono = [u for u in valid_utts if u.kind != KIND_CS]
     cs = [u for u in valid_utts if u.kind == KIND_CS]
     mono_acc = token_accuracy(model, mono, bilingual_prompt=False)

@@ -168,8 +168,9 @@ class TestContainer:
         path = tmp_path / "x.ckpt"
         save_model(path, small_model())
         rewrite_header(path, edit)
-        with pytest.raises(DataError, match=message):
+        with pytest.raises(DataError, match=message) as err:
             load_model(path)
+        assert str(err.value).startswith(f"{path}: ")
 
 
 class TestModelPersistence:
@@ -184,9 +185,9 @@ class TestModelPersistence:
         assert clone.config == SMALL
         assert clone.vocab.size == vocab.size
         assert clone.has_adapters
+        assert clone.frozen
         for name, p in model.params.items():
             assert np.array_equal(clone.params[name].data, p.data), name
-            assert clone.params[name].trainable == p.trainable
 
         frames = RNG.normal(size=(1, 5, 4))
         y = TokenSequence.from_words(vocab, [7, 12])
@@ -228,7 +229,9 @@ class TestModelPersistence:
         save_model(path, model)
         clone = load_model(path)
         assert not clone.has_adapters
-        assert all(not p.trainable for p in clone.params.values())
+        # the flag is load_model's to set, whatever the saved model's was
+        assert clone.frozen and not model.frozen
+        assert not load_model(path, freeze_backbone=False).frozen
 
     def test_benchmark_backbone_round_trips_its_description(self, tmp_path):
         meta = json.loads((BENCH_DATA / "backbone.json").read_text(encoding="utf-8"))

@@ -100,10 +100,12 @@ def test_gen_data_bad_spec(workdir):
 @pytest.mark.parametrize("line", ["nosie = 0.1", "n_tests = 4", "n_adapt = many",
                                   "noise = nan", "switch_prob = inf", "n_pretrain = -3",
                                   "n_test_cs = 0", "words_per_language = 6.0",
-                                  "noise = 0.1\nnoise = 0.2"],
+                                  "noise = 0.1\nnoise = 0.2", "frames_min = 3\nframes_max = 2",
+                                  "words_min = 5\nwords_max = 3"],
                          ids=["typo", "unknown-split", "bad-size", "nan-noise",
                               "inf-switch-prob", "negative-size", "zero-size",
-                              "float-words", "repeated-key"])
+                              "float-words", "repeated-key", "unordered-frames",
+                              "unordered-words"])
 def test_gen_data_unknown_or_bad_key(workdir, capsys, line):
     bad = workdir / "typo.cfg"
     bad.write_text(line + "\n")
@@ -154,17 +156,35 @@ def corrupt_copy(data, target, split, edit):
     for path in data.iterdir():
         (target / path.name).write_bytes(path.read_bytes())
     manifest = target / f"{split}.manifest"
-    manifest.write_text("\n".join(edit(manifest.read_text().splitlines())) + "\n")
+    lines = edit(manifest.read_text().splitlines())
+    manifest.write_text("".join(line + "\n" for line in lines))
     return target
+
+
+def edit_field(index, change):
+    """A manifest edit that passes field `index` of the first utterance's line
+    (uid, kind, ids, offset, length) through `change`."""
+    def edit(lines):
+        fields = lines[1].split("\t")
+        fields[index] = change(fields[index])
+        return [lines[0], "\t".join(fields)] + lines[2:]
+    return edit
 
 
 def edit_ids(change):
     """A manifest edit that passes the first utterance's ids through `change`."""
-    def edit(lines):
-        fields = lines[1].split("\t")
-        fields[2] = " ".join(str(i) for i in change([int(x) for x in fields[2].split()]))
-        return [lines[0], "\t".join(fields)] + lines[2:]
-    return edit
+    return edit_field(2, lambda ids: " ".join(map(str, change([int(x) for x in ids.split()]))))
+
+
+def set_count(count, lines):
+    """`lines` under their manifest header with its count set to `count`."""
+    return [json.dumps({**json.loads(lines[0]), "count": count})] + lines[1:]
+
+
+def only_cs(lines):
+    """The code-switched utterances' lines under their header, counted."""
+    cs = [ln for ln in lines[1:] if ln.split("\t")[1] == "cs"]
+    return set_count(len(cs), lines[:1] + cs)
 
 
 def test_pretrain_malformed_manifest(micro_files, data, workdir, capsys):
@@ -175,6 +195,21 @@ def test_pretrain_malformed_manifest(micro_files, data, workdir, capsys):
                "--config", str(micro_files["train"])])
     assert rc == 3
     assert "malformed manifest line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("split, edit, message", [
+    ("pretrain", lambda lines: set_count(0, lines[:1]), "training set is empty"),
+    ("valid", only_cs, "validation set has no monolingual utterances"),
+], ids=["no-pretrain-utterance", "no-monolingual-valid-utterance"])
+def test_pretrain_without_the_utterances_it_needs(micro_files, data, tmp_path, capsys, split,
+                                                  edit, message):
+    bad = corrupt_copy(data, tmp_path / "data", split, edit)
+    out = tmp_path / "b.ckpt"
+    rc = main(["pretrain", "--data", str(bad), "--out", str(out),
+               "--config", str(micro_files["train"])])
+    assert rc == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 # The micro corpus has 6 words per language: ids 7-12 are language A's and
@@ -198,9 +233,14 @@ def test_pretrain_malformed_manifest(micro_files, data, workdir, capsys):
      "words_per_language must be a JSON int, got 6.0"),
     ("test-mono-b", lambda lines: [lines[0].replace('"test-mono-b"', '"test-mono-a"')]
      + lines[1:], "names split 'test-mono-a', not 'test-mono-b'"),
+    ("test-cs", lambda lines: [], "empty manifest"),
+    ("test-cs", edit_field(4, lambda length: str(int(length) - 4)),
+     "frame record length mismatch"),
+    ("test-cs", lambda lines: set_count(len(lines), lines), "manifest count mismatch"),
 ], ids=["id-past-vocabulary", "negative-id", "mono-a-holding-b-word", "no-prompt",
         "no-eot", "format-1", "cs-with-a-prompt", "mono-a-with-b-prompt",
-        "float-words-per-language", "other-split"])
+        "float-words-per-language", "other-split", "empty", "frame-length",
+        "count-past-lines"])
 def test_eval_malformed_manifest(data, adapted, tmp_path, capsys, split, edit, message):
     bad = corrupt_copy(data, tmp_path / "data", split, edit)
     report = tmp_path / "report.csv"
@@ -531,7 +571,7 @@ def test_malformed_heads_file(micro_files, data, backbone, adapted, workdir, cap
     assert not out.exists()
 
 
-def test_inspect_attention(data, adapted, workdir):
+def test_inspect_attention(data, adapted, workdir, capsys):
     _, _, utts = read_split(data, "test-cs")
     uid = utts[0].uid
     out_pgm = workdir / "map.pgm"
@@ -546,6 +586,13 @@ def test_inspect_attention(data, adapted, workdir):
                "--layer", "9", "--head", "0", "--format", "csv",
                "--out", str(workdir / "map.csv")])
     assert rc == 2  # layer out of range
+    rc = main(["inspect-attention", "--model", str(adapted),
+               "--data", str(data), "--utterance", uid,
+               "--layer", "0", "--head", "99", "--format", "csv",
+               "--out", str(workdir / "map.csv")])
+    assert rc == 2
+    assert "head 99 out of range" in capsys.readouterr().err
+    assert not (workdir / "map.csv").exists()
 
 
 def test_inspect_attention_unknown_utterance(data, adapted, workdir):
@@ -566,12 +613,16 @@ def test_eval_truncated_checkpoint(data, workdir, capsys):
     path = workdir / "truncated.ckpt"
     checkpoint.save_model(path, model)
     blob = path.read_bytes()
-    for cut in (6, len(blob) // 2):
+    # inside the prefix, inside the header, inside the tensors
+    for cut, message in ((6, "has 6 bytes"),
+                         (checkpoint.PREFIX.size + 5, "its header ends at"),
+                         (len(blob) // 2, "its tensor index needs")):
         path.write_bytes(blob[:cut])
         rc = main(["eval", "--model", str(path), "--data", str(data),
                    "--report", str(workdir / "truncated.csv")])
         assert rc == 3
-        assert "truncated checkpoint" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"truncated checkpoint: {path}" in err and message in err
 
 
 def test_eval_checkpoint_with_tensors_the_model_lacks(data, adapted, workdir, capsys):
@@ -605,7 +656,7 @@ def test_eval_checkpoint_with_non_finite_parameter(data, adapted, tmp_path, caps
     report = tmp_path / "report.csv"
     rc = main(["eval", "--model", str(path), "--data", str(data), "--report", str(report)])
     assert rc == 3
-    assert f"state has a non-finite value in {name!r}" in capsys.readouterr().err
+    assert f"{path}: state has a non-finite value in {name!r}" in capsys.readouterr().err
     assert not report.exists()
 
 
@@ -619,8 +670,9 @@ HEADER = "# dataset_size=32\tthreshold=16.0\n"
     ("# dataset_size=-5\tthreshold=-2.5\n1\t0\t3\n", "malformed head-selection header"),
     (HEADER + "1\t0\t5\n1\t1\t33\n", "'1\\t1\\t33' counts 33 of 32 utterances"),
     (HEADER, "selects no head"),
+    ("# threshold=16.0\n1\t0\t3\n", "malformed head-selection header"),
 ], ids=["duplicate-head", "negative-count", "negative-dataset-size",
-        "count-above-dataset-size", "no-head"])
+        "count-above-dataset-size", "no-head", "no-dataset-size"])
 def test_heads_file_with_a_repeated_head_or_negative_count(micro_files, data, backbone,
                                                            workdir, capsys, text, message):
     bad = workdir / "bad-count-heads.tsv"
@@ -731,14 +783,20 @@ def test_non_utf8_heads_file(data, adapted, tmp_path, capsys):
     assert not report.exists()
 
 
-@pytest.mark.parametrize("line", ["lr = 0", "weight_decay = -0.01"])
+@pytest.mark.parametrize("line", ["lr = 0", "weight_decay = -0.01", "epochs = 0",
+                                  "batch_size = 0", "avg_count = 0"])
 def test_pretrain_invalid_train_value(micro_files, data, workdir, capsys, line):
+    # the line replaces the run config's own line for its key, if it has one
+    key = line.split(" = ")[0]
+    kept = [ln for ln in micro_files["train"].read_text().splitlines()
+            if ln.split(" = ")[0] != key]
     cfg = workdir / "bad-train.cfg"
-    cfg.write_text(micro_files["train"].read_text() + line + "\n")
+    cfg.write_text("".join(ln + "\n" for ln in kept + [line]))
     out = workdir / "bad-train.ckpt"
     rc = main(["pretrain", "--data", str(data), "--config", str(cfg), "--out", str(out)])
     assert rc == 2
-    assert line.split(" = ")[0] in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{key} " in err and "must be" in err
     assert not out.exists()
 
 

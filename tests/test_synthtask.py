@@ -88,6 +88,10 @@ class TestGeneration:
             SynthSpec(switch_prob=1.5)
         with pytest.raises(ConfigError):
             SynthSpec(words_min=5, words_max=3)
+        with pytest.raises(ConfigError, match="need 1 <= frames_min <= frames_max"):
+            SynthSpec(frames_min=3, frames_max=2)
+        with pytest.raises(ConfigError, match="noise must be non-negative, got nan"):
+            SynthSpec(noise=float("nan"))
 
 
 class TestValidate:

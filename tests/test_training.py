@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from agadapt import training
+from agadapt.checkpoint import load_model, save_model
 from agadapt.config import parse_config_file
 from agadapt.errors import ConfigError, DataError, NumericError
 from agadapt.guidance import HeadSelection, ag_loss, candidate_heads, random_heads
@@ -35,7 +36,6 @@ from agadapt.numerics import (
 from agadapt.synthtask import KIND_CS, MerReport, SynthSpec, Utterance, generate_corpus
 from agadapt.training import (
     EpochCheckpoint,
-    RunRecord,
     TrainConfig,
     average_checkpoints,
     batch_loss,
@@ -127,8 +127,9 @@ class TestConfig:
             TrainConfig(mode="three-stage")
         with pytest.raises(ConfigError):
             TrainConfig(gamma=-1.0)
-        for values in ({"lr": -1.0}, {"lr": 0.0}, {"weight_decay": -5.0}, {"seed": -1}):
-            with pytest.raises(ConfigError):
+        for values in ({"lr": -1.0}, {"lr": 0.0}, {"weight_decay": -5.0}, {"seed": -1},
+                       {"gamma": np.nan}, {"lr": np.nan}, {"weight_decay": np.nan}):
+            with pytest.raises(ConfigError, match=next(iter(values))):
                 TrainConfig(**values)
         for line in ("lr = 0", "lr = -0.001", "weight_decay = -0.01"):
             path.write_text(line + "\n")
@@ -296,43 +297,44 @@ class TestJointLoss:
 
 
 class TestAverageCheckpoints:
-    def _record(self, entries):
-        return RunRecord(stage="x", checkpoints=[
-            EpochCheckpoint(epoch=i, val_loss=v, params={"w": np.array(p)})
-            for i, (v, p) in enumerate(entries)])
+    def _checkpoints(self, entries):
+        return [EpochCheckpoint(epoch=i, val_loss=v, params={"w": np.array(p)})
+                for i, (v, p) in enumerate(entries)]
 
     def test_identical_checkpoints_identity(self):
-        run = self._record([(1.0, [0.3, 0.7])] * 3)
-        out = average_checkpoints(run, 3)
+        out = average_checkpoints(self._checkpoints([(1.0, [0.3, 0.7])] * 3))
         assert np.array_equal(out["w"], np.array([0.3, 0.7]))
 
     def test_scalar_mean(self):
-        run = self._record([(1.0, [1.0]), (2.0, [3.0])])
-        out = average_checkpoints(run, 2)
+        out = average_checkpoints(self._checkpoints([(1.0, [1.0]), (2.0, [3.0])]))
         assert out["w"][0] == 2.0
 
     def test_picks_lowest_losses_not_latest(self):
-        run = self._record([(5.0, [0.0]), (1.0, [10.0]), (4.0, [2.0]),
-                            (2.0, [20.0]), (9.0, [100.0])])
-        out = average_checkpoints(run, 2)
-        assert out["w"][0] == 15.0  # epochs 1 and 3
-
-    def test_too_few_checkpoints_errors(self):
-        run = self._record([(1.0, [1.0])])
-        with pytest.raises(ConfigError):
-            average_checkpoints(run, 2)
+        kept = []
+        for cp in self._checkpoints([(5.0, [0.0]), (1.0, [10.0]), (4.0, [2.0]),
+                                     (2.0, [20.0]), (9.0, [100.0])]):
+            keep_best(kept, cp, 2)
+        assert [cp.epoch for cp in kept] == [1, 3]
+        assert average_checkpoints(kept)["w"][0] == 15.0
 
     def test_streaming_top_k_matches_full_list_with_ties(self):
+        # keep_best's streamed list is the full list's k best, in rank order,
+        # so its mean is summed in that order
         rng = np.random.default_rng(8)
         losses = [3.0, 1.0, 2.0, 1.0, 2.0, 0.5, 2.0, 1.0, 0.5, 3.0]
-        full = self._record([(v, rng.normal(size=4)) for v in losses])
+        full = self._checkpoints([(v, rng.normal(size=4)) for v in losses])
+        ranked = sorted(full, key=lambda cp: (cp.val_loss, cp.epoch))
         for k in range(1, len(losses) + 1):
             kept = []
-            for i, cp in enumerate(full.checkpoints):
+            for i, cp in enumerate(full):
                 keep_best(kept, cp, k)
                 assert len(kept) == min(k, i + 1)
-            streamed = average_checkpoints(RunRecord(stage="x", checkpoints=kept), k)
-            assert np.array_equal(streamed["w"], average_checkpoints(full, k)["w"]), k
+            assert [cp.epoch for cp in kept] == [cp.epoch for cp in ranked[:k]]
+            want = np.zeros(4)
+            for cp in ranked[:k]:
+                want += cp.params["w"]
+            want /= k
+            assert np.array_equal(average_checkpoints(kept)["w"], want), k
 
 
 class TestStages:
@@ -457,6 +459,29 @@ class TestStages:
         with pytest.raises(DataError, match="adapters already initialised"):
             training.adapt_backbone(got, corpus["adapt"], corpus["valid"], cfg, None)
 
+    def test_frozen_backbone_is_not_pretrained_again(self, vocab, corpus, tmp_path,
+                                                     monkeypatch):
+        # load_model freezes by default, and _run_training refuses a frozen
+        # model's backbone parameter before its first step
+        path = tmp_path / "backbone.ckpt"
+        save_model(path, Seq2SeqModel(MICRO_CONFIG, vocab, seed=1))
+        steps = []
+        monkeypatch.setattr(training, "adamw_step", lambda *args: steps.append(1))
+        with pytest.raises(ConfigError, match="parameter 'dec.0.cross_attn.*' is frozen "
+                                              "and cannot be trained"):
+            pretrain_backbone(load_model(path), corpus["pretrain"], corpus["valid"],
+                              self._cfg())
+        assert steps == []
+        monkeypatch.undo()
+        # loaded unfrozen, the same file pretrains for pretrain_epochs, not epochs
+        monkeypatch.setattr(training, "PRETRAIN_ACCURACY_GATE", 0.0)
+        model = load_model(path, freeze_backbone=False)
+        before = model.state_dict()
+        report = pretrain_backbone(model, corpus["pretrain"], corpus["valid"], self._cfg())
+        assert len(report.record.epochs) == 1 and model.frozen
+        assert all(not np.array_equal(model.params[name].data, arr)
+                   for name, arr in before.items() if name.endswith(".weight"))
+
     def test_pretrain_rejects_cs_and_adapters(self, vocab, corpus):
         model = Seq2SeqModel(MICRO_CONFIG, vocab, seed=1)
         with pytest.raises(DataError):
@@ -481,7 +506,13 @@ def retained_backward(loss, params):
             if g is not None and parent.requires_grad:
                 parent.grad = g if parent.grad is None else parent.grad + g
     return {p.name: p.grad if p.grad is not None else np.zeros_like(p.data)
-            for p in params if p.trainable}
+            for p in params}
+
+
+def trained(model):
+    """The parameters training may update: all of them, or a frozen model's adapters."""
+    return [p for name, p in model.params.items()
+            if not model.frozen or is_adapter_param(name)]
 
 
 def live_graph_tensors():
@@ -493,7 +524,7 @@ def live_graph_tensors():
 
 class TestTapeLifetime:
     def _assert_matches_retained_sweep(self, model, batch, selection, gamma):
-        params = [p for p in model.params.values() if p.trainable]
+        params = trained(model)
         with recording(params):
             want = retained_backward(
                 batch_loss(model, batch, selection, gamma, 0.6)[0], params)
@@ -657,7 +688,7 @@ def oracle_loss(model, batch, selection, gamma):
 
 class TestNextTokenAlignment:
     def _assert_matches_oracle(self, model, batch, selection, gamma):
-        params = [p for p in model.params.values() if p.trainable]
+        params = trained(model)
         with recording(params):
             want = backward(oracle_loss(model, batch, selection, gamma), params)
             got = backward(batch_loss(model, batch, selection, gamma, 0.6)[0], params)
