@@ -111,6 +111,10 @@ class ModelConfig:
             raise ConfigError("width must be divisible by the head count")
         if self.anchored_heads < 0:
             raise ConfigError("anchored_heads must be non-negative")
+        for name in ("anchor_strength", "embed_polarity", "anchor_contrast"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"model config field {name} must be finite, "
+                                  f"got {getattr(self, name)}")
 
     @property
     def head_dim(self) -> int:

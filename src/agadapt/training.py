@@ -37,6 +37,16 @@ chunks of 64 utterances sharing a prompt from that memory, attributes languages
 from a teacher-forced pass over the references on the same memory, run only
 through the deepest selected layer, and scores every hypothesis by its kind.
 
+Decode chunks go to processes, not threads, as the GIL serialises threads:
+`decode_and_score` builds its chunk list once over every prompt, and
+`_map_forked` decodes it with one worker per CPU the process may run on
+(`os.sched_getaffinity`), at most one per chunk, and 1 without `os.fork`.
+Worker k of n decodes chunks k, k + n, k + 2n, ...; worker 0 is the calling
+process, so on one CPU nothing forks. A forked child sends back only its
+hypotheses and attribution counts. Chunks are independent and decode the
+same way in any process, so reports are identical for any worker count.
+Every child is reaped before `decode_and_score` returns, also on error.
+
 `HeadSelection.check` tests a selection against the model once, as it enters
 `decode_and_score`, `run_stage2` or, before stage 1, `run_adaptation`; the
 last two also refuse a layer-0 head. Nothing downstream checks it again.
@@ -44,6 +54,9 @@ last two also refuse a layer-0 head. Nothing downstream checks it again.
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 import time
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
@@ -510,15 +523,125 @@ def _encode_blocked(model: Seq2SeqModel, frames: np.ndarray,
             np.concatenate([c for _, c in blocks]))
 
 
-def _decode_set(model: Seq2SeqModel, utts: Sequence[Utterance], prompt: list[int],
+def _worker_count(items: int) -> int:
+    """Processes `_map_forked` spreads `items` over: one per CPU this
+    process may run on, at most one per item, and 1 without `os.fork`."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), items))
+
+
+def _map_forked(fn, items: Sequence) -> list:
+    """`[fn(item) for item in items]`, computed by `_worker_count(len(items))`
+    workers: worker k takes items k, k + n, k + 2n, ... of the n workers.
+    Worker 0 is this process; each other is a forked child, which inherits
+    `fn` and its arguments (nothing is pickled on the way in) and pickles
+    its results, or the exception its share raised, back through a pipe.
+    On one CPU nothing forks. Every child is reaped before this returns or
+    raises: a child's exception is raised here with its type and message, a
+    child that exits without a result raises ChildProcessError, and an
+    error in this process's own share kills the children first.
+
+    Fork, not spawn: a spawned worker would import the program afresh and
+    need the model pickled into it. A child runs only `fn`, numpy and
+    pickle, and leaves by `os._exit`, so it never runs the caller's
+    cleanup; it takes no Python lock that another thread could hold at the
+    fork."""
+    n = _worker_count(len(items))
+    results: list = [None] * len(items)
+    children: dict[int, tuple[int, int]] = {}  # worker -> (pid, read end)
+    try:
+        for k in range(1, n):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_fd)
+                _child(fn, items[k::n], write_fd)
+            os.close(write_fd)
+            children[k] = (pid, read_fd)
+        results[0::n] = [fn(item) for item in items[0::n]]
+        for k in range(1, n):
+            results[k::n] = _collect(*children.pop(k))
+    finally:
+        for pid, read_fd in children.values():
+            os.close(read_fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return results
+
+
+def _child(fn, share: Sequence, write_fd: int) -> None:
+    """A forked worker's whole life: compute `share`, send (True, results)
+    or (False, exception) to the parent, and exit without returning to the
+    caller's stack; the exit status is 0 only when the message was sent."""
+    status = 1
+    try:
+        try:
+            message = pickle.dumps((True, [fn(item) for item in share]))
+        except BaseException as exc:  # raised again in the parent
+            message = pickle.dumps((False, exc))
+        with os.fdopen(write_fd, "wb") as out:
+            out.write(message)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _collect(pid: int, read_fd: int) -> list:
+    """The results child `pid` sent through `read_fd`, after reaping it;
+    the exception it sent is raised."""
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            message = pipe.read()
+    finally:  # a failed read closed the pipe, so a child still writing exits
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0 or not message:
+        raise ChildProcessError(f"worker {pid} exited with status {code} and no result")
+    ok, value = pickle.loads(message)
+    if not ok:
+        raise value
+    return value
+
+
+def _decode_chunk(model: Seq2SeqModel, prompt: tuple[int, ...], group: Sequence[Utterance],
+                  selection: HeadSelection | None) -> tuple[list[list[int]], int, int]:
+    """One decode chunk: the group's greedy hypotheses in group order, and
+    the LID attribution (correct, total) of its code-switched utterances
+    under `selection` ((0, 0) without one)."""
+    batch = pad(group)
+    memory, col_mask = _encode_blocked(model, batch.frames, batch.frame_mask)
+    decoded = model.greedy_decode(memory, col_mask, list(prompt))
+    rows = [i for i, utt in enumerate(group) if utt.kind == KIND_CS]
+    if selection is None or not rows:
+        return decoded, 0, 0
+    seqs = [batch.sequences[i] for i in rows]
+    tokens = batch.tokens[rows, :max(s.n for s in seqs)]
+    depth = 1 + max(layer for layer, _ in selection.selected)
+    _, maps = model._decode_rows(tokens, Tensor(memory.data[rows]), col_mask[rows],
+                                 depth=depth)
+    right, words = lid_attribution(maps, seqs, selection)
+    return decoded, right, words
+
+
+def _decode_set(model: Seq2SeqModel, groups: Mapping[tuple[int, ...], Sequence[Utterance]],
                 selection: HeadSelection | None = None
                 ) -> tuple[dict[str, list[int]], tuple[int, int]]:
-    """Greedy hypotheses by utterance id, decoded in chunks of `DECODE_ROWS`
-    utterances of similar frame length. With a selection, also the LID
-    attribution (correct, total) of the code-switched utterances: a
-    teacher-forced decoder pass over their references, on the memory their
-    chunk was decoded from and through the deepest selected layer, supplies
-    the maps.
+    """Greedy hypotheses by utterance id of each prompt's utterances, decoded
+    in chunks of `DECODE_ROWS` utterances of similar frame length. With a
+    selection, also the LID attribution (correct, total) of the
+    code-switched utterances: a teacher-forced decoder pass over their
+    references, on the memory their chunk was decoded from and through the
+    deepest selected layer, supplies the maps.
+
+    The chunk list is built once, prompt by prompt in sorted order, each
+    prompt's utterances sorted by frame length, and `_map_forked` decodes
+    it: one worker per CPU this process may run on (at most one per chunk),
+    worker k taking chunks k, k + n, k + 2n, ..., and every child reaped
+    before this returns, also on error. Chunks share no state, and each
+    runs the same arithmetic on the same inputs in whichever process
+    decodes it; hypotheses are merged by utterance id and the integer
+    counts summed in chunk order, so the result is the same for any worker
+    count.
 
     Each utterance is encoded once, `ENCODE_ROWS` rows at a time at its
     chunk's padded length, and the blocks' memory is concatenated into the
@@ -526,42 +649,37 @@ def _decode_set(model: Seq2SeqModel, utts: Sequence[Utterance], prompt: list[int
     because every encoder op is row-local (layer norm over the width,
     attention within one sequence, projections row by row) and a GEMM row's
     result does not depend on how many rows share the call as long as the
-    call has at least 2 rows; a call with 1 row takes BLAS's GEMV path,
-    which rounds differently. Every projection of a block has at least 2
-    rows whenever the chunk's padded length T is at least 2.
+    call has at least 2 rows. `numerics.linear` runs every projection as
+    one 2-D GEMM over all leading rows, so a block's projections have at
+    least 2 rows whenever the block does or the chunk's padded length T is
+    at least 2; only a 1-row call would take BLAS's GEMV path, which rounds
+    differently.
     """
+    chunks = []
+    for prompt, utts in sorted(groups.items()):
+        ordered = sorted(utts, key=lambda u: u.frames.shape[0])
+        chunks += [(prompt, ordered[start:start + DECODE_ROWS])
+                   for start in range(0, len(ordered), DECODE_ROWS)]
+    results = _map_forked(lambda chunk: _decode_chunk(model, *chunk, selection), chunks)
     hyps: dict[str, list[int]] = {}
     correct = total = 0
-    ordered = sorted(utts, key=lambda u: u.frames.shape[0])
-    for start in range(0, len(ordered), DECODE_ROWS):
-        group = ordered[start:start + DECODE_ROWS]
-        batch = pad(group)
-        memory, col_mask = _encode_blocked(model, batch.frames, batch.frame_mask)
-        decoded = model.greedy_decode(memory, col_mask, prompt)
-        rows = [i for i, utt in enumerate(group) if utt.kind == KIND_CS]
-        if selection is not None and rows:
-            seqs = [batch.sequences[i] for i in rows]
-            tokens = batch.tokens[rows, :max(s.n for s in seqs)]
-            depth = 1 + max(layer for layer, _ in selection.selected)
-            _, maps = model._decode_rows(tokens, Tensor(memory.data[rows]),
-                                         col_mask[rows], depth=depth)
-            right, words = lid_attribution(maps, seqs, selection)
-            correct += right
-            total += words
-        for utt, hyp in zip(group, decoded):
-            hyps[utt.uid] = hyp
+    for (_, group), (decoded, right, words) in zip(chunks, results):
+        hyps.update(zip((utt.uid for utt in group), decoded))
+        correct += right
+        total += words
     return hyps, (correct, total)
 
 
 def decode_and_score(model: Seq2SeqModel, utts: Sequence[Utterance], bilingual_prompt: bool,
                      selection: HeadSelection | None = None) -> EvalReport:
     """Decode the utterances under the bilingual prompt, or else each under its
-    language's, one `_decode_set` per prompt, and score every hypothesis by
-    kind in one `mixed_error_rate` call. Heads add the LID attribution: the
-    share of code-switched word tokens whose mean selected-head map favours
-    their language's LID column. A bad selection (`HeadSelection.check`), a
-    repeated utterance id or a code-switched utterance under monolingual
-    prompts raises before anything decodes."""
+    language's, in one `_decode_set` call over every prompt's chunks (forked
+    workers, one per available CPU, see `_map_forked`), and score every
+    hypothesis by kind in one `mixed_error_rate` call. Heads add the LID
+    attribution: the share of code-switched word tokens whose mean
+    selected-head map favours their language's LID column. A bad selection
+    (`HeadSelection.check`), a repeated utterance id or a code-switched
+    utterance under monolingual prompts raises before anything decodes."""
     if selection is not None:
         selection.check(model.config)
     refs, kinds, groups = {}, {}, {}
@@ -572,12 +690,7 @@ def decode_and_score(model: Seq2SeqModel, utts: Sequence[Utterance], bilingual_p
             raise DataError("monolingual prompt requires a monolingual utterance")
         refs[utt.uid], kinds[utt.uid] = utt.words, utt.kind
         groups.setdefault(PROMPTS[None if bilingual_prompt else utt.lang], []).append(utt)
-    hyps, correct, total = {}, 0, 0
-    for prompt, group in sorted(groups.items()):
-        set_hyps, (right, words) = _decode_set(model, group, list(prompt), selection)
-        hyps.update(set_hyps)
-        correct += right
-        total += words
+    hyps, (correct, total) = _decode_set(model, groups, selection)
     return EvalReport(mer=mixed_error_rate(refs, hyps, kinds),
                       lid_attribution=correct / total if total else None)
 

@@ -92,6 +92,9 @@ class TestGeneration:
             SynthSpec(frames_min=3, frames_max=2)
         with pytest.raises(ConfigError, match="noise must be non-negative, got nan"):
             SynthSpec(noise=float("nan"))
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ConfigError, match=f"offset must be finite, got {value}"):
+                SynthSpec(offset=value)
 
 
 class TestValidate:

@@ -2,6 +2,8 @@
 
 import dataclasses
 import gc
+import os
+import signal
 import tracemalloc
 
 import numpy as np
@@ -81,6 +83,12 @@ def adapted_model(vocab):
 
 def no_decode(*args, **kwargs):
     raise AssertionError("a chunk was decoded")
+
+
+def pin_cpus(monkeypatch, n):
+    """Let the process run on n CPUs, so `training._map_forked` uses n
+    workers; on 1 it forks nothing and monkeypatched counters see every call."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
 def micro_selection(layer=1):
@@ -181,6 +189,13 @@ class TestConfig:
     def test_model_config_rejected_value_is_config_error(self, values, message):
         with pytest.raises(ConfigError, match=message):
             build_model_config(values)
+
+    @pytest.mark.parametrize("name", ["anchor_strength", "embed_polarity", "anchor_contrast"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_model_config_rejects_non_finite_float(self, name, value):
+        # a library caller's value, which no config-file reader has seen
+        with pytest.raises(ConfigError, match=f"field {name} must be finite, got {value}"):
+            ModelConfig(**{name: value})
 
 
 def utterance_loss(model, utt, selection, gamma):
@@ -806,6 +821,7 @@ class TestEvaluation:
 
     def test_encodes_once_per_chunk_and_never_runs_forward(self, adapted_model, vocab,
                                                            monkeypatch):
+        pin_cpus(monkeypatch, 1)
         # every utterance's frames are encoded exactly once, in blocks of at
         # most ENCODE_ROWS rows, and the full forward never runs
         corpus = generate_corpus(MICRO_SPEC, vocab, {**MICRO_SIZES, "test-cs": 70})
@@ -829,6 +845,7 @@ class TestEvaluation:
 
     def test_utterances_sharing_a_prompt_share_decode_chunks(self, adapted_model, vocab,
                                                              monkeypatch):
+        pin_cpus(monkeypatch, 1)
         corpus = generate_corpus(MICRO_SPEC, vocab, {**MICRO_SIZES, "test-cs": 70})
         sets = {name: corpus[name] for name in ("test-cs", "test-mono-a", "test-mono-b")}
         calls = []
@@ -852,6 +869,7 @@ class TestEvaluation:
         mask equal one whole-chunk `encode`, and the hypotheses and LID counts
         equal a whole-chunk oracle's. Decoding stops after two tokens: the
         memory is what blocking can change."""
+        pin_cpus(monkeypatch, 1)
         vocab = Vocabulary.build()
         sizes = {"pretrain": 0, "adapt": 0, "valid": 0, "test-mono-a": 200,
                  "test-mono-b": 200, "test-cs": 200}
@@ -864,7 +882,7 @@ class TestEvaluation:
         real_decode = Seq2SeqModel.greedy_decode
         monkeypatch.setattr(Seq2SeqModel, "greedy_decode",
                             lambda self, *a: real_decode(self, *a, max_new=2))
-        prompt = build_prompt()
+        prompt = PROMPTS[None]
         real_blocked = training._encode_blocked
         chunk_rows = []
 
@@ -877,12 +895,12 @@ class TestEvaluation:
             return memory, col_mask
 
         monkeypatch.setattr(training, "_encode_blocked", checked)
-        got = {name: training._decode_set(model, corpus[name], prompt, sel)
+        got = {name: training._decode_set(model, {prompt: corpus[name]}, sel)
                for name in sorted(corpus) if corpus[name]}
         assert chunk_rows == [64, 64, 64, 8] * 3
         monkeypatch.setattr(training, "_encode_blocked",
                             lambda model, frames, mask: model.encode(frames, mask))
-        want = {name: training._decode_set(model, corpus[name], prompt, sel)
+        want = {name: training._decode_set(model, {prompt: corpus[name]}, sel)
                 for name in got}
         assert got == want
         assert got["test-cs"][1][1] > 0
@@ -894,11 +912,11 @@ class TestEvaluation:
         corpus = generate_corpus(MICRO_SPEC, vocab, {**MICRO_SIZES, "test-cs": 70})
         utts = corpus["test-cs"] + corpus["test-mono-a"]
         sel = micro_selection() if with_selection else None
-        prompt = build_prompt()
-        got = training._decode_set(adapted_model, utts, prompt, sel)
+        prompt = PROMPTS[None]
+        got = training._decode_set(adapted_model, {prompt: utts}, sel)
         monkeypatch.setattr(training, "_encode_blocked",
                             lambda model, frames, mask: model.encode(frames, mask))
-        want = training._decode_set(adapted_model, utts, prompt, sel)
+        want = training._decode_set(adapted_model, {prompt: utts}, sel)
         assert got == want
         assert (got[1][1] > 0) == with_selection
 
@@ -920,7 +938,7 @@ class TestEvaluation:
             model.encode(frames, mask)
             whole_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            training._decode_set(model, utts, build_prompt())
+            training._decode_set(model, {PROMPTS[None]: utts})
             decode_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -930,3 +948,102 @@ class TestEvaluation:
         batches = make_batches(corpus["valid"], 8)
         v = validation_ce(adapted_model, batches)
         assert np.isfinite(v) and v > 0
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def counting_forks(monkeypatch):
+    """The pids `os.fork` returns to this process, as a list that fills."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+class TestWorkerMap:
+    @pytest.fixture()
+    def many_chunks(self, vocab):
+        # 280 utterances: 5 chunks under the bilingual prompt, and 4 under
+        # monolingual prompts (64 + 6 per language)
+        corpus = generate_corpus(MICRO_SPEC, vocab, {**MICRO_SIZES, "test-cs": 140,
+                                                     "test-mono-a": 70, "test-mono-b": 70})
+        return {name: corpus[name] for name in ("test-cs", "test-mono-a", "test-mono-b")}
+
+    def test_reports_equal_for_any_worker_count(self, adapted_model, many_chunks,
+                                                monkeypatch):
+        randomise_adapters(adapted_model)
+        mono = many_chunks["test-mono-a"] + many_chunks["test-mono-b"]
+        forks = counting_forks(monkeypatch)
+        results = {}
+        for cpus in (1, 2, 3):
+            pin_cpus(monkeypatch, cpus)
+            forks.clear()
+            results[cpus] = (evaluate_model(adapted_model, many_chunks, micro_selection()),
+                             evaluate_model(adapted_model, many_chunks),
+                             training.decode_and_score(adapted_model, mono, False),
+                             training.token_accuracy(adapted_model, mono, False))
+            assert len(forks) == 4 * (cpus - 1)
+            no_child_left()
+        assert results[1] == results[2] == results[3]
+        guided, plain, mono_report, _ = results[1]
+        assert guided.mer == plain.mer and guided.lid_attribution > 0
+        assert plain.lid_attribution is None
+        assert mono_report.mer.tokens == {"mono-a": sum(len(u.words) for u in mono[:70]),
+                                          "mono-b": sum(len(u.words) for u in mono[70:])}
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("in_child", [True, False], ids=["in-a-child", "in-the-parent"])
+    def test_chunk_error_reaches_the_caller_and_no_child_is_left(
+            self, adapted_model, many_chunks, monkeypatch, cpus, in_child):
+        pin_cpus(monkeypatch, cpus)
+        parent = os.getpid()
+        real_decode = Seq2SeqModel.greedy_decode
+
+        def failing(self, *args):
+            if (os.getpid() != parent) == in_child:
+                raise NumericError(f"chunk of {args[0].shape[0]} rows failed")
+            return real_decode(self, *args)
+
+        monkeypatch.setattr(Seq2SeqModel, "greedy_decode", failing)
+        with pytest.raises(NumericError, match=r"chunk of \d+ rows failed"):
+            evaluate_model(adapted_model, many_chunks, micro_selection())
+        no_child_left()
+
+    @pytest.mark.parametrize("exit_, status", [
+        (lambda: os._exit(3), 3), (lambda: os.kill(os.getpid(), signal.SIGKILL), -9)],
+        ids=["exit-3", "killed"])
+    def test_child_without_a_result_is_named_with_its_status(self, monkeypatch, exit_,
+                                                             status):
+        pin_cpus(monkeypatch, 2)
+        forks = counting_forks(monkeypatch)
+        parent = os.getpid()
+
+        def square(item):
+            if os.getpid() != parent:
+                exit_()
+            return item * item
+
+        with pytest.raises(ChildProcessError,
+                           match=rf"worker (\d+) exited with status {status} and no result"
+                           ) as caught:
+            training._map_forked(square, [1, 2, 3])
+        assert str(forks[0]) in str(caught.value)
+        no_child_left()
+
+    def test_one_worker_per_cpu_and_item(self, monkeypatch):
+        for cpus, items, workers in [(1, 5, 1), (2, 5, 2), (3, 2, 2), (4, 0, 1)]:
+            pin_cpus(monkeypatch, cpus)
+            assert training._worker_count(items) == workers
+        monkeypatch.delattr(os, "fork")
+        assert training._worker_count(5) == 1
+        assert training._map_forked(lambda item: -item, [1, 2, 3]) == [-1, -2, -3]
