@@ -607,11 +607,8 @@ def adamw_step(state: OptimizerState, params: Mapping[str, Parameter],
         np.divide(mn, bc1, out=update)
         update /= tmp
         update *= state.lr
-        if state.weight_decay != 0.0:
-            pn = p.data * (1.0 - state.lr * state.weight_decay)
-            pn -= update
-        else:
-            pn = p.data - update
+        pn = p.data * (1.0 - state.lr * state.weight_decay)
+        pn -= update
         if not np.all(np.isfinite(pn)):
             raise NumericError(f"non-finite parameter after update: {name!r}")
         staged.append((name, pn, mn, vn))

@@ -5,15 +5,15 @@ reference. Language A words live in clusters offset +2 along the first half
 of the feature space, language B words offset -2, so the languages are
 linearly separable while individual words stay confusable under noise.
 
-A split is two files: `<split>.frames` holds each utterance's frame record
-(T >= 1 and F, the spec's `feat_dim`, as little-endian u32, then T x F
-little-endian float32), and `<split>.manifest` a JSON header line (`format`
-2, `split`, `count`, `spec`; read by `config.from_json`, its `split` the
-split read) and then one line per utterance, `uid kind ids offset length`
-separated by tabs, the ids separated by spaces and the offset and length
-(bytes) locating the frame record. A word's language follows from its id
-(see `model`), so the ids are the whole reference, and their languages
-decide the utterance's kind (`Utterance.kind`), which the kind column repeats.
+A split is two files: `<split>.manifest`, a JSON header line (`format` 3,
+`split`, `count`, `spec`; read by `config.from_json`, its `split` the split
+read) and then one line per utterance, `uid kind ids T` separated by tabs,
+the ids separated by spaces and T >= 1 the frame count; and `<split>.frames`,
+each utterance's T x F little-endian float32 frames (F the spec's `feat_dim`)
+in manifest order and nothing else, so a file of more or fewer bytes than its
+lines count is refused. A word's language follows from its id (see `model`),
+so the ids are the whole reference, and their languages decide the
+utterance's kind (`Utterance.kind`), which the kind column repeats.
 
 Also home to the edit-distance scorer and the per-language error-rate report
 used for evaluation.
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-import struct
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Mapping, NamedTuple
@@ -51,7 +50,7 @@ SPLIT_SIZES = {
 
 _CS_RESAMPLE_LIMIT = 64
 
-MANIFEST_FORMAT = 2
+MANIFEST_FORMAT = 3
 
 
 @dataclass(frozen=True)
@@ -256,13 +255,9 @@ def write_corpus(out_dir, spec: SynthSpec, vocab: Vocabulary,
         records = []
         with atomic_write(frames_path, "wb") as fh:
             for utt in utts:
-                t, feat = utt.frames.shape
-                payload = struct.pack("<II", t, feat)
-                payload += utt.frames.astype("<f4").tobytes()
-                offset = fh.tell()
-                fh.write(payload)
+                fh.write(utt.frames.astype("<f4").tobytes())
                 ids = " ".join(str(i) for i in utt.reference.ids)
-                records.append(f"{utt.uid}\t{utt.kind}\t{ids}\t{offset}\t{len(payload)}")
+                records.append(f"{utt.uid}\t{utt.kind}\t{ids}\t{len(utt.frames)}")
         header = json.dumps({
             "format": MANIFEST_FORMAT,
             "split": split,
@@ -309,13 +304,15 @@ def read_split(data_dir, split: str, expected_vocab: Vocabulary | None = None
         raise DataError(f"the checkpoint has {want.n_words_a}+{want.n_words_b} words per "
                         f"language, the corpus under {data_dir} {n}+{n}")
     blob = frames_path.read_bytes()
+    feat = spec.feat_dim
+    offset = 0
     utts: list[Utterance] = []
     seen: set[str] = set()
     for lineno, line in enumerate(lines[1:], 2):
         try:
-            uid, kind, ids_s, offset_s, length_s = line.split("\t")
+            uid, kind, ids_s, t_s = line.split("\t")
             ids = [int(x) for x in ids_s.split()]
-            offset, length = int(offset_s), int(length_s)
+            t = int(t_s)
         except ValueError as exc:
             raise DataError(f"{manifest_path}:{lineno}: malformed manifest line") from exc
         if uid in seen:
@@ -327,17 +324,12 @@ def read_split(data_dir, split: str, expected_vocab: Vocabulary | None = None
             ref = TokenSequence.from_ids(vocab, ids)
         except DataError as exc:
             raise DataError(f"{manifest_path}:{lineno}: {exc}") from exc
-        if offset < 0 or offset + length > len(blob) or length < 8:
-            raise DataError(f"frame record for {uid} lies outside {frames_path}")
-        t, feat = struct.unpack_from("<II", blob, offset)
-        if t == 0 or feat != spec.feat_dim:
-            raise DataError(f"frame record for {uid} holds {t} frames of {feat} features, "
-                            f"not at least 1 of the spec's {spec.feat_dim}")
-        expected = 8 + 4 * t * feat
-        if length != expected:
-            raise DataError(f"frame record length mismatch for {uid}")
-        frames = np.frombuffer(blob, dtype="<f4", count=t * feat,
-                               offset=offset + 8).astype(np.float64).reshape(t, feat)
+        if t < 1:
+            raise DataError(f"{manifest_path}:{lineno}: {uid} holds {t} frames, not at least 1")
+        if offset + 4 * t * feat > len(blob):
+            raise DataError(f"{manifest_path}:{lineno}: {frames_path} ends inside {uid}'s frames")
+        frames = np.frombuffer(blob, "<f4", t * feat, offset).astype(np.float64).reshape(t, feat)
+        offset += 4 * t * feat
         if not np.isfinite(frames).all():
             raise DataError(f"frame record for {uid} holds a non-finite value")
         utt = Utterance(uid=uid, frames=frames, reference=ref)
@@ -349,6 +341,8 @@ def read_split(data_dir, split: str, expected_vocab: Vocabulary | None = None
         utts.append(utt)
     if len(utts) != count:
         raise DataError(f"manifest count mismatch in {manifest_path}")
+    if offset != len(blob):
+        raise DataError(f"{frames_path} holds {len(blob) - offset} bytes no manifest line counts")
     return spec, vocab, utts
 
 

@@ -47,9 +47,10 @@ hypotheses and attribution counts. Chunks are independent and decode the
 same way in any process, so reports are identical for any worker count.
 Every child is reaped before `decode_and_score` returns, also on error.
 
-`HeadSelection.check` tests a selection against the model once, as it enters
+`HeadSelection.check` tests a selection against the model as it enters
 `decode_and_score`, `run_stage2` or, before stage 1, `run_adaptation`; the
-last two also refuse a layer-0 head. Nothing downstream checks it again.
+last two also refuse a layer-0 head. So a guided `two-stage-ag` run checks
+it twice: in `run_adaptation` before stage 1, and as `run_stage2` begins.
 """
 
 from __future__ import annotations
@@ -553,7 +554,12 @@ def _map_forked(fn, items: Sequence) -> list:
     try:
         for k in range(1, n):
             read_fd, write_fd = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
             if pid == 0:
                 os.close(read_fd)
                 _child(fn, items[k::n], write_fd)

@@ -161,9 +161,18 @@ def corrupt_copy(data, target, split, edit):
     return target
 
 
+def keep_copy(data, target, split, keep):
+    """A copy of the corpus `data` at `target` whose `split` holds only the
+    utterances that `keep` is true of, written through `write_corpus`."""
+    corrupt_copy(data, target, split, lambda lines: lines)
+    spec, vocab, utts = read_split(target, split)
+    write_corpus(target, spec, vocab, {split: [utt for utt in utts if keep(utt)]})
+    return target
+
+
 def edit_field(index, change):
     """A manifest edit that passes field `index` of the first utterance's line
-    (uid, kind, ids, offset, length) through `change`."""
+    (uid, kind, ids, frame count) through `change`."""
     def edit(lines):
         fields = lines[1].split("\t")
         fields[index] = change(fields[index])
@@ -181,14 +190,8 @@ def set_count(count, lines):
     return [json.dumps({**json.loads(lines[0]), "count": count})] + lines[1:]
 
 
-def only_cs(lines):
-    """The code-switched utterances' lines under their header, counted."""
-    cs = [ln for ln in lines[1:] if ln.split("\t")[1] == "cs"]
-    return set_count(len(cs), lines[:1] + cs)
-
-
 def test_pretrain_malformed_manifest(micro_files, data, workdir, capsys):
-    # drop the length field
+    # drop the frame count
     bad = corrupt_copy(data, workdir / "bad-data", "pretrain",
                        lambda lines: [lines[0], lines[1].rsplit("\t", 1)[0]] + lines[2:])
     rc = main(["pretrain", "--data", str(bad), "--out", str(workdir / "b.ckpt"),
@@ -197,13 +200,13 @@ def test_pretrain_malformed_manifest(micro_files, data, workdir, capsys):
     assert "malformed manifest line" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("split, edit, message", [
-    ("pretrain", lambda lines: set_count(0, lines[:1]), "training set is empty"),
-    ("valid", only_cs, "validation set has no monolingual utterances"),
+@pytest.mark.parametrize("split, keep, message", [
+    ("pretrain", lambda utt: False, "training set is empty"),
+    ("valid", lambda utt: utt.kind == "cs", "validation set has no monolingual utterances"),
 ], ids=["no-pretrain-utterance", "no-monolingual-valid-utterance"])
 def test_pretrain_without_the_utterances_it_needs(micro_files, data, tmp_path, capsys, split,
-                                                  edit, message):
-    bad = corrupt_copy(data, tmp_path / "data", split, edit)
+                                                  keep, message):
+    bad = keep_copy(data, tmp_path / "data", split, keep)
     out = tmp_path / "b.ckpt"
     rc = main(["pretrain", "--data", str(bad), "--out", str(out),
                "--config", str(micro_files["train"])])
@@ -222,7 +225,9 @@ def test_pretrain_without_the_utterances_it_needs(micro_files, data, tmp_path, c
     ("test-cs", edit_ids(lambda ids: ids[5:]), "does not open with a prompt"),
     ("test-cs", edit_ids(lambda ids: ids[:-1]), "does not end with <eot>"),
     ("test-mono-b", lambda lines: [json.dumps({**json.loads(lines[0]), "format": 1})] + lines[1:],
-     "manifest format 1, not 2"),
+     "manifest format 1, not 3"),
+    ("test-mono-b", lambda lines: [json.dumps({**json.loads(lines[0]), "format": 2})] + lines[1:],
+     "manifest format 2, not 3; generate the corpus again with gen-data"),
     # prompts: 0 1 3 4 is language A's (<zh>), 0 2 3 4 language B's (<en>)
     ("test-cs", edit_ids(lambda ids: [0, 1, 3, 4] + ids[5:]),
      "cs utterance opens with the prompt of another language"),
@@ -234,13 +239,18 @@ def test_pretrain_without_the_utterances_it_needs(micro_files, data, tmp_path, c
     ("test-mono-b", lambda lines: [lines[0].replace('"test-mono-b"', '"test-mono-a"')]
      + lines[1:], "names split 'test-mono-a', not 'test-mono-b'"),
     ("test-cs", lambda lines: [], "empty manifest"),
-    ("test-cs", edit_field(4, lambda length: str(int(length) - 4)),
-     "frame record length mismatch"),
+    # one frame more than the first utterance holds: the file then ends
+    # inside the last line's frames
+    ("test-cs", edit_field(3, lambda t: str(int(t) + 1)),
+     "test-cs.frames ends inside u000113's frames"),
+    ("test-cs", edit_field(3, lambda t: "0"), "test-cs.manifest:2: u000108 holds 0 frames, "
+                                              "not at least 1"),
+    ("test-cs", edit_field(3, lambda t: "x"), "test-cs.manifest:2: malformed manifest line"),
     ("test-cs", lambda lines: set_count(len(lines), lines), "manifest count mismatch"),
 ], ids=["id-past-vocabulary", "negative-id", "mono-a-holding-b-word", "no-prompt",
-        "no-eot", "format-1", "cs-with-a-prompt", "mono-a-with-b-prompt",
+        "no-eot", "format-1", "format-2", "cs-with-a-prompt", "mono-a-with-b-prompt",
         "float-words-per-language", "other-split", "empty", "frame-length",
-        "count-past-lines"])
+        "zero-frame-count", "non-integer-frame-count", "count-past-lines"])
 def test_eval_malformed_manifest(data, adapted, tmp_path, capsys, split, edit, message):
     bad = corrupt_copy(data, tmp_path / "data", split, edit)
     report = tmp_path / "report.csv"
@@ -250,21 +260,44 @@ def test_eval_malformed_manifest(data, adapted, tmp_path, capsys, split, edit, m
     assert not report.exists()
 
 
-# A frame record the manifest's spec cannot feed to the model (6 features).
-@pytest.mark.parametrize("frames, message", [
-    (np.zeros((4, 3)), "4 frames of 3 features"),
-    (np.zeros((0, 6)), "0 frames of 6 features"),
-    (np.where(np.eye(4, 6), np.nan, 0.0), "holds a non-finite value"),
-], ids=["narrow-frames", "no-frames", "nan-frame"])
-def test_eval_malformed_frame_record(data, adapted, tmp_path, capsys, frames, message):
+def first_frames(frames):
+    """A corpus edit that gives test-cs's first utterance (u000108) `frames`,
+    written through `write_corpus`."""
+    def edit(path):
+        spec, vocab, utts = read_split(path, "test-cs")
+        utts[0].frames = frames
+        write_corpus(path, spec, vocab, {"test-cs": utts})
+    return edit
+
+
+def frame_bytes(change):
+    """A corpus edit that passes test-cs's frames file through `change`."""
+    def edit(path):
+        frames = path / "test-cs.frames"
+        frames.write_bytes(change(frames.read_bytes()))
+    return edit
+
+
+# Frames the manifest's spec cannot feed to the model (6 features), and a
+# frames file holding more or fewer bytes than the manifest counts; test-cs's
+# last utterance, u000113, is on manifest line 7.
+@pytest.mark.parametrize("edit, message", [
+    (first_frames(np.zeros((4, 3))),
+     "test-cs.manifest:7: {data}/test-cs.frames ends inside u000113's frames"),
+    (first_frames(np.zeros((0, 6))), "test-cs.manifest:2: u000108 holds 0 frames"),
+    (first_frames(np.where(np.eye(4, 6), np.nan, 0.0)), "holds a non-finite value"),
+    (frame_bytes(lambda blob: blob + bytes(1000)),
+     "{data}/test-cs.frames holds 1000 bytes no manifest line counts"),
+    (frame_bytes(lambda blob: blob[:-4]),
+     "test-cs.manifest:7: {data}/test-cs.frames ends inside u000113's frames"),
+], ids=["narrow-frames", "no-frames", "nan-frame", "trailing-bytes", "truncated"])
+def test_eval_malformed_frame_record(data, adapted, tmp_path, capsys, edit, message):
     bad = corrupt_copy(data, tmp_path / "data", "test-cs", lambda lines: lines)
-    spec, vocab, utts = read_split(bad, "test-cs")
-    utts[0].frames = frames
-    write_corpus(bad, spec, vocab, {"test-cs": utts})
+    edit(bad)
     report = tmp_path / "report.csv"
     rc = main(["eval", "--model", str(adapted), "--data", str(bad), "--report", str(report)])
     assert rc == 3
-    assert message in capsys.readouterr().err
+    assert message.format(data=bad) in capsys.readouterr().err
     assert not report.exists()
 
 
@@ -407,8 +440,7 @@ def test_adapt_one_stage(adapted):
 
 
 def test_adapt_empty_valid_split_fails(micro_files, data, backbone, tmp_path, capsys):
-    bad = corrupt_copy(data, tmp_path / "data", "valid",
-                       lambda lines: [json.dumps({**json.loads(lines[0]), "count": 0})])
+    bad = keep_copy(data, tmp_path / "data", "valid", lambda utt: False)
     out = tmp_path / "x.ckpt"
     rc = main(["adapt", "--mode", "one-stage", "--backbone", str(backbone),
                "--data", str(bad), "--config", str(micro_files["train"]),

@@ -194,20 +194,21 @@ class TestManifest:
                 assert orig.reference.ids == loaded.reference.ids
                 # derived from the ids on reading, equal to the generated tags
                 assert orig.reference.lang_tags == loaded.reference.lang_tags
-                # frames stored as f32
-                np.testing.assert_allclose(orig.frames, loaded.frames, atol=1e-6)
+                # frames stored as f32, read back as float64
+                assert np.array_equal(loaded.frames,
+                                      orig.frames.astype(np.float32).astype(np.float64))
 
     def test_missing_split_errors(self, tmp_path):
         with pytest.raises(DataError):
             read_split(tmp_path, "pretrain")
 
-    # fields: uid, kind, ids, offset, length
+    # fields: uid, kind, ids, frame count
     @pytest.mark.parametrize("corrupt", [
-        lambda f: f[:4],                                  # four fields
-        lambda f: f + ["extra"],                          # six fields
+        lambda f: f[:3],                                  # three fields
+        lambda f: f + ["extra"],                          # five fields
         lambda f: f[:2] + ["0 x 2"] + f[3:],              # non-integer id
-        lambda f: f[:4] + ["long"],                       # non-integer length
-        lambda f: f[:3] + ["99999999", f[4]],             # offset past the end
+        lambda f: f[:3] + ["long"],                       # non-integer frame count
+        lambda f: f[:3] + ["99999999"],                   # frame count past the end
     ])
     def test_malformed_manifest_line(self, tmp_path, corrupt):
         write_corpus(tmp_path, SPEC, VOCAB, generate_corpus(SPEC, VOCAB, SIZES))
@@ -256,7 +257,7 @@ class TestManifest:
         with pytest.raises(DataError, match=message):
             read_split(tmp_path, "adapt")
 
-    # fields: uid, kind, ids, offset, length; line 1 is mono-a, its ids
+    # fields: uid, kind, ids, frame count; line 1 is mono-a, its ids
     # the monolingual prompt (4 ids), words, <eot>
     @pytest.mark.parametrize("corrupt, message", [
         (lambda f: f[:1] + ["mono-z"] + f[2:], "unknown utterance kind"),
@@ -280,9 +281,13 @@ class TestManifest:
         with pytest.raises(DataError, match=message):
             read_split(tmp_path, "pretrain")
 
+    # test-cs holds u000032-u000035 on manifest lines 2-5; frames of half
+    # the width end the file inside the last line's frames
     @pytest.mark.parametrize("frames, message", [
-        (np.zeros((3, SPEC.feat_dim // 2)), "3 frames of 8 features"),
-        (np.zeros((0, SPEC.feat_dim)), "0 frames of 16 features"),
+        (np.zeros((3, SPEC.feat_dim // 2)),
+         "test-cs.manifest:5: .*test-cs.frames ends inside u000035's frames"),
+        (np.zeros((0, SPEC.feat_dim)),
+         "test-cs.manifest:3: u000033 holds 0 frames, not at least 1"),
     ], ids=["narrow-frames", "no-frames"])
     def test_frame_record_must_fit_the_spec(self, tmp_path, frames, message):
         corpus = generate_corpus(SPEC, VOCAB, SIZES)

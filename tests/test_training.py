@@ -1,6 +1,7 @@
 """Training machinery at micro scale: losses, stages, averaging, evaluation."""
 
 import dataclasses
+import errno
 import gc
 import os
 import signal
@@ -1039,6 +1040,26 @@ class TestWorkerMap:
             training._map_forked(square, [1, 2, 3])
         assert str(forks[0]) in str(caught.value)
         no_child_left()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds by /proc")
+    def test_failed_fork_closes_its_pipe(self, monkeypatch):
+        # the first fork starts a real child, the second is refused
+        pin_cpus(monkeypatch, 3)
+        real_fork = os.fork
+        forked = []
+
+        def fork():
+            if forked:
+                raise OSError(errno.EAGAIN, "fork refused")
+            forked.append(True)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        open_fds = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(OSError, match="fork refused"):
+            training._map_forked(lambda item: -item, [1, 2, 3])
+        no_child_left()
+        assert len(os.listdir("/proc/self/fd")) == open_fds
 
     def test_one_worker_per_cpu_and_item(self, monkeypatch):
         for cpus, items, workers in [(1, 5, 1), (2, 5, 2), (3, 2, 2), (4, 0, 1)]:
