@@ -10,11 +10,12 @@ The bytes follow from the model alone: two saves of one model are equal, and
 so are a save and the save of what it loads as. `load_model` draws nothing:
 it builds the model from the payload. It raises DataError for a missing file;
 another magic or version (a version-1 file is not read); a header that is not
-JSON, lacks a key or has an unknown one; a `model_config` or `vocab` value
-that breaks the per-type rule of `config`, a config `ModelConfig` rejects or
-a word count below 1; a tensor index other than the layout's names and
-shapes (`model.misfits`); a payload longer or shorter than the index; and a
-non-finite parameter value (`Seq2SeqModel.load_state`). Each names the file.
+JSON, repeats a key at any depth, lacks a key or has an unknown one; a
+`model_config` or `vocab` value that breaks the per-type rule of `config`, a
+config `ModelConfig` rejects or a word count below 1; a tensor index other
+than the layout's names and shapes (`model.misfits`); a payload longer or
+shorter than the index; and a non-finite parameter value
+(`Seq2SeqModel.load_state`). Each names the file.
 """
 
 from __future__ import annotations
@@ -100,10 +101,7 @@ def load_model(path, freeze_backbone: bool = True) -> Seq2SeqModel:
     if len(blob) < start:
         raise DataError(f"truncated checkpoint: {path} has {len(blob)} bytes, "
                         f"its header ends at {start}")
-    try:
-        header = json.loads(blob[PREFIX.size:start].decode("utf-8"))
-    except ValueError as exc:  # also UnicodeDecodeError and JSONDecodeError
-        raise DataError(f"malformed checkpoint header in {path}: {exc}") from exc
+    header = config.parse_json(blob[PREFIX.size:start], f"checkpoint header in {path}")
     try:
         model_config, vocab, shapes = _describe(header)
     except DataError as exc:

@@ -94,7 +94,7 @@ def cmd_adapt(args) -> int:
     selection = None if args.heads is None else guidance.load_head_selection(args.heads)
     records = training.adapt_backbone(model, train_utts, valid_utts, cfg, selection)
     checkpoint.save_model(args.out, model)
-    print(f"adapter parameters: {model.adapter_summary().format()}")
+    print(f"adapter parameters: {model.adapter_summary()}")
     for record in records:
         last = record.epochs[-1]
         print(f"{record.stage}: train_ce={last.train_ce:.4f} "
@@ -169,9 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_select_heads)
 
     p = sub.add_parser("adapt", help="train adapters over the frozen backbone")
-    p.add_argument("--mode", choices=training.MODES, required=True)
+    p.add_argument("--mode", choices=training.MODES, help="default: the run config's mode")
     p.add_argument("--backbone", required=True)
-    p.add_argument("--heads", default=None)
+    p.add_argument("--heads", default=None, help="a select-heads file, format 2")
     p.add_argument("--config", default=None)
     p.add_argument("--data", required=True)
     p.add_argument("--seed", type=int, default=None)
@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="error rates and LID attribution on the test sets")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--heads", default=None)
+    p.add_argument("--heads", default=None, help="a select-heads file, format 2")
     p.add_argument("--report", required=True)
     p.set_defaults(fn=cmd_eval)
 

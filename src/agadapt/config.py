@@ -1,5 +1,5 @@
 """The one reader of the config dataclasses (`ModelConfig`, `TrainConfig`,
-`SynthSpec`) from values that come from outside the program.
+`SynthSpec`) from values that come from outside the program, and of JSON.
 
 Every field's default is an int, float or str, and each value is read by one
 rule: an int field takes an integer, never a bool; a float field takes a
@@ -9,19 +9,24 @@ not parsed, so a header ``"heads": "3"`` is rejected.
 
 `from_text` reads config files (`pretrain` and `adapt --config`, `gen-data
 --spec`): an unknown key, a value against the rule and a value the dataclass
-rejects raise ConfigError, exit code 2. `from_json` reads checkpoint and
-manifest headers, whose objects hold exactly the expected keys: any mistake
-raises DataError, exit code 3, also a value the dataclass rejects, so a
-negative seed exits 2 from `gen-data --seed` but 3 from a manifest's spec.
+rejects raise ConfigError, exit code 2. `from_json` reads JSON headers, whose
+objects hold exactly the expected keys: any mistake raises DataError, exit
+code 3, also a value the dataclass rejects, so a negative seed exits 2 from
+`gen-data --seed` but 3 from a manifest's spec. `parse_json`, the one JSON
+parser, also refuses an object that repeats a key at any depth. It reads three
+headers: a checkpoint's, and the first line of the two `read_records` files,
+a split's manifest (`synthtask`) and the head-selection file (`guidance`).
 """
 
 from __future__ import annotations
 
+import json
 import sys
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
+from .atomicio import atomic_write
 from .errors import ConfigError, DataError
 
 
@@ -110,3 +115,46 @@ def from_json(kind, value, what: str):
         return kind(**typed)
     except ConfigError as exc:
         raise DataError(f"{what}: {exc}") from exc
+
+
+def _object(pairs: list) -> dict:
+    value = dict(pairs)  # linear: the repeated key is looked for only when there is one
+    if len(value) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"key {next(k for k in keys if keys.count(k) > 1)!r} repeats")
+    return value
+
+
+def parse_json(text: str | bytes, what: str):
+    """`text` or its UTF-8 bytes as JSON; DataError if malformed or a key repeats."""
+    try:
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text,
+                          object_pairs_hook=_object)
+    except ValueError as exc:  # also UnicodeDecodeError and JSONDecodeError
+        raise DataError(f"malformed {what}: {exc}") from exc
+
+
+def write_records(path, header: Mapping, records: Iterable[str]) -> None:
+    """Replace `path` with `header`, a sorted-key JSON line, and a line per record."""
+    with atomic_write(path) as fh:
+        fh.writelines(line + "\n" for line in (json.dumps(header, sort_keys=True), *records))
+
+
+def read_records(path, kinds: Mapping[str, type], fmt: int, what: str,
+                 remedy: str) -> tuple[dict, list[str]]:
+    """The header (exactly the keys of `kinds` and `format` `fmt`) and the
+    record lines of `path`, a `what`; a header refusal names `remedy`."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{what} {path} is not UTF-8 text: {exc}") from exc
+    if not lines:
+        raise DataError(f"empty {what}: {path}")
+    where = f"{what} header in {path}"
+    try:
+        header = from_json({**kinds, "format": int}, parse_json(lines[0], where), where)
+        if header["format"] != fmt:
+            raise DataError(f"{path} has {what} format {header['format']}, not {fmt}")
+    except DataError as exc:  # another version's file, or one edited by hand
+        raise DataError(f"{exc}; {remedy}") from exc
+    return header, lines[1:]

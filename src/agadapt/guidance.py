@@ -37,7 +37,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .atomicio import atomic_write
+from .config import read_records, write_records
 from .errors import ConfigError, DataError, NumericError
 from .model import (EN, FIRST_GUIDABLE_LAYER, LANG_A, LANG_B, LID_COLUMNS, ZH, ModelConfig,
                     TokenSequence)
@@ -239,52 +239,41 @@ def lid_attribution(attention: Sequence, sequences: Sequence[TokenSequence],
 
 
 # ---------------------------------------------------------------------------
-# Persistence: one line per selected head, "layer<TAB>head<TAB>count"
+# Persistence, format 2: the JSON line {"dataset_size": n, "format": 2}, n >= 1, then a
+# "layer<TAB>head<TAB>count" line per selected head, in order, each once, 0 <= count <= n.
 # ---------------------------------------------------------------------------
 
+HEAD_FILE_FORMAT = 2
+
+
 def save_head_selection(path, selection: HeadSelection) -> None:
-    """Write `selection` as UTF-8 text: the header "# dataset_size=<n><TAB>
-    threshold=<n / 2>", then one line per selected head, in selection order."""
-    lines = [f"# dataset_size={selection.dataset_size}\tthreshold={selection.threshold!r}"]
-    for layer, head in selection.selected:
-        lines.append(f"{layer}\t{head}\t{selection.counts[(layer, head)]}")
-    with atomic_write(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = {"dataset_size": selection.dataset_size, "format": HEAD_FILE_FORMAT}
+    write_records(path, header, (f"{layer}\t{head}\t{selection.counts[(layer, head)]}"
+                                 for layer, head in selection.selected))
 
 
 def load_head_selection(path) -> HeadSelection:
-    """The selection in a `save_head_selection` file. Its `counts` cover only
-    the selected heads, so its `qualifying` omits every unselected head. A
-    malformed file raises DataError; `HeadSelection.check` tests the heads."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    except UnicodeDecodeError as exc:
-        raise DataError(f"malformed head-selection file: {path}: {exc}") from exc
-    if not lines or not lines[0].startswith("#"):
-        raise DataError(f"malformed head-selection file: {path}")
-    header = {}
-    for part in lines[0][1:].split("\t"):
-        key, _, value = part.partition("=")
-        header[key.strip()] = value.strip()
-    try:
-        dataset_size = int(header["dataset_size"])
-    except (KeyError, ValueError) as exc:
-        raise DataError(f"malformed head-selection header: {path}") from exc
+    """The selection, in line order, of a format-2 file (above); its `counts`
+    cover only the selected heads, so its `qualifying` omits every unselected
+    head. DataError if malformed; a refused header, such as an older file's
+    "#" line, says to run select-heads again. `HeadSelection.check` tests the heads."""
+    header, lines = read_records(path, {"dataset_size": int}, HEAD_FILE_FORMAT,
+                                 "head-selection file", "run select-heads again")
+    dataset_size = header["dataset_size"]
     if dataset_size < 1:
         raise DataError(f"malformed head-selection header: {path} counts no utterance")
     counts: dict[HeadIndex, int] = {}
     selected: list[HeadIndex] = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines, 2):
+        where = f"{path}:{lineno}: malformed head-selection line {line!r}"
         try:
             layer, head, count = (int(p) for p in line.split("\t"))
         except ValueError as exc:
-            raise DataError(f"malformed head-selection line: {line!r}") from exc
+            raise DataError(where) from exc
         if (layer, head) in counts:
-            raise DataError(f"malformed head-selection line: {line!r} repeats a head")
+            raise DataError(f"{where} repeats a head")
         if not 0 <= count <= dataset_size:
-            raise DataError(f"malformed head-selection line: {line!r} counts {count} of "
-                            f"{dataset_size} utterances")
+            raise DataError(f"{where} counts {count} of {dataset_size} utterances")
         counts[(layer, head)] = count
         selected.append((layer, head))
     if not selected:

@@ -230,19 +230,6 @@ class ForwardOut:
     attention: list[Tensor]
 
 
-@dataclass
-class AdapterSummary:
-    adapter_count: int
-    backbone_count: int
-
-    @property
-    def fraction(self) -> float:
-        return self.adapter_count / (self.adapter_count + self.backbone_count)
-
-    def format(self) -> str:
-        return f"{self.adapter_count:,} ({self.fraction:.1%})"
-
-
 # The first decoder adapter sits after layer 0's cross-attention, so no adapter
 # feeds layer 0's self-attention maps, and guiding one of its heads sends no
 # gradient anywhere. Head selection offers, and guided training accepts, only
@@ -415,10 +402,11 @@ class Seq2SeqModel:
         self.params.update((name, Parameter(name, data)) for name, data in drawn.items())
         self.has_adapters = True
 
-    def adapter_summary(self) -> AdapterSummary:
+    def adapter_summary(self) -> str:
+        """Adapter parameters and their share of the backbone's, the paper's ratio."""
         adapter = sum(p.data.size for n, p in self.params.items() if is_adapter_param(n))
         backbone = sum(p.data.size for n, p in self.params.items() if not is_adapter_param(n))
-        return AdapterSummary(adapter_count=adapter, backbone_count=backbone)
+        return f"{adapter:,} ({adapter / backbone:.1%} of the backbone)"
 
     def freeze_backbone(self) -> None:
         self.frozen = True

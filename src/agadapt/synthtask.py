@@ -5,15 +5,16 @@ reference. Language A words live in clusters offset +2 along the first half
 of the feature space, language B words offset -2, so the languages are
 linearly separable while individual words stay confusable under noise.
 
-A split is two files: `<split>.manifest`, a JSON header line (`format` 3,
-`split`, `count`, `spec`; read by `config.from_json`, its `split` the split
-read) and then one line per utterance, `uid kind ids T` separated by tabs,
-the ids separated by spaces and T >= 1 the frame count; and `<split>.frames`,
-each utterance's T x F little-endian float32 frames (F the spec's `feat_dim`)
-in manifest order and nothing else, so a file of more or fewer bytes than its
-lines count is refused. A word's language follows from its id (see `model`),
-so the ids are the whole reference, and their languages decide the
-utterance's kind (`Utterance.kind`), which the kind column repeats.
+A split is two files: `<split>.manifest`, a `config.read_records` file: a
+JSON header line (`format` 3, `split`, the split read, `count` and `spec`),
+then one line per utterance, `uid kind ids T` separated by tabs, the ids
+separated by spaces and T >= 1 the frame count, named `<manifest>:<line>` if
+refused; and `<split>.frames`, each utterance's T x F little-endian float32
+frames (F the spec's `feat_dim`) in manifest order and nothing else, so a
+file of more or fewer bytes than its lines count is refused. A word's
+language follows from its id (see `model`), so the ids are the whole
+reference, and their languages decide the utterance's kind
+(`Utterance.kind`), which the kind column repeats.
 
 Also home to the edit-distance scorer and the per-language error-rate report
 used for evaluation.
@@ -21,7 +22,6 @@ used for evaluation.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -250,24 +250,13 @@ def write_corpus(out_dir, spec: SynthSpec, vocab: Vocabulary,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for split, utts in corpus.items():
-        frames_path = out_dir / f"{split}.frames"
-        manifest_path = out_dir / f"{split}.manifest"
-        records = []
-        with atomic_write(frames_path, "wb") as fh:
+        with atomic_write(out_dir / f"{split}.frames", "wb") as fh:
             for utt in utts:
                 fh.write(utt.frames.astype("<f4").tobytes())
-                ids = " ".join(str(i) for i in utt.reference.ids)
-                records.append(f"{utt.uid}\t{utt.kind}\t{ids}\t{len(utt.frames)}")
-        header = json.dumps({
-            "format": MANIFEST_FORMAT,
-            "split": split,
-            "count": len(utts),
-            "spec": asdict(spec),
-        }, sort_keys=True)
-        with atomic_write(manifest_path) as fh:
-            fh.write(header + "\n")
-            for rec in records:
-                fh.write(rec + "\n")
+        config.write_records(out_dir / f"{split}.manifest", {
+            "format": MANIFEST_FORMAT, "split": split, "count": len(utts), "spec": asdict(spec),
+        }, (f"{utt.uid}\t{utt.kind}\t{' '.join(map(str, utt.reference.ids))}\t{len(utt.frames)}"
+            for utt in utts))
 
 
 def read_split(data_dir, split: str, expected_vocab: Vocabulary | None = None
@@ -279,21 +268,9 @@ def read_split(data_dir, split: str, expected_vocab: Vocabulary | None = None
     frames_path = data_dir / f"{split}.frames"
     if not manifest_path.exists() or not frames_path.exists():
         raise DataError(f"missing split {split!r} under {data_dir}")
-    try:
-        lines = manifest_path.read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"manifest {manifest_path} is not UTF-8 text: {exc}") from exc
-    if not lines:
-        raise DataError(f"empty manifest: {manifest_path}")
-    try:
-        header = json.loads(lines[0])
-    except ValueError as exc:
-        raise DataError(f"malformed manifest header in {manifest_path}: {exc}") from exc
-    header = config.from_json({"format": int, "split": str, "count": int, "spec": SynthSpec},
-                              header, f"manifest header in {manifest_path}")
-    if header["format"] != MANIFEST_FORMAT:
-        raise DataError(f"{manifest_path} has manifest format {header['format']}, not "
-                        f"{MANIFEST_FORMAT}; generate the corpus again with gen-data")
+    header, lines = config.read_records(
+        manifest_path, {"split": str, "count": int, "spec": SynthSpec}, MANIFEST_FORMAT,
+        "manifest", "generate the corpus again with gen-data")
     if header["split"] != split:
         raise DataError(f"{manifest_path} names split {header['split']!r}, not {split!r}")
     spec, count = header["spec"], header["count"]
@@ -308,36 +285,36 @@ def read_split(data_dir, split: str, expected_vocab: Vocabulary | None = None
     offset = 0
     utts: list[Utterance] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(lines[1:], 2):
+    for lineno, line in enumerate(lines, 2):
         try:
-            uid, kind, ids_s, t_s = line.split("\t")
-            ids = [int(x) for x in ids_s.split()]
-            t = int(t_s)
-        except ValueError as exc:
-            raise DataError(f"{manifest_path}:{lineno}: malformed manifest line") from exc
-        if uid in seen:
-            raise DataError(f"{manifest_path}:{lineno}: utterance id {uid!r} repeats")
-        seen.add(uid)
-        if kind not in KINDS:
-            raise DataError(f"{manifest_path}:{lineno}: unknown utterance kind {kind!r}")
-        try:
+            try:
+                uid, kind, ids_s, t_s = line.split("\t")
+                ids = [int(x) for x in ids_s.split()]
+                t = int(t_s)
+            except ValueError as exc:
+                raise DataError("malformed manifest line") from exc
+            if uid in seen:
+                raise DataError(f"utterance id {uid!r} repeats")
+            seen.add(uid)
+            if kind not in KINDS:
+                raise DataError(f"unknown utterance kind {kind!r}")
             ref = TokenSequence.from_ids(vocab, ids)
+            if t < 1:
+                raise DataError(f"{uid} holds {t} frames, not at least 1")
+            if offset + 4 * t * feat > len(blob):
+                raise DataError(f"{frames_path} ends inside {uid}'s frames")
+            frames = np.frombuffer(blob, "<f4", t * feat, offset).astype(np.float64)
+            offset += 4 * t * feat
+            if not np.isfinite(frames).all():
+                raise DataError(f"frame record for {uid} holds a non-finite value")
+            utt = Utterance(uid=uid, frames=frames.reshape(t, feat), reference=ref)
+            if utt.kind != kind:
+                raise DataError(f"{uid}: code-switched utterance must mix languages"
+                                if kind == KIND_CS else f"{uid}: {kind} utterance carries "
+                                f"tags {set(ref.lang_tags) - {None}}")
+            utt.validate()
         except DataError as exc:
             raise DataError(f"{manifest_path}:{lineno}: {exc}") from exc
-        if t < 1:
-            raise DataError(f"{manifest_path}:{lineno}: {uid} holds {t} frames, not at least 1")
-        if offset + 4 * t * feat > len(blob):
-            raise DataError(f"{manifest_path}:{lineno}: {frames_path} ends inside {uid}'s frames")
-        frames = np.frombuffer(blob, "<f4", t * feat, offset).astype(np.float64).reshape(t, feat)
-        offset += 4 * t * feat
-        if not np.isfinite(frames).all():
-            raise DataError(f"frame record for {uid} holds a non-finite value")
-        utt = Utterance(uid=uid, frames=frames, reference=ref)
-        if utt.kind != kind:
-            raise DataError(f"{uid}: code-switched utterance must mix languages"
-                            if kind == KIND_CS else f"{uid}: {kind} utterance carries "
-                            f"tags {set(ref.lang_tags) - {None}}")
-        utt.validate()
         utts.append(utt)
     if len(utts) != count:
         raise DataError(f"manifest count mismatch in {manifest_path}")

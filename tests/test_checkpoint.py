@@ -25,6 +25,11 @@ NON_DEFAULT = {"enc_layers": 1, "dec_layers": 3, "heads": 2, "width": 8,
                "anchor_contrast": 0.9}
 
 
+# headers that repeat a key, at the top and nested, with the refusal each gets
+REPEATED_KEY = {b'{"adapters": false, "adapters": true}': "key 'adapters' repeats",
+                b'{"vocab": {"n_words_a": 5, "n_words_a": 5}}': "key 'n_words_a' repeats"}
+
+
 def small_model(adapters: bool = False, seed: int = 2) -> Seq2SeqModel:
     """A small model whose every parameter holds random values."""
     model = Seq2SeqModel(SMALL, Vocabulary.build(5, 5), seed=seed)
@@ -141,12 +146,13 @@ class TestContainer:
         with pytest.raises(DataError, match="trailing bytes"):
             load_model(path)
 
-    @pytest.mark.parametrize("header", [b"{not json", b"\xff\xfe", b"[]"])
+    @pytest.mark.parametrize("header", [b"{not json", b"\xff\xfe", b"[]", *REPEATED_KEY])
     def test_malformed_json(self, tmp_path, header):
         path = tmp_path / "x.ckpt"
         write(path, header)
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=REPEATED_KEY.get(header, "checkpoint header")) as info:
             load_model(path)
+        assert str(path) in str(info.value)
 
     @pytest.mark.parametrize("edit, message", [
         (lambda h: h.pop("vocab"), r"lacks \['vocab'\]"),

@@ -9,6 +9,9 @@ from agadapt.cli import main
 from agadapt.guidance import load_head_selection
 from agadapt.synthtask import read_split, write_corpus
 
+# the header line of a head-selection file counting 32 utterances
+HEADER = '{"dataset_size": 32, "format": 2}\n'
+
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
@@ -247,16 +250,21 @@ def test_pretrain_without_the_utterances_it_needs(micro_files, data, tmp_path, c
                                               "not at least 1"),
     ("test-cs", edit_field(3, lambda t: "x"), "test-cs.manifest:2: malformed manifest line"),
     ("test-cs", lambda lines: set_count(len(lines), lines), "manifest count mismatch"),
+    ("test-cs", lambda lines: [lines[0][:-1] + ', "count": 6}'] + lines[1:],
+     "malformed manifest header in {data}/test-cs.manifest: key 'count' repeats"),
+    ("test-cs", lambda lines: [lines[0].replace('"seed": ', '"seed": 0, "seed": ')] + lines[1:],
+     "malformed manifest header in {data}/test-cs.manifest: key 'seed' repeats"),
 ], ids=["id-past-vocabulary", "negative-id", "mono-a-holding-b-word", "no-prompt",
         "no-eot", "format-1", "format-2", "cs-with-a-prompt", "mono-a-with-b-prompt",
         "float-words-per-language", "other-split", "empty", "frame-length",
-        "zero-frame-count", "non-integer-frame-count", "count-past-lines"])
+        "zero-frame-count", "non-integer-frame-count", "count-past-lines", "repeated-count",
+        "repeated-spec-seed"])
 def test_eval_malformed_manifest(data, adapted, tmp_path, capsys, split, edit, message):
     bad = corrupt_copy(data, tmp_path / "data", split, edit)
     report = tmp_path / "report.csv"
     rc = main(["eval", "--model", str(adapted), "--data", str(bad), "--report", str(report)])
     assert rc == 3
-    assert message in capsys.readouterr().err
+    assert message.format(data=bad) in capsys.readouterr().err
     assert not report.exists()
 
 
@@ -285,7 +293,8 @@ def frame_bytes(change):
     (first_frames(np.zeros((4, 3))),
      "test-cs.manifest:7: {data}/test-cs.frames ends inside u000113's frames"),
     (first_frames(np.zeros((0, 6))), "test-cs.manifest:2: u000108 holds 0 frames"),
-    (first_frames(np.where(np.eye(4, 6), np.nan, 0.0)), "holds a non-finite value"),
+    (first_frames(np.where(np.eye(4, 6), np.nan, 0.0)),
+     "test-cs.manifest:2: frame record for u000108 holds a non-finite value"),
     (frame_bytes(lambda blob: blob + bytes(1000)),
      "{data}/test-cs.frames holds 1000 bytes no manifest line counts"),
     (frame_bytes(lambda blob: blob[:-4]),
@@ -499,7 +508,7 @@ def test_adapt_unguidable_head_fails_before_training(micro_files, data, backbone
 
     monkeypatch.setattr(training, "_run_training", no_training)
     layer0 = workdir / "layer0.tsv"
-    layer0.write_text("# dataset_size=32\tthreshold=16.0\n0\t1\t20\n")
+    layer0.write_text(HEADER + "0\t1\t20\n")
     out = workdir / "layer0.ckpt"
     rc = main(["adapt", "--mode", mode, "--backbone", str(backbone),
                "--data", str(data), "--heads", str(layer0),
@@ -520,7 +529,7 @@ def test_adapt_missing_head_fails_before_training(micro_files, data, backbone, w
 
     monkeypatch.setattr(training, "_run_training", no_training)
     missing = workdir / "missing.tsv"
-    missing.write_text(f"# dataset_size=32\tthreshold=16.0\n{head[0]}\t{head[1]}\t20\n")
+    missing.write_text(f"{HEADER}{head[0]}\t{head[1]}\t20\n")
     out = workdir / "missing.ckpt"
     rc = main(["adapt", "--mode", mode, "--backbone", str(backbone),
                "--data", str(data), "--heads", str(missing),
@@ -537,8 +546,25 @@ def test_adapt_two_stage_guided(micro_files, data, backbone, heads, workdir, cap
                "--data", str(data), "--heads", str(heads),
                "--config", str(micro_files["train"]), "--out", str(out)])
     assert rc == 0
-    # the paper's headline figure: adapter parameters, and their share of all
-    assert "adapter parameters: 522 (6.6%)" in capsys.readouterr().out.splitlines()
+    # the paper's headline figure: adapter parameters over the backbone's
+    out = capsys.readouterr().out.splitlines()
+    assert "adapter parameters: 522 (7.0% of the backbone)" in out
+
+
+@pytest.mark.parametrize("flag, stages", [
+    ([], ["stage2"]),
+    (["--mode", "two-stage-ag"], ["stage1", "stage2"]),
+], ids=["config-mode", "flag-wins"])
+def test_adapt_mode_from_the_run_config(micro_files, data, backbone, heads, workdir, capsys,
+                                        flag, stages):
+    cfg = workdir / "one-stage.cfg"
+    cfg.write_text(micro_files["train"].read_text() + "mode = one-stage\n")
+    out = workdir / "mode.ckpt"
+    rc = main(["adapt", *flag, "--backbone", str(backbone), "--data", str(data),
+               "--heads", str(heads), "--config", str(cfg), "--out", str(out)])
+    assert rc == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in printed if line.startswith("stage")] == stages
 
 
 def test_eval(micro_files, data, heads, adapted):
@@ -590,7 +616,7 @@ def test_pipeline_in_process_matches_the_cli(micro_files, data, backbone, tmp_pa
 def test_malformed_heads_file(micro_files, data, backbone, adapted, workdir, capsys,
                               command):
     bad = workdir / "bad-heads.tsv"
-    bad.write_text("# dataset_size=32\tthreshold=16.0\n1\tx\t3\n")
+    bad.write_text(HEADER + "1\tx\t3\n")
     out = workdir / f"bad-heads-{command}.out"
     if command == "adapt":
         args = ["adapt", "--mode", "two-stage-ag", "--backbone", str(backbone),
@@ -692,19 +718,30 @@ def test_eval_checkpoint_with_non_finite_parameter(data, adapted, tmp_path, caps
     assert not report.exists()
 
 
-HEADER = "# dataset_size=32\tthreshold=16.0\n"
-
-
 # select-heads never writes any of these: it raises before saving
 @pytest.mark.parametrize("text, message", [
     (HEADER + "1\t0\t5\n1\t0\t5\n", "malformed head-selection line"),
     (HEADER + "1\t0\t5\n1\t1\t-4\n", "malformed head-selection line"),
-    ("# dataset_size=-5\tthreshold=-2.5\n1\t0\t3\n", "malformed head-selection header"),
+    ('{"dataset_size": -5, "format": 2}\n1\t0\t3\n', "malformed head-selection header"),
     (HEADER + "1\t0\t5\n1\t1\t33\n", "'1\\t1\\t33' counts 33 of 32 utterances"),
     (HEADER, "selects no head"),
-    ("# threshold=16.0\n1\t0\t3\n", "malformed head-selection header"),
+    ('{"format": 2}\n1\t0\t3\n', "lacks ['dataset_size']"),
+    ('{"dataset_size": 32, "dataset_size": 8, "format": 2}\n1\t0\t3\n',
+     "key 'dataset_size' repeats"),
+    ('{"dataset_size": 32, "format": 2, "threshold": 16.0}\n1\t0\t3\n',
+     "has unknown keys ['threshold']"),
+    ('{"dataset_size": true, "format": 2}\n1\t0\t3\n',
+     "dataset_size must be a JSON int, got True"),
+    ('{"dataset_size": 32.0, "format": 2}\n1\t0\t3\n',
+     "dataset_size must be a JSON int, got 32.0"),
+    ("# dataset_size=32\tthreshold=16.0\n1\t0\t3\n", "; run select-heads again"),
+    ('{"dataset_size": 32, "format": 1}\n1\t0\t3\n',
+     "has head-selection file format 1, not 2; run select-heads again"),
+    (HEADER + "1\t0\t5\n\n1\t1\t5\n", ":3: malformed head-selection line ''"),
 ], ids=["duplicate-head", "negative-count", "negative-dataset-size",
-        "count-above-dataset-size", "no-head", "no-dataset-size"])
+        "count-above-dataset-size", "no-head", "no-dataset-size", "repeated-key",
+        "unknown-key", "bool-dataset-size", "float-dataset-size", "old-header", "format-1",
+        "blank-line"])
 def test_heads_file_with_a_repeated_head_or_negative_count(micro_files, data, backbone,
                                                            workdir, capsys, text, message):
     bad = workdir / "bad-count-heads.tsv"
@@ -714,7 +751,9 @@ def test_heads_file_with_a_repeated_head_or_negative_count(micro_files, data, ba
                "--config", str(micro_files["train"]), "--data", str(data),
                "--heads", str(bad), "--out", str(out)])
     assert rc == 3
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and str(bad) in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 
@@ -811,7 +850,7 @@ def test_non_utf8_heads_file(data, adapted, tmp_path, capsys):
     rc = main(["eval", "--model", str(adapted), "--data", str(data),
                "--heads", str(bad), "--report", str(report)])
     assert rc == 3
-    assert f"malformed head-selection file: {bad}" in capsys.readouterr().err
+    assert f"head-selection file {bad} is not UTF-8 text" in capsys.readouterr().err
     assert not report.exists()
 
 

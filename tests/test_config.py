@@ -2,8 +2,10 @@
 dataclass, from config-file text (ConfigError) and from JSON headers
 (DataError)."""
 
+import ast
 import json
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import pytest
 
@@ -144,3 +146,17 @@ def test_dict_of_kinds_reads_only_its_keys():
         config.from_text({"n_adapt": int}, values)
     with pytest.raises(DataError, match=r"unknown keys \['b'\] and lacks \['a'\]"):
         config.from_json({"a": int}, {"b": 1}, "x")
+
+
+def test_config_is_the_only_json_parser():
+    # every JSON the package reads then refuses a repeated key: no other
+    # module names json.load or json.loads, as a call or a name imported
+    readers = []
+    for path in sorted(Path(config.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+                    and isinstance(node.value, ast.Name) and node.value.id == "json"
+                    or isinstance(node, ast.ImportFrom) and node.module == "json"
+                    and {alias.name for alias in node.names} & {"load", "loads"}):
+                readers.append(f"{path.name}:{node.lineno}")
+    assert readers and all(reader.startswith("config.py:") for reader in readers), readers

@@ -4,6 +4,7 @@ loss and LID attribution. The batched functions are checked against
 per-utterance oracles, the loops they replaced, kept here."""
 
 import dataclasses
+import json
 from collections import namedtuple
 
 import numpy as np
@@ -655,6 +656,10 @@ class TestLidAttribution:
             lid_attribution(maps, [seq, seq], make_selection([(0, 0)]))
 
 
+# the header line of a head-selection file counting 10 utterances
+HEADER = '{"dataset_size": 10, "format": 2}\n'
+
+
 class TestHeadSelectionFile:
     def test_round_trip_bit_exact(self, tmp_path):
         counts = {(0, 0): 5, (0, 1): 9, (1, 0): 7, (1, 1): 1}
@@ -668,6 +673,8 @@ class TestHeadSelectionFile:
         path2 = tmp_path / "heads2.tsv"
         save_head_selection(path2, loaded)
         assert path.read_bytes() == path2.read_bytes()
+        header = json.loads(path.read_text().splitlines()[0])
+        assert header == {"dataset_size": 10, "format": 2}
 
     def test_malformed_file_errors(self, tmp_path):
         bad = tmp_path / "bad.tsv"
@@ -680,19 +687,33 @@ class TestHeadSelectionFile:
                                       "0\t1\t7", "1\t1\t-4"])
     def test_malformed_line_errors(self, tmp_path, line):
         bad = tmp_path / "bad.tsv"
-        bad.write_text(f"# dataset_size=10\tthreshold=5.0\n0\t1\t5\n{line}\n")
+        bad.write_text(f"{HEADER}0\t1\t5\n{line}\n")
         with pytest.raises(DataError, match="malformed head-selection line"):
             load_head_selection(bad)
 
-    @pytest.mark.parametrize("text", [
-        b"# dataset_size=-5\tthreshold=-2.5\n1\t0\t3\n",
-        b"# dataset_size=0\tthreshold=0.0\n1\t0\t0\n",
-        b"# dataset_size=10\tthreshold=5.0\n1\t0\t11\n",
-        b"# dataset_size=10\tthreshold=5.0\n",
-        b"# dataset_size=10\tthreshold=5.0\n1\t0\t3\xff\n",
-    ], ids=["negative-size", "zero-size", "count-above-size", "no-head", "not-utf8"])
-    def test_out_of_bounds_or_undecodable_file_errors(self, tmp_path, text):
+    @pytest.mark.parametrize("text, message", [
+        (b'{"dataset_size": -5, "format": 2}\n1\t0\t3\n', "malformed head-selection header"),
+        (b'{"dataset_size": 0, "format": 2}\n1\t0\t0\n', "malformed head-selection header"),
+        (HEADER.encode() + b"1\t0\t11\n", "malformed head-selection line"),
+        (HEADER.encode(), "malformed head-selection file"),
+        (HEADER.encode() + b"1\t0\t3\xff\n", "is not UTF-8 text"),
+        (b"", "empty head-selection file"),
+        (b'{"dataset_size": 10, "format": 2, "dataset_size": 10}\n1\t0\t3\n',
+         "key 'dataset_size' repeats"),
+        (b'{"dataset_size": 10, "format": 2, "threshold": 5.0}\n1\t0\t3\n',
+         r"unknown keys \['threshold'\]"),
+        (b'{"dataset_size": true, "format": 2}\n1\t0\t3\n', "must be a JSON int, got True"),
+        (b'{"dataset_size": 10.0, "format": 2}\n1\t0\t3\n', "must be a JSON int, got 10.0"),
+        (b"# dataset_size=10\tthreshold=5.0\n1\t0\t3\n", "; run select-heads again"),
+        (b'{"dataset_size": 10, "format": 1}\n1\t0\t3\n',
+         "head-selection file format 1, not 2; run select-heads again"),
+        (HEADER.encode() + b"1\t0\t3\n\n", ":3: malformed head-selection line ''"),
+    ], ids=["negative-size", "zero-size", "count-above-size", "no-head", "not-utf8", "empty",
+            "repeated-key", "unknown-key", "bool-size", "float-size", "old-header", "format-1",
+            "blank-line"])
+    def test_out_of_bounds_or_undecodable_file_errors(self, tmp_path, text, message):
         bad = tmp_path / "bad.tsv"
         bad.write_bytes(text)
-        with pytest.raises(DataError, match="malformed head-selection"):
+        with pytest.raises(DataError, match=message) as info:
             load_head_selection(bad)
+        assert str(bad) in str(info.value)

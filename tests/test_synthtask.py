@@ -278,7 +278,7 @@ class TestManifest:
         lines = path.read_text().splitlines()
         lines[1] = "\t".join(corrupt(lines[1].split("\t")))
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataError, match=message):
+        with pytest.raises(DataError, match=r"pretrain\.manifest:2: .*" + message):
             read_split(tmp_path, "pretrain")
 
     # test-cs holds u000032-u000035 on manifest lines 2-5; frames of half
